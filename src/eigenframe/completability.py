@@ -31,6 +31,8 @@ from .exact import (
     invert,
     is_psd_exact,
     nullspace_fast,
+    pivot_columns,
+    psd_rank_pivot,
     rank_exact,
 )
 from .frameworks import Framework, dominates
@@ -90,7 +92,7 @@ def _build_system(g: Graph, diag, dtype, pairs, index):
 
 def _vector_to_matrix(vec, n, pairs, exact):
     if exact:
-        entries = [[Fraction(0)] * n for _ in range(n)]
+        entries = [[0] * n for _ in range(n)]
         for (i, j), v in zip(pairs, vec):
             entries[i][j] = v
             entries[j][i] = v
@@ -111,7 +113,9 @@ def xspace(
     entries are unknowns. Exact-path results are certified (modular rank
     bound for dimension zero, exact verification of every basis matrix
     otherwise). A precomputed Spectrum with exact integer tau (for instance
-    from character sums) may be passed in to skip the eigenvalue search.
+    from character sums) may be passed in to skip the eigenvalue search; one
+    pivot pass checks that A - tau I is singular PSD with the stated
+    multiplicity, and a ValueError is raised otherwise.
     """
     if backend not in ("auto", "exact", "floating"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -125,6 +129,9 @@ def xspace(
         if not isinstance(spectrum.tau, Fraction) or spectrum.tau.denominator != 1:
             raise ValueError("precomputed spectrum must carry an exact integer tau")
         tau = spectrum.tau
+        status, rank = psd_rank_pivot(adjacency_matrix(g) - ExactMatrix.identity(g.n) * tau)
+        if status != "psd" or g.n - rank != spectrum.tau_multiplicity:
+            raise ValueError("precomputed spectrum does not match the graph's least eigenvalue")
     elif backend in ("auto", "exact"):
         spectrum = integer_least_eigenvalue(adjacency_matrix(g), tol)
         if spectrum is None and backend == "exact":
@@ -142,7 +149,7 @@ def xspace(
         rank, _, _ = rank_mod_p(rows)
         if rank == len(pairs):
             return XSpaceBasis(g, tau, (), "exact", None, mult)
-        vectors = nullspace_fast([[int(x) for x in row] for row in rows], len(pairs))
+        vectors = nullspace_fast(rows.tolist(), len(pairs))
         shifted = adjacency_matrix(g) - ExactMatrix.identity(g.n) * tau
         basis = []
         for vec in vectors:
@@ -203,8 +210,8 @@ def reduced_points(fw: Framework) -> object:
     """A full-column-rank point matrix spanning the framework's eigenspace.
 
     Floating frameworks already carry an orthonormal basis. Exact ones store
-    the projector, whose leftmost rank-many independent columns are selected
-    (deterministically) and verified to have full rank.
+    the projector, whose leftmost rank-many independent columns (the pivot
+    columns of one echelon pass) are selected.
     """
     if not fw.is_exact():
         pts = np.asarray(fw.points)
@@ -212,13 +219,7 @@ def reduced_points(fw: Framework) -> object:
             raise InternalCheckError("floating framework points are not a column basis")
         return pts
     gram = fw.gram
-    cols = []
-    for c in range(gram.ncols):
-        trial = cols + [c]
-        if rank_exact(gram.submatrix(range(gram.nrows), trial)) == len(trial):
-            cols.append(c)
-        if len(cols) == fw.d:
-            break
+    cols = pivot_columns(gram)[: fw.d]
     if len(cols) != fw.d:
         raise InternalCheckError("projector rank does not match framework dimension")
     return gram.submatrix(range(gram.nrows), cols)
@@ -305,7 +306,7 @@ def gershgorin_scale(x):
     """1 / (max absolute row sum): guarantees the scaled matrix has least
     eigenvalue >= -1 without ever leaving the rationals."""
     if isinstance(x, ExactMatrix):
-        s = max((sum(abs(v) for v in row) for row in x.data), default=Fraction(0))
+        s = max((sum(map(abs, x.row(i))) for i in range(x.nrows)), default=0)
         return None if s == 0 else Fraction(1) / s
     s = float(np.max(np.sum(np.abs(np.asarray(x, dtype=float)), axis=1), initial=0.0))
     return None if s == 0.0 else 1.0 / s

@@ -1,19 +1,24 @@
 """Exact rational linear algebra and spectra.
 
-Matrices carry Fraction entries, so everything is reduced with positive
-denominators by construction. Elimination is fraction-free (Bareiss) on
-integer rows obtained by clearing denominators; the certified fast nullspace
-additionally uses a word-size prime to discover the pivot structure, solves
-the discovered square system exactly, and verifies every kernel vector
-against the full matrix, falling back to pure Bareiss if verification fails.
-Full column rank modulo the prime is accepted as a proof of a trivial
+An exact matrix is stored as integer rows over one positive common
+denominator, in lowest terms, so sums, products, equality and zero tests are
+integer work; entries are read back as Fractions. Rank, kernel and PSD status
+are unchanged by one positive scale, so every elimination runs directly on
+the integer numerators: fraction-free (Bareiss) for rank and the reference
+nullspace, and a word-size prime for the certified fast nullspace. That one
+discovers the pivot structure modulo the prime, solves the square pivot
+system exactly (p-adic lifting, fraction-free elimination when lifting
+bails; the same solver inverts matrices), and verifies every integer kernel
+vector against the full matrix, falling back to pure Bareiss if verification
+fails. Full column rank modulo the prime is accepted as a proof of a trivial
 nullspace, which is the one-sided bound that keeps large instances cheap.
 
-Least eigenvalues of adjacency matrices are certified exactly: an integer k
-is the least eigenvalue iff A - kI is singular and positive semidefinite,
-and a symmetric fraction-free pivot pass decides PD / PSD-deficient /
-indefinite, so a binary search over the integer range settles integrality
-without trusting floating point.
+Positive semidefiniteness has one test: a symmetric fraction-free pivot pass
+that decides PD / PSD-deficient / indefinite and reports the rank. Least
+eigenvalues of adjacency matrices are certified with it: an integer k is the
+least eigenvalue iff A - kI is singular and positive semidefinite, so a
+binary search over the integer range settles integrality without trusting
+floating point.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -31,36 +37,56 @@ from .modular import rank_mod_p
 DEFAULT_TOL = 1e-8
 
 
-def _coerce(x) -> Fraction:
+def _coerce(x):
     if isinstance(x, float):
         raise TypeError("refusing to build an exact matrix from a float")
-    return Fraction(x)
+    return x if type(x) is int else Fraction(x)
 
 
 class ExactMatrix:
-    """Immutable dense matrix over the rationals."""
+    """Immutable dense matrix over the rationals: integer rows num over one
+    positive denominator den, with gcd(den, every numerator) = 1."""
 
-    __slots__ = ("nrows", "ncols", "data")
+    __slots__ = ("nrows", "ncols", "num", "den")
 
     def __init__(self, rows):
-        data = tuple(tuple(_coerce(x) for x in row) for row in rows)
-        if data and any(len(r) != len(data[0]) for r in data):
+        rows = [[_coerce(x) for x in row] for row in rows]
+        if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "nrows", len(data))
-        object.__setattr__(self, "ncols", len(data[0]) if data else 0)
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        self._store([[x.numerator * (den // x.denominator) for x in row] for row in rows], den)
+
+    @classmethod
+    def _from_ints(cls, num, den=1):
+        """The matrix num / den for integer rows num and a positive den."""
+        m = object.__new__(cls)
+        m._store(num, den)
+        return m
+
+    def _store(self, num, den):
+        g = math.gcd(den, *(x for row in num for x in row))
+        if g != 1:
+            num = [[x // g for x in row] for row in num]
+            den //= g
+        # tuples are built from lists, not iterators: CPython sizes a tuple
+        # from an iterator by resizing, so freeing it grows the tuple free
+        # list, and peak memory then creeps up until a full collection
+        object.__setattr__(self, "num", tuple([tuple(row) for row in num]))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nrows", len(self.num))
+        object.__setattr__(self, "ncols", len(self.num[0]) if self.num else 0)
 
     def __setattr__(self, *a):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_ints([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, nrows, ncols=None):
         ncols = nrows if ncols is None else ncols
-        return cls([[0] * ncols for _ in range(nrows)])
+        return cls._from_ints([[0] * ncols for _ in range(nrows)])
 
     @classmethod
     def column_stack(cls, vectors):
@@ -72,101 +98,84 @@ class ExactMatrix:
 
     def __getitem__(self, key):
         i, j = key
-        return self.data[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def row(self, i):
-        return self.data[i]
+        return tuple([Fraction(x, self.den) for x in self.num[i]])
 
     def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.data == other.data
+        return isinstance(other, ExactMatrix) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols})"
 
     def __add__(self, other):
-        self._same_shape(other)
-        return ExactMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch")
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return ExactMatrix._from_ints(
+            [[x * a + y * b for x, y in zip(ra, rb)] for ra, rb in zip(self.num, other.num)], den
         )
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return ExactMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
+        return self + other * -1
 
     def __mul__(self, scalar):
         s = _coerce(scalar)
-        return ExactMatrix([[s * x for x in row] for row in self.data])
+        return ExactMatrix._from_ints(
+            [[x * s.numerator for x in row] for row in self.num], self.den * s.denominator
+        )
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        cols = list(zip(*other.data))
-        return ExactMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.data]
+        cols = list(zip(*other.num))
+        return ExactMatrix._from_ints(
+            [[sum(map(mul, row, col)) for col in cols] for row in self.num],
+            self.den * other.den,
         )
-
-    def _same_shape(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
 
     def transpose(self):
-        return ExactMatrix(list(zip(*self.data))) if self.data else ExactMatrix([])
+        return ExactMatrix._from_ints(list(zip(*self.num)), self.den)
 
     def trace(self):
-        return sum(self.data[i][i] for i in range(min(self.nrows, self.ncols)))
+        return Fraction(sum(self.num[i][i] for i in range(min(self.nrows, self.ncols))), self.den)
 
     def is_symmetric(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        return all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
+        return self.nrows == self.ncols and list(self.num) == list(zip(*self.num))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(any(row) for row in self.num)
 
     def submatrix(self, rows, cols):
-        return ExactMatrix([[self.data[i][j] for j in cols] for i in rows])
+        return ExactMatrix._from_ints([[self.num[i][j] for j in cols] for i in rows], self.den)
 
     def to_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.data], dtype=float)
+        # int / int is correctly rounded, so this equals float(Fraction) per entry
+        return np.array([[x / self.den for x in row] for row in self.num], dtype=float)
 
     def entries_row_major(self):
-        return [x for row in self.data for x in row]
+        return [Fraction(x, self.den) for row in self.num for x in row]
 
 
 def adjacency_matrix(g: Graph) -> ExactMatrix:
-    return ExactMatrix(g.adjacency_rows())
+    return ExactMatrix._from_ints(g.adjacency_rows())
 
 
 # -- fraction-free elimination -----------------------------------------------
 
 
-def _integer_rows(m, row_scaling=True):
-    """Integer rows from an ExactMatrix or row iterable.
-
-    With row_scaling each row is multiplied by its own denominator lcm (fine
-    for rank and nullspace); otherwise one global scalar is used (needed when
-    congruence matters, as in the PSD pivot pass).
-    """
-    data = m.data if isinstance(m, ExactMatrix) else [[Fraction(x) for x in r] for r in m]
-    if row_scaling:
-        out = []
-        for row in data:
-            scale = math.lcm(*(x.denominator for x in row)) if row else 1
-            out.append([int(x * scale) for x in row])
-        return out
-    scale = math.lcm(*(x.denominator for row in data for x in row)) if data else 1
-    return [[int(x * scale) for x in row] for row in data]
+def _mutable_rows(m):
+    """Integer rows to eliminate on: the numerators of an ExactMatrix (one
+    positive scale changes neither rank, kernel nor PSD status), or integer
+    rows as given."""
+    return [list(row) for row in (m.num if isinstance(m, ExactMatrix) else m)]
 
 
 def _bareiss_echelon(rows):
@@ -196,14 +205,16 @@ def _bareiss_echelon(rows):
     return pivots
 
 
+def pivot_columns(m) -> list:
+    """The leftmost linearly independent columns of m, from one echelon pass."""
+    return [c for _, c in _bareiss_echelon(_mutable_rows(m))]
+
+
 def rank_exact(m) -> int:
-    rows = _integer_rows(m)
-    if not rows or not rows[0]:
-        return 0
-    return len(_bareiss_echelon(rows))
+    return len(pivot_columns(m))
 
 
-def _back_substitute(rows, pivots, free_col, active_free=()):
+def _back_substitute(rows, pivots, free_col):
     """Kernel vector with value 1 at free_col and 0 at the other free columns."""
     x = {free_col: Fraction(1)}
     for r, c in reversed(pivots):
@@ -214,53 +225,42 @@ def _back_substitute(rows, pivots, free_col, active_free=()):
     return x
 
 
-def _normalize_kernel_vector(x, ncols, free_col):
+def _normalize_kernel_vector(x, ncols):
+    """The primitive integer vector along the sparse rational vector x."""
     scale = math.lcm(*(v.denominator for v in x.values()))
-    ints = {j: int(v * scale) for j, v in x.items()}
+    ints = {j: v.numerator * (scale // v.denominator) for j, v in x.items()}
     g = math.gcd(*ints.values())
-    if g:
-        ints = {j: v // g for j, v in ints.items()}
-    if ints.get(free_col, 0) < 0:
-        ints = {j: -v for j, v in ints.items()}
-    return tuple(Fraction(ints.get(j, 0)) for j in range(ncols))
+    return tuple([ints.get(j, 0) // g for j in range(ncols)])
+
+
+def _annihilates(rows, vec) -> bool:
+    return not any(sum(map(mul, row, vec)) for row in rows)
 
 
 def nullspace(m):
     """Exact nullspace basis via fraction-free elimination.
 
-    Returns a tuple of integer-normalized vectors (tuples of Fractions); every
-    vector is re-checked against the matrix before being returned.
+    Returns a tuple of primitive integer vectors, each positive at its own
+    free column; every vector is re-checked against the matrix before being
+    returned.
     """
-    rows = _integer_rows(m)
-    ncols = len(rows[0]) if rows else (m.ncols if isinstance(m, ExactMatrix) else 0)
-    if ncols == 0:
-        return ()
-    if not rows:
-        return tuple(
-            tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)
-        )
+    rows = _mutable_rows(m)
     work = [row[:] for row in rows]
     pivots = _bareiss_echelon(work)
     pivot_cols = {c for _, c in pivots}
-    basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        vec = _normalize_kernel_vector(_back_substitute(work, pivots, f), ncols, f)
-        basis.append(vec)
-    _verify_kernel(rows, basis)
+    ncols = len(rows[0]) if rows else 0
+    basis = [
+        _normalize_kernel_vector(_back_substitute(work, pivots, f), ncols)
+        for f in range(ncols)
+        if f not in pivot_cols
+    ]
+    if not all(_annihilates(rows, vec) for vec in basis):
+        raise InternalCheckError("kernel vector fails exact verification")
     return tuple(basis)
 
 
-def _verify_kernel(rows, basis):
-    for vec in basis:
-        for row in rows:
-            if sum(a * b for a, b in zip(row, vec)):
-                raise InternalCheckError("kernel vector fails exact verification")
-
-
 def _rational_reconstruct(a, m):
-    """Fraction n/d with a*d = n (mod m), |n|, d <= sqrt(m/2), or None.
+    """(n, d) with d > 0, a*d = n (mod m) and |n|, d <= sqrt(m/2), or None.
 
     Standard half-extended Euclid on (m, a), stopping at the first remainder
     below the bound.
@@ -276,7 +276,7 @@ def _rational_reconstruct(a, m):
         return None
     if math.gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1) if t1 > 0 else Fraction(-r1, -t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _inverse_mod_p(s, p):
@@ -299,6 +299,7 @@ def _inverse_mod_p(s, p):
 def _solve_dixon(s_rows, rhs_cols, p=2_147_483_647):
     """Exact solutions of S y = b for each column b, by p-adic lifting.
 
+    Each solution is (integer numerators, positive common denominator).
     S must be invertible mod p (hence over Q). Candidate solutions come from
     rational reconstruction of the p-adic expansion; each is verified exactly
     before being returned, so a reconstruction failure returns None rather
@@ -306,7 +307,7 @@ def _solve_dixon(s_rows, rhs_cols, p=2_147_483_647):
     """
     r = len(s_rows)
     if r == 0:
-        return [[] for _ in rhs_cols]
+        return [([], 1) for _ in rhs_cols]
     # int64 matvec bounds: |S| < 2^20 and r < 2^12 keep every sum below 2^63
     if r >= 1 << 12 or max(abs(x) for row in s_rows for x in row) >= 1 << 20:
         return None
@@ -337,18 +338,49 @@ def _solve_dixon(s_rows, rhs_cols, p=2_147_483_647):
             if steps >= check_at or steps == steps_cap:
                 check_at *= 2
                 cand = [_rational_reconstruct(a, pk) for a in acc]
-                if all(v is not None for v in cand):
-                    ok = all(
-                        sum(s_rows[i][j] * cand[j] for j in range(r)) == col[i]
-                        for i in range(r)
-                    )
-                    if ok:
-                        y = cand
+                if None not in cand:
+                    den = math.lcm(*(q for _, q in cand))
+                    nums = [n * (den // q) for n, q in cand]
+                    if all(sum(map(mul, row, nums)) == den * v for row, v in zip(s_rows, col)):
+                        y = (nums, den)
                         break
         if y is None:
             return None
         solutions.append(y)
     return solutions
+
+
+def _solve_bareiss_square(sub, rhs):
+    """Exact solve of a square system against every right-hand side by
+    fraction-free elimination, or None if the matrix is singular.
+
+    Back substitution is scaled by the last pivot, which is +-det(S), so by
+    Cramer's rule every step divides exactly and the numerators stay integral.
+    """
+    r = len(sub)
+    aug = [list(row) + [col[i] for col in rhs] for i, row in enumerate(sub)]
+    pivots = _bareiss_echelon(aug)
+    if len(pivots) != r or any(c >= r for _, c in pivots):
+        return None
+    det = aug[r - 1][r - 1] if r else 1
+    sign = 1 if det > 0 else -1
+    sols = []
+    for t in range(len(rhs)):
+        y = [0] * r
+        for i in reversed(range(r)):
+            row = aug[i]
+            s = det * row[r + t] - sum(map(mul, row[i + 1 : r], y[i + 1 :]))
+            y[i] = s // row[i]
+        sols.append(([sign * v for v in y], abs(det)))
+    return sols
+
+
+def _solve_square(s_rows, rhs_cols):
+    """Exact solutions (numerators, positive denominator) of S y = b for every
+    column b, or None if S is singular: p-adic lifting, and fraction-free
+    elimination whenever lifting bails."""
+    sols = _solve_dixon(s_rows, rhs_cols)
+    return sols if sols is not None else _solve_bareiss_square(s_rows, rhs_cols)
 
 
 def nullspace_fast(int_rows, ncols):
@@ -357,76 +389,45 @@ def nullspace_fast(int_rows, ncols):
     Pivot structure is discovered modulo a word-size prime. Full column rank
     mod p already proves a trivial kernel. Otherwise the square pivot
     submatrix (nonsingular over Q because it is nonsingular mod p) is solved
-    exactly for each free column, by p-adic lifting when entries are small
-    enough and fraction-free elimination otherwise, and every candidate
-    vector is verified against the whole matrix; any failure falls back to
-    pure elimination. Verified candidates are independent (distinct free
+    exactly for each free column, and every candidate integer vector is
+    verified against the whole matrix; any failure falls back to pure
+    elimination. Verified candidates are independent (distinct free
     columns), so their count meeting the mod-p nullity certifies the
     dimension exactly.
     """
     if ncols == 0:
         return ()
-    if not int_rows:
-        return tuple(
-            tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)
-        )
     rank, prows, pcols = rank_mod_p(int_rows)
     if rank == ncols:
         return ()
-    free = [c for c in range(ncols) if c not in set(pcols)]
+    pivot_set = set(pcols)
+    free = [c for c in range(ncols) if c not in pivot_set]
     sub = [[int_rows[r][c] for c in pcols] for r in prows]
     rhs = [[int_rows[r][f] for r in prows] for f in free]
-    sols = _solve_dixon(sub, rhs) if rank else [[] for _ in free]
-    if sols is None:
-        sols = _solve_bareiss_square(sub, rhs, rank)
-    if sols is None:
-        return nullspace(int_rows)
     basis = []
-    for t, f in enumerate(free):
-        full = {pcols[i]: -sols[t][i] for i in range(rank)}
-        full[f] = Fraction(1)
-        vec = _normalize_kernel_vector(full, ncols, f)
-        for row in int_rows:
-            if sum(a * b for a, b in zip(row, vec)):
-                return nullspace(int_rows)
+    for f, (nums, den) in zip(free, _solve_square(sub, rhs)):
+        full = {c: -v for c, v in zip(pcols, nums)}
+        full[f] = den
+        vec = _normalize_kernel_vector(full, ncols)
+        if not _annihilates(int_rows, vec):
+            return nullspace(int_rows)
         basis.append(vec)
     return tuple(basis)
 
 
-def _solve_bareiss_square(sub, rhs, rank):
-    """Exact solve of the pivot system against every right-hand side."""
-    aug = [list(row) + [col[i] for col in rhs] for i, row in enumerate(sub)]
-    pivots = _bareiss_echelon(aug)
-    if len(pivots) != rank or any(c >= rank for _, c in pivots):
-        return None
-    sols = []
-    for t in range(len(rhs)):
-        x = {}
-        for r, c in reversed(pivots):
-            row = aug[r]
-            s = -row[rank + t] + sum(row[j] * v for j, v in x.items() if j > c)
-            x[c] = -s / row[c] if s else Fraction(0)
-        sols.append([x.get(c, Fraction(0)) for c in range(rank)])
-    return sols
-
-
 def invert(m: ExactMatrix) -> ExactMatrix:
+    """Exact inverse through the square solver; ValueError if m is singular."""
     if m.nrows != m.ncols:
         raise ValueError("only square matrices invert")
     n = m.nrows
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.data)]
-    for c in range(n):
-        k = next((i for i in range(c, n) if a[i][c]), None)
-        if k is None:
-            raise ValueError("matrix is singular")
-        a[c], a[k] = a[k], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return ExactMatrix([row[n:] for row in a])
+    cols = _solve_square(m.num, [[int(i == j) for i in range(n)] for j in range(n)])
+    if cols is None:
+        raise ValueError("matrix is singular")
+    # (num / den)^-1 = den * num^-1, and column j of num^-1 is nums_j / den_j
+    den = math.lcm(*(d for _, d in cols))
+    return ExactMatrix._from_ints(
+        [[m.den * nums[i] * (den // d) for nums, d in cols] for i in range(n)], den
+    )
 
 
 def projector_onto_nullspace(m: ExactMatrix) -> ExactMatrix:
@@ -457,13 +458,13 @@ def charpoly(m: ExactMatrix):
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.nrows
-    scale = math.lcm(*(x.denominator for row in m.data for x in row)) if n else 1
-    b = [[int(x * scale) for x in row] for row in m.data]
+    b = m.num
     coeffs_int = [1]
-    mk = [row[:] for row in b]
+    mk = [list(row) for row in b]
     for k in range(1, n + 1):
         tr = sum(mk[i][i] for i in range(n))
-        assert tr % k == 0
+        if tr % k:
+            raise InternalCheckError("trace recurrence produced a non-integral coefficient")
         ck = -tr // k
         coeffs_int.append(ck)
         if k == n:
@@ -471,23 +472,16 @@ def charpoly(m: ExactMatrix):
         for i in range(n):
             mk[i][i] += ck
         cols = list(zip(*mk))
-        mk = [
-            [sum(a * v for a, v in zip(row, col)) for col in cols]
-            for row in b
-        ]
-    return [Fraction(c, scale**k) for k, c in enumerate(coeffs_int)]
+        mk = [[sum(map(mul, row, col)) for col in cols] for row in b]
+    return [Fraction(c, m.den**k) for k, c in enumerate(coeffs_int)]
 
 
 def is_psd_exact(m: ExactMatrix) -> bool:
-    """Exact positive semidefiniteness via characteristic-coefficient signs.
-
-    A symmetric matrix has all real eigenvalues, and they are all nonnegative
-    iff the characteristic coefficients alternate in sign.
-    """
+    """Exact positive semidefiniteness of a symmetric matrix, by the
+    symmetric pivot pass."""
     if not m.is_symmetric():
         raise ValueError("PSD test needs a symmetric matrix")
-    coeffs = charpoly(m)
-    return all(c * (-1) ** k >= 0 for k, c in enumerate(coeffs))
+    return psd_rank_pivot(m)[0] != "indefinite"
 
 
 def psd_rank_pivot(m) -> tuple:
@@ -497,8 +491,7 @@ def psd_rank_pivot(m) -> tuple:
     whenever the matrix is PSD. Pivots are taken on positive diagonal entries,
     so scaled Schur diagonals keep the true signs.
     """
-    data = m.data if isinstance(m, ExactMatrix) else m
-    a = _integer_rows(data, row_scaling=False)
+    a = _mutable_rows(m)
     n = len(a)
     act = list(range(n))
     prev = 1
@@ -508,10 +501,8 @@ def psd_rank_pivot(m) -> tuple:
             return "indefinite", None
         piv = next((i for i in act if a[i][i] > 0), None)
         if piv is None:
-            for i in act:
-                for j in act:
-                    if a[i][j]:
-                        return "indefinite", None
+            if any(a[i][j] for i in act for j in act):
+                return "indefinite", None
             return ("pd" if rank == n else "psd"), rank
         act.remove(piv)
         rank += 1
@@ -565,12 +556,11 @@ class Spectrum:
 def _validate_adjacency(m: ExactMatrix):
     if not m.is_symmetric():
         raise ValueError("adjacency matrix must be symmetric")
-    for i in range(m.nrows):
-        if m.data[i][i] != 0:
+    for i, row in enumerate(m.num):
+        if row[i] != 0:
             raise ValueError("adjacency matrix must have a zero diagonal")
-        for x in m.data[i]:
-            if x != 0 and x != 1:
-                raise ValueError("adjacency entries must be 0 or 1")
+        if any(x != 0 and x != m.den for x in row):
+            raise ValueError("adjacency entries must be 0 or 1")
 
 
 def _cluster(values, tol):
@@ -599,22 +589,21 @@ def integer_least_eigenvalue(a: ExactMatrix, tol: float = DEFAULT_TOL):
     n = a.nrows
     if n == 0:
         raise ValueError("empty matrix has no spectrum")
-    rows = [[int(x) for x in row] for row in a.data]
+    rows = a.num  # 0/1 entries, so the denominator is 1
     maxdeg = max(sum(row) for row in rows)
 
     def status(k):
-        shifted = [[rows[i][j] - (k if i == j else 0) for j in range(n)] for i in range(n)]
-        return psd_rank_pivot(shifted)
+        return psd_rank_pivot(_shift_diagonal(rows, k))
 
     lo, lo_status = -maxdeg, status(-maxdeg)
     if lo_status[0] == "psd":
-        return _exact_spectrum(a, rows, Fraction(lo), n - lo_status[1], tol)
+        return _exact_spectrum(rows, Fraction(lo), n - lo_status[1], tol)
     if lo_status[0] == "indefinite":
         raise InternalCheckError("adjacency matrix indefinite below its degree bound")
     hi = 0
     hi_status = status(0)
     if hi_status[0] == "psd":
-        return _exact_spectrum(a, rows, Fraction(0), n - hi_status[1], tol)
+        return _exact_spectrum(rows, Fraction(0), n - hi_status[1], tol)
     if hi_status[0] == "pd":
         raise InternalCheckError("adjacency matrix positive definite, impossible")
     while hi - lo > 1:
@@ -623,13 +612,18 @@ def integer_least_eigenvalue(a: ExactMatrix, tol: float = DEFAULT_TOL):
         if st == "pd":
             lo = mid
         elif st == "psd":
-            return _exact_spectrum(a, rows, Fraction(mid), n - rank, tol)
+            return _exact_spectrum(rows, Fraction(mid), n - rank, tol)
         else:
             hi = mid
     return None  # least eigenvalue lies strictly between two integers
 
 
-def _exact_spectrum(a, rows, tau, tau_mult, tol):
+def _shift_diagonal(rows, k):
+    """Integer rows of A - kI."""
+    return [[x - k if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def _exact_spectrum(rows, tau, tau_mult, tol):
     n = len(rows)
     vals = np.linalg.eigvalsh(np.array(rows, dtype=float))
     rest = sorted(vals)[tau_mult:]
@@ -637,10 +631,7 @@ def _exact_spectrum(a, rows, tau, tau_mult, tol):
     for center, mult in _cluster(rest, tol):
         k = round(center)
         if abs(center - k) <= 1e-6 and k != tau:
-            shifted = ExactMatrix(
-                [[a.data[i][j] - (k if i == j else 0) for j in range(n)] for i in range(n)]
-            )
-            exact_mult = n - rank_exact(shifted)
+            exact_mult = n - rank_exact(_shift_diagonal(rows, k))
             if exact_mult == mult:
                 pairs.append((Fraction(k), mult))
                 continue

@@ -28,7 +28,6 @@ from .exact import (
     floating_least_eigenspace,
     integer_least_eigenvalue,
     is_psd_exact,
-    nullspace,
     projector_onto_nullspace,
     rank_exact,
 )

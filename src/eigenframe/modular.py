@@ -13,6 +13,8 @@ import itertools
 
 import numpy as np
 
+from .errors import InternalCheckError
+
 # Large word-size prime; products of two residues stay below 2**62.
 DEFAULT_PRIME = 2_147_483_647
 
@@ -137,5 +139,6 @@ def gaussian_binomial(n, r, q) -> int:
     for i in range(r):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise InternalCheckError("Gaussian binomial quotient is not an integer")
     return num // den

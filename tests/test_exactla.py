@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from corpus import connected_graphs
+import eigenframe.exact as exact_mod
 from eigenframe.exact import (
     ExactMatrix,
     adjacency_matrix,
@@ -58,6 +59,48 @@ def test_exact_matrix_arithmetic():
     assert not a.is_symmetric() and b.is_symmetric()
     assert ExactMatrix.zeros(2, 3).is_zero()
     assert ExactMatrix.identity(3).trace() == 3
+
+
+def _random_fraction_rows(rng, nrows, ncols):
+    return [
+        [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7))) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def _fraction_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_exact_matrix_matches_fraction_arithmetic():
+    rng = random.Random(59)
+    for _ in range(40):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = _random_fraction_rows(rng, n, k), _random_fraction_rows(rng, n, k)
+        c = _random_fraction_rows(rng, k, m)
+        s = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        ea, eb, ec = ExactMatrix(a), ExactMatrix(b), ExactMatrix(c)
+        assert ea.entries_row_major() == [x for row in a for x in row]
+        assert all(ea.row(i) == tuple(a[i]) for i in range(n))
+        assert all(ea[i, j] == a[i][j] for i in range(n) for j in range(k))
+        pairs = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
+        assert (ea + eb).entries_row_major() == [x + y for x, y in pairs]
+        assert (ea - eb).entries_row_major() == [x - y for x, y in pairs]
+        assert (ea * s).entries_row_major() == [x * s for row in a for x in row]
+        assert (ea @ ec).entries_row_major() == [x for row in _fraction_product(a, c) for x in row]
+        assert ea.transpose().entries_row_major() == [x for col in zip(*a) for x in col]
+        assert (ea @ ea.transpose()).is_symmetric()
+        assert ea.submatrix([n - 1, 0], [0]) == ExactMatrix([[a[n - 1][0]], [a[0][0]]])
+        assert ea.trace() == sum(a[i][i] for i in range(min(n, k)))
+        assert ea.is_symmetric() == (n == k and a == [list(col) for col in zip(*a)])
+        assert ea.to_float().tolist() == [[float(x) for x in row] for row in a]
+        # equality and hashing see values, not how they were reached
+        rebuilt = ExactMatrix([[str(x) for x in row] for row in a]) * s
+        assert rebuilt == ea * s and hash(rebuilt) == hash(ea * s)
+        assert (ea - ea) == ExactMatrix.zeros(n, k) and (ea - ea).is_zero()
+        assert hash(ea - ea) == hash(ExactMatrix.zeros(n, k))
+    with pytest.raises(TypeError):
+        ExactMatrix([[0.5]])
 
 
 def test_exact_matrix_rejects_ragged_rows():
@@ -117,11 +160,55 @@ def test_fast_nullspace_with_large_entries():
     assert sorted(map(tuple, fast)) == sorted(map(tuple, plain))
 
 
+def _record_results(monkeypatch, name):
+    """Results of every call to exact.<name> made through the module."""
+    results = []
+    original = getattr(exact_mod, name)
+
+    def recorded(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(exact_mod, name, recorded)
+    return results
+
+
+def test_fast_nullspace_bareiss_route_for_entries_beyond_lifting(monkeypatch):
+    # entries >= 2^20 exceed the int64 bound of p-adic lifting
+    rng = random.Random(53)
+    rows = _random_int_matrix(rng, 6, 9, -(1 << 22), 1 << 22)
+    rows.append([a - b for a, b in zip(rows[0], rows[1])])
+    assert max(abs(x) for row in rows for x in row) >= 1 << 20
+    dixon = _record_results(monkeypatch, "_solve_dixon")
+    bareiss = _record_results(monkeypatch, "_solve_bareiss_square")
+    fast = nullspace_fast([list(r) for r in rows], 9)
+    assert dixon == [None] and len(bareiss) == 1 and bareiss[0] is not None
+    assert len(fast) == 3
+    assert sorted(fast) == sorted(nullspace(ExactMatrix(rows)))
+
+
+def test_fast_nullspace_falls_back_when_rank_drops_mod_p(monkeypatch):
+    # the prime itself: rank 0 mod p, so the candidate (1,) fails verification
+    plain = _record_results(monkeypatch, "nullspace")
+    assert nullspace_fast([[2_147_483_647]], 1) == () == nullspace([[2_147_483_647]])
+    assert plain == [()]
+
+
 def test_invert():
     a = ExactMatrix([[2, 1], [1, 1]])
     assert a @ invert(a) == ExactMatrix.identity(2)
+    b = ExactMatrix([["1/2", "2/3"], [3, "-5/7"]])
+    assert invert(b) @ b == ExactMatrix.identity(2) == b @ invert(b)
     with pytest.raises(ValueError):
         invert(ExactMatrix([[1, 2], [2, 4]]))
+
+
+def test_invert_matrix_singular_mod_p(monkeypatch):
+    dixon = _record_results(monkeypatch, "_solve_dixon")
+    bareiss = _record_results(monkeypatch, "_solve_bareiss_square")
+    inv = invert(ExactMatrix([[2_147_483_647, 0], [0, 1]]))
+    assert inv == ExactMatrix([[Fraction(1, 2_147_483_647), 0], [0, 1]])
+    assert dixon == [None] and len(bareiss) == 1
 
 
 def test_projector_onto_nullspace():

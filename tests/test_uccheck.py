@@ -25,7 +25,13 @@ from eigenframe.completability import (
     xspace,
 )
 from eigenframe.errors import UnsupportedInputError
-from eigenframe.exact import ExactMatrix, adjacency_matrix, cayley_spectrum, graph_spectrum
+from eigenframe.exact import (
+    ExactMatrix,
+    Spectrum,
+    adjacency_matrix,
+    cayley_spectrum,
+    graph_spectrum,
+)
 from eigenframe.frameworks import dominates, least_eigenvalue_framework
 from eigenframe.graphs import (
     CayleySpec,
@@ -95,6 +101,16 @@ def test_precomputed_spectrum_path():
     xs = xspace(g, spectrum=sp)
     assert xs.dim == xspace(g).dim
     assert xs.tau == sp.tau
+
+
+def test_precomputed_spectrum_is_checked_against_the_graph():
+    cube = cayley_z2(CayleySpec(3, (1, 2, 4)))  # least eigenvalue -3, multiplicity 1
+    for conn in ((1, 2, 4, 7), (1, 2, 3, 4)):  # tau -4 (below) and -2 (above)
+        with pytest.raises(ValueError):
+            xspace(cube, spectrum=cayley_spectrum(CayleySpec(3, conn)).spectrum)
+    pairs = ((Fraction(-3), 2), (Fraction(-1), 2), (Fraction(1), 3), (Fraction(3), 1))
+    with pytest.raises(ValueError):
+        xspace(cube, spectrum=Spectrum(pairs, Fraction(-3), 2, "exact"))
 
 
 def test_precomputed_spectrum_must_be_exact():
