@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 I/O or parse trouble, 2 unsupported input,
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -57,6 +58,7 @@ def _default_workers() -> int:
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="eigenframe")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -84,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sur = sub.add_parser("survey", help="Cayley graph census for one dimension")
     p_sur.add_argument("--n", type=int, required=True)
-    p_sur.add_argument("--workers", type=int, default=_default_workers())
+    p_sur.add_argument("--workers", type=int, help="default: $EIGENFRAME_WORKERS or 1")
     p_sur.add_argument("--format", choices=("json", "csv", "table"), default="json")
     p_sur.add_argument("--out")
     return parser
@@ -188,7 +190,7 @@ def cmd_check_uc(args) -> int:
         xs = verdict.witness
         _warn_if_floating(args.backend, xs.backend, label)
         nbhd = neighborhood_condition(g, args.backend, args.tol).holds
-        cliq, _ = clique_condition_any(g)
+        cliq, _ = clique_condition_any(g, args.backend, args.tol)
         split, _ = is_split(g)
         doc = {
             "graph6": emit_graph6(g),
@@ -283,7 +285,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    report = run_survey(args.n, workers=max(1, args.workers))
+    workers = _default_workers() if args.workers is None else args.workers
+    report = run_survey(args.n, workers=max(1, workers))
     if args.format == "json":
         return _emit(args, canonical_json(report_json_dict(report)) + "\n")
     if args.format == "csv":

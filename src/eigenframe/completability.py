@@ -3,44 +3,48 @@
 The decision reduces to a linear system: a symmetric matrix X that vanishes
 on closed neighborhoods (diagonal and edges) and satisfies (A - tau I)X = 0
 witnesses a non-congruent dominated framework, and the framework is
-universally completable exactly when no nonzero such X exists. Unknowns are
-indexed by the complement's edges only, so the vanishing constraints are
-structural and the system has |E(complement)| columns and n^2 rows.
+universally completable exactly when no nonzero such X exists.
 
-On the exact path full column rank modulo a word-size prime certifies
-dimension zero outright (the modular rank is a lower bound for the rational
-one); otherwise kernel vectors are produced and verified exactly. On the
-floating path the dimension is read off the singular values, with the
-smallest-to-largest ratio reported as the margin of that call.
+The exact path solves the paper's reduced space X = B R B^T (B an integer
+basis of ker(A - tau I), R symmetric d x d): n + |E| equations in d(d+1)/2
+unknowns, where full column rank modulo a word-size prime certifies
+dimension zero and kernel vectors are otherwise solved exactly and verified.
+The floating path reads the dimension and a smallest-to-largest margin off
+the singular values of the n^2 x |E(complement)| complement-edge system.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from .errors import InternalCheckError, UnsupportedInputError
+from .errors import InternalCheckError, ResourceLimitError, UnsupportedInputError
 from .exact import (
     DEFAULT_TOL,
     ExactMatrix,
     adjacency_matrix,
     floating_least_eigenspace,
+    graph_spectrum,
     integer_least_eigenvalue,
     invert,
     is_psd_exact,
+    nullspace,
     nullspace_fast,
     pivot_columns,
     psd_rank_pivot,
     rank_exact,
 )
 from .frameworks import Framework, dominates
-from .graphs import Graph
+from .graphs import Graph, induced_delete_closed_nbhd, maximal_cliques
 from .modular import rank_mod_p
 
 SV_THRESHOLD = 1e-7
 NEIGHBORHOOD_MARGIN = 1e-6
+SYSTEM_BYTE_CAP = 1 << 30  # largest linear system allocated, at 8 bytes a cell
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,19 @@ def _complement_pairs(g: Graph):
     ]
 
 
+def _closed_pairs(g: Graph):
+    return [(i, i) for i in range(g.n)] + list(g.edges())
+
+
+def _check_budget(nrows, ncols):
+    if 8 * nrows * ncols > SYSTEM_BYTE_CAP:
+        raise ResourceLimitError(
+            f"a {nrows} x {ncols} system exceeds the {SYSTEM_BYTE_CAP}-byte budget"
+        )
+
+
 def _build_system(g: Graph, diag, dtype, pairs, index):
-    """Rows of the linear system (A - tau I) X = 0 over complement-edge
+    """Rows of the floating system (A - tau I) X = 0 over complement-edge
     unknowns; diag is the diagonal coefficient (-tau)."""
     n = g.n
     rows = np.zeros((n * n, len(pairs)), dtype=dtype)
@@ -91,17 +106,40 @@ def _build_system(g: Graph, diag, dtype, pairs, index):
 
 
 def _vector_to_matrix(vec, n, pairs, exact):
-    if exact:
-        entries = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(pairs, vec):
-            entries[i][j] = v
-            entries[j][i] = v
-        return ExactMatrix(entries)
-    x = np.zeros((n, n))
+    entries = [[0] * n for _ in range(n)]
     for (i, j), v in zip(pairs, vec):
-        x[i, j] = v
-        x[j, i] = v
-    return x
+        entries[i][j] = entries[j][i] = v
+    return ExactMatrix(entries) if exact else np.array(entries, dtype=float)
+
+
+def _rspace_vectors(g: Graph, shifted, mult, pairs):
+    """Witnesses X = B R B^T as primitive complement-pair vectors.
+
+    X_ij = p_i^T R p_j is a linear form in R: on closed pairs the system, on
+    complement pairs the lift. Column a of B = nullspace(A - tau I) ends at
+    its free vertex f_a, where row f_a of B is a positive multiple of e_a, so
+    R and X share their last nonzero entry and the lifted echelon basis of
+    the R-system is the echelon basis of the complement-pair system."""
+    b = nullspace(shifted)
+    if len(b) != mult:
+        raise InternalCheckError("eigenspace basis does not match the certified multiplicity")
+    p = list(zip(*b))
+    tri = [(a, c) for a in range(mult) for c in range(a, mult)]
+
+    def form(i, j):
+        return [p[i][a] * p[j][c] + (p[i][c] * p[j][a] if a != c else 0) for a, c in tri]
+
+    closed = _closed_pairs(g)
+    _check_budget(len(closed) + len(pairs), len(tri))
+    rows = [form(i, j) for i, j in closed]
+    if rank_mod_p(rows)[0] == len(tri):  # R -> B R B^T is injective
+        return []
+    lift = [form(i, j) for i, j in pairs]
+    vectors = []
+    for vec in nullspace_fast(rows, len(tri)):
+        x = [sum(map(mul, row, vec)) for row in lift]
+        vectors.append([v // math.gcd(*x) for v in x])
+    return vectors
 
 
 def xspace(
@@ -109,20 +147,20 @@ def xspace(
 ) -> XSpaceBasis:
     """Solve for all symmetric X with (A+I) o X = 0 and (A - tau I) X = 0.
 
-    The Hadamard constraint is enforced structurally: only complement-edge
-    entries are unknowns. Exact-path results are certified (modular rank
-    bound for dimension zero, exact verification of every basis matrix
-    otherwise). A precomputed Spectrum with exact integer tau (for instance
-    from character sums) may be passed in to skip the eigenvalue search; one
-    pivot pass checks that A - tau I is singular PSD with the stated
-    multiplicity, and a ValueError is raised otherwise.
+    The basis is the echelon basis over complement-edge unknowns: one
+    matrix per free complement pair, primitive integers on the exact path
+    (solved in R-space, every matrix verified exactly), SVD vectors with a
+    margin on the floating path. A system over SYSTEM_BYTE_CAP bytes raises
+    ResourceLimitError before it is built. A precomputed Spectrum with exact
+    integer tau (for instance from character sums) may be passed in to skip
+    the eigenvalue search; one pivot pass checks that A - tau I is singular
+    PSD with the stated multiplicity, and a ValueError is raised otherwise.
     """
     if backend not in ("auto", "exact", "floating"):
         raise ValueError(f"unknown backend {backend!r}")
     if g.n == 0:
         raise ValueError("empty graph")
     pairs = _complement_pairs(g)
-    index = {pair: t for t, pair in enumerate(pairs)}
 
     tau = None
     if spectrum is not None and backend != "floating":
@@ -145,14 +183,9 @@ def xspace(
         mult = spectrum.tau_multiplicity
         if not pairs:
             return XSpaceBasis(g, tau, (), "exact", None, mult)
-        rows = _build_system(g, -int(tau), np.int64, pairs, index)
-        rank, _, _ = rank_mod_p(rows)
-        if rank == len(pairs):
-            return XSpaceBasis(g, tau, (), "exact", None, mult)
-        vectors = nullspace_fast(rows.tolist(), len(pairs))
         shifted = adjacency_matrix(g) - ExactMatrix.identity(g.n) * tau
         basis = []
-        for vec in vectors:
+        for vec in _rspace_vectors(g, shifted, mult, pairs):
             x = _vector_to_matrix(vec, g.n, pairs, exact=True)
             if not (shifted @ x).is_zero():
                 raise InternalCheckError("completability witness fails exact recheck")
@@ -164,6 +197,8 @@ def xspace(
     mult_f = eigsp.spectrum.tau_multiplicity
     if not pairs:
         return XSpaceBasis(g, tau_f, (), "floating", None, mult_f)
+    _check_budget(g.n * g.n, len(pairs))
+    index = {pair: t for t, pair in enumerate(pairs)}
     rows = _build_system(g, -tau_f, np.float64, pairs, index)
     svals = np.linalg.svd(rows, compute_uv=False)
     smax = float(svals[0]) if len(svals) else 0.0
@@ -247,11 +282,7 @@ def _conjugate(points, middle):
 
 def _vanishes_on_closed_pairs(g: Graph, x, tol) -> bool:
     exact = isinstance(x, ExactMatrix)
-    for i in range(g.n):
-        v = x[i, i] if exact else x[i, i]
-        if (v != 0) if exact else (abs(v) > tol):
-            return False
-    for i, j in g.edges():
+    for i, j in _closed_pairs(g):
         v = x[i, j]
         if (v != 0) if exact else (abs(v) > tol):
             return False
@@ -376,11 +407,9 @@ def neighborhood_condition(
     Exact comparison when both eigenvalues are integral, floating with a
     fixed margin otherwise. Empty punctured graphs count as eigenvalue zero.
     """
-    from .exact import graph_spectrum
-
     tau = graph_spectrum(g, backend, tol).tau
     for v in range(g.n):
-        h = _punctured(g, v)
+        h = induced_delete_closed_nbhd(g, v)
         if h.n == 0:
             lam = Fraction(0)
         else:
@@ -394,12 +423,6 @@ def neighborhood_condition(
     return ConditionReport(True)
 
 
-def _punctured(g: Graph, v: int) -> Graph:
-    from .graphs import induced_delete_closed_nbhd
-
-    return induced_delete_closed_nbhd(g, v)
-
-
 def clique_condition(
     g: Graph, clique, backend: str = "auto", tol: float = DEFAULT_TOL
 ) -> bool:
@@ -410,8 +433,6 @@ def clique_condition(
     implies universal completability. The empty complement is vacuously
     invertible.
     """
-    from .exact import graph_spectrum
-
     clique = sorted(set(clique))
     for a in range(len(clique)):
         for b in range(a + 1, len(clique)):
@@ -436,8 +457,6 @@ def clique_condition_any(
 ):
     """First maximal clique (largest, then lexicographic) whose complement
     passes the invertibility test, or (False, None)."""
-    from .graphs import maximal_cliques
-
     for clique in sorted(maximal_cliques(g), key=lambda c: (-len(c), c)):
         if clique_condition(g, clique, backend, tol):
             return True, tuple(clique)

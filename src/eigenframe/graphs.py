@@ -413,27 +413,34 @@ def is_split(g: Graph):
 
 
 def maximal_cliques(g: Graph):
-    """All maximal cliques as vertex lists (Bron-Kerbosch with pivoting)."""
+    """All maximal cliques as vertex lists (Bron-Kerbosch with pivoting).
+
+    The search keeps [r, p, x, candidates] frames on an explicit stack and
+    emits cliques in depth-first order. It is not a recursive closure: a
+    closure that calls itself sits in a reference cycle, which every call
+    would leave behind for the cyclic collector.
+    """
     out = []
-
-    def expand(r, p, x):
-        if not p and not x:
-            out.append([v for v in range(g.n) if r >> v & 1])
-            return
-        pivot_pool = p | x
-        pivot = max(
-            (v for v in range(g.n) if pivot_pool >> v & 1),
-            key=lambda v: (p & g.nbr[v]).bit_count(),
-        )
-        cand = p & ~g.nbr[pivot]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            bit = 1 << v
-            expand(r | bit, p & g.nbr[v], x & g.nbr[v])
-            p &= ~bit
-            x |= bit
-            cand &= cand - 1
-
-    if g.n:
-        expand(0, (1 << g.n) - 1, 0)
+    stack = [[0, (1 << g.n) - 1, 0, None]] if g.n else []
+    while stack:
+        frame = stack[-1]
+        r, p, x, cand = frame
+        if cand is None:
+            if not p and not x:
+                out.append([v for v in range(g.n) if r >> v & 1])
+                stack.pop()
+                continue
+            pool = p | x
+            pivot = max(
+                (v for v in range(g.n) if pool >> v & 1),
+                key=lambda v: (p & g.nbr[v]).bit_count(),
+            )
+            cand = p & ~g.nbr[pivot]
+        if not cand:
+            stack.pop()
+            continue
+        v = (cand & -cand).bit_length() - 1
+        bit = 1 << v
+        frame[1:] = [p & ~bit, x | bit, cand & (cand - 1)]
+        stack.append([r | bit, p & g.nbr[v], x & g.nbr[v], None])
     return out

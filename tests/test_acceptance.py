@@ -2,7 +2,7 @@
 
 Each test prints a single 'criterion k: PASS (...)' line with its headline
 numbers; pytest -v adds the per-test PASSED/FAILED verdict. The full
-5-generator census takes around 15 minutes of CPU and only runs when
+5-generator census takes about 4 minutes of CPU and only runs when
 EIGENFRAME_RUN_SLOW=1 is set.
 """
 
@@ -80,7 +80,7 @@ def test_criterion_1_census_through_n4(capsys):
 @pytest.mark.slow
 @pytest.mark.skipif(
     os.environ.get("EIGENFRAME_RUN_SLOW") != "1",
-    reason="full 5-generator census takes ~15 CPU minutes; set EIGENFRAME_RUN_SLOW=1",
+    reason="full 5-generator census takes ~4 CPU minutes; set EIGENFRAME_RUN_SLOW=1",
 )
 def test_criterion_1_census_n5(capsys):
     workers = min(8, os.cpu_count() or 1)

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from eigenframe import cli
-from eigenframe.errors import InternalCheckError
+from eigenframe import cli, completability
+from eigenframe.errors import InternalCheckError, UnsupportedInputError
 
 
 def run(capsys, *argv):
@@ -183,3 +183,46 @@ def test_workers_env_default(monkeypatch, capsys):
     code, out, _ = run(capsys, "survey", "--n", "2", "--format", "csv")
     assert code == 0
     assert out.splitlines()[1].startswith("2,1;2,")
+
+
+def test_workers_default_is_read_when_survey_runs(monkeypatch, capsys):
+    seen = []
+
+    def fake_survey(n, workers):
+        seen.append(workers)
+        raise UnsupportedInputError("stop after recording")
+
+    monkeypatch.setattr(cli, "run_survey", fake_survey)
+    monkeypatch.setenv("EIGENFRAME_WORKERS", "3")
+    assert run(capsys, "survey", "--n", "2")[0] == 2
+    monkeypatch.delenv("EIGENFRAME_WORKERS")
+    assert run(capsys, "survey", "--n", "2")[0] == 2
+    assert run(capsys, "survey", "--n", "2", "--workers", "4")[0] == 2
+    assert seen == [3, 1, 4]
+
+
+def test_check_uc_clique_condition_uses_the_requested_backend(monkeypatch, capsys):
+    calls = []
+
+    def recording(g, backend="auto", tol=1e-8):
+        calls.append((backend, tol))
+        return True, (0, 1)
+
+    monkeypatch.setattr(cli, "clique_condition_any", recording)
+    code, out, _ = run(capsys, "check-uc", "--gen", "cycle:5", "--backend", "floating",
+                       "--tol", "1e-6")
+    assert code == 0 and json.loads(out)["conditions"]["clique"] is True
+    assert calls == [("floating", 1e-6)]
+
+
+@pytest.mark.parametrize("spec", ["cycle:5", "kneser:5,2"])
+def test_system_over_the_byte_budget_is_refused_before_it_is_built(monkeypatch, capsys, spec):
+    def never(*args):
+        raise AssertionError("a system was built over the budget")
+
+    monkeypatch.setattr(completability, "SYSTEM_BYTE_CAP", 8)
+    monkeypatch.setattr(completability, "_build_system", never)
+    monkeypatch.setattr(completability, "rank_mod_p", never)
+    code, out, err = run(capsys, "check-uc", "--gen", spec)
+    assert code == 2 and out == ""
+    assert "byte budget" in err

@@ -1,5 +1,6 @@
 """Graph type, generators, and structural predicates."""
 
+import gc
 import itertools
 import random
 
@@ -177,6 +178,25 @@ def test_maximal_cliques_against_networkx():
         theirs = {frozenset(c) for c in nx.find_cliques(nxg)} if nxg.number_of_nodes() else set()
         theirs = {frozenset(sorted(nxg.nodes()).index(v) for v in c) for c in theirs}
         assert ours == theirs
+
+
+def test_maximal_cliques_order_is_depth_first():
+    # the order of the recursive Bron-Kerbosch search: pivot on the most
+    # candidate neighbours, branch on the lowest candidate vertex first
+    g = from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (1, 4), (0, 5)])
+    assert maximal_cliques(g) == [[0, 1, 2], [0, 5], [2, 3], [3, 4, 5], [1, 4]]
+
+
+def test_maximal_cliques_leave_no_reference_cycles():
+    g = kneser(7, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        cliques = maximal_cliques(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(cliques) == 105  # three disjoint pairs out of seven points
 
 
 def test_relabel_preserves_structure():

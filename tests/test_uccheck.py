@@ -5,13 +5,16 @@ certificates; the oracle in oracles.py redoes every graph from scratch with
 all n(n+1)/2 unknowns and textbook fraction elimination.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from corpus import connected_graphs
+from corpus import atlas_graphs, connected_graphs
+from eigenframe import completability
 from eigenframe.completability import (
     RSpaceElement,
     clique_condition_any,
@@ -31,6 +34,7 @@ from eigenframe.exact import (
     adjacency_matrix,
     cayley_spectrum,
     graph_spectrum,
+    nullspace,
 )
 from eigenframe.frameworks import dominates, least_eigenvalue_framework
 from eigenframe.graphs import (
@@ -238,3 +242,88 @@ def test_backend_argument_validation():
         xspace(K4, backend="quantum")
     with pytest.raises(UnsupportedInputError):
         xspace(cycle(5), backend="exact")
+
+
+def _complement_pair_system(g, tau):
+    """The n^2 x |complement edges| system (A - tau I) X = 0 with X supported
+    on complement pairs: one row per matrix position (i, j), summing the
+    neighbour stencil of i and -tau at i down column j."""
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if not g.has_edge(i, j)]
+    col = {pair: t for t, pair in enumerate(pairs)}
+    rows = []
+    for i in range(g.n):
+        stencil = [(k, 1) for k in g.neighbours(i)] + [(i, -int(tau))]
+        for j in range(g.n):
+            row = [0] * len(pairs)
+            for k, coef in stencil:
+                t = col.get((min(k, j), max(k, j)))
+                if t is not None:
+                    row[t] += coef
+            rows.append(row)
+    return pairs, rows
+
+
+def _line_graph(n):
+    edges = list(itertools.combinations(range(n), 2))
+    m = len(edges)
+    return from_edges(m, [(a, b) for a, b in itertools.combinations(range(m), 2)
+                          if set(edges[a]) & set(edges[b])])
+
+
+def _assert_echelon_basis_of_complement_pair_system(g):
+    xs = xspace(g, backend="exact")
+    pairs, rows = _complement_pair_system(g, xs.tau)
+    expected = []
+    for vec in nullspace(rows):  # Bareiss: primitive, positive at its free column
+        entries = [[0] * g.n for _ in range(g.n)]
+        for (i, j), v in zip(pairs, vec):
+            entries[i][j] = entries[j][i] = v
+        expected.append(ExactMatrix(entries))
+    assert xs.basis == tuple(expected), f"graph {g.nbr}"
+    return xs.dim
+
+
+def test_exact_basis_is_the_echelon_basis_of_the_complement_pair_system():
+    checked = 0
+    for g, _ in atlas_graphs():
+        if graph_spectrum(g).backend == "exact" and xspace(g).dim > 0:
+            _assert_echelon_basis_of_complement_pair_system(g)
+            checked += 1
+    assert checked == 22  # all of them disconnected
+    assert _assert_echelon_basis_of_complement_pair_system(_line_graph(6)) == 5  # T(6)
+    assert _assert_echelon_basis_of_complement_pair_system(cycle(4)) == 0
+
+
+def test_small_cayley_eigenspace_takes_the_modular_full_rank_route(monkeypatch):
+    spec = CayleySpec(5, (1, 4, 14, 18, 21, 27, 30))
+    sp = cayley_spectrum(spec).spectrum
+    assert sp.tau == -5 and sp.tau_multiplicity == 2
+    widths = []
+    real_rank = completability.rank_mod_p
+
+    def recording_rank(rows):
+        widths.append(len(rows[0]))
+        return real_rank(rows)
+
+    def no_kernel_solve(*args):
+        raise AssertionError("kernel solve on a full-rank reduced system")
+
+    monkeypatch.setattr(completability, "rank_mod_p", recording_rank)
+    monkeypatch.setattr(completability, "nullspace_fast", no_kernel_solve)
+    xs = xspace(cayley_z2(spec), spectrum=sp)
+    assert xs.dim == 0
+    assert widths == [3]  # the upper triangle of a 2 x 2 matrix R
+
+
+def test_lifted_witnesses_are_primitive_echelon_vectors():
+    # here B R B^T has even entries for both kernel elements of the R-system
+    g = cayley_z2(CayleySpec(5, (4, 5, 6, 7, 10, 13, 17, 22)))
+    xs = xspace(g)
+    assert xs.dim == 2 and xs.tau == -4 and xs.tau_multiplicity == 7
+    pairs, _ = _complement_pair_system(g, xs.tau)
+    vecs = [[m.num[i][j] for i, j in pairs] for m in xs.basis]
+    lasts = [max(t for t, v in enumerate(vec) if v) for vec in vecs]
+    assert lasts == sorted(set(lasts))
+    for vec, last in zip(vecs, lasts):
+        assert math.gcd(*vec) == 1 and vec[last] > 0
+        assert all(vec[other] == 0 for other in lasts if other != last)
