@@ -55,6 +55,7 @@ from .exact import (
     graph_spectrum,
     integer_least_eigenvalue,
     is_psd_exact,
+    least_eigenspace,
     nullspace,
     projector_onto_nullspace,
     rank_exact,

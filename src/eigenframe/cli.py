@@ -30,6 +30,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedInputError,
 )
+from .exact import least_eigenspace
 from .frameworks import least_eigenvalue_framework
 from .graphs import (
     CayleySpec,
@@ -186,11 +187,12 @@ def _render(args, docs, header, rows) -> str:
 def cmd_check_uc(args) -> int:
     docs, rows = [], []
     for label, g in _load_graphs(args):
-        verdict = is_universally_completable(g, args.backend, args.tol)
+        les = least_eigenspace(g, args.backend, args.tol)
+        verdict = is_universally_completable(les)
         xs = verdict.witness
         _warn_if_floating(args.backend, xs.backend, label)
-        nbhd = neighborhood_condition(g, args.backend, args.tol).holds
-        cliq, _ = clique_condition_any(g, args.backend, args.tol)
+        nbhd = neighborhood_condition(les, args.backend, args.tol).holds
+        cliq, _ = clique_condition_any(les)
         split, _ = is_split(g)
         doc = {
             "graph6": emit_graph6(g),
@@ -255,9 +257,10 @@ def cmd_vc(args) -> int:
 def cmd_dominated(args) -> int:
     docs, rows = [], []
     for label, g in _load_graphs(args):
-        fw = least_eigenvalue_framework(g, args.backend, args.tol)
+        les = least_eigenspace(g, args.backend, args.tol)
+        fw = least_eigenvalue_framework(les)
         _warn_if_floating(args.backend, fw.backend, label)
-        xs = xspace(g, args.backend, args.tol)
+        xs = xspace(les)
         shifted = [dominated_frameworks(fw, x, tol=args.tol) for x in xs.basis]
         doc = {
             "graph6": emit_graph6(g),

@@ -12,6 +12,8 @@ coloring with the same value, which is the certificate this module emits.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,8 +23,9 @@ from .errors import InternalCheckError
 from .exact import (
     DEFAULT_TOL,
     ExactMatrix,
+    LeastEigenspace,
+    _eigenspace_of,
     adjacency_matrix,
-    integer_least_eigenvalue,
     is_psd_exact,
 )
 from .completability import XSpaceBasis, dominated_frameworks, xspace
@@ -66,39 +69,46 @@ class OneWalkRegularCertificate:
 
 def is_one_walk_regular(g: Graph) -> OneWalkRegularCertificate:
     """Check that A^k has constant diagonal and constant edge entries for
-    every power up to the minimal-polynomial bound.
+    k = 0, 1, ... up to the degree of the minimal polynomial minus one.
 
-    Powers beyond (distinct eigenvalues - 1) are linear combinations of the
-    checked ones, so constancy there is implied. Without an exact spectrum
-    the bound falls back to n - 1.
+    The first power that is exactly linearly dependent on the lower ones
+    ends the check: it and every higher power are combinations of the
+    checked ones, so constancy there is implied. A^1 is always checked.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     a = adjacency_matrix(g)
-    spectrum = integer_least_eigenvalue(a)
-    k_max = (spectrum.distinct_count - 1) if spectrum is not None else g.n - 1
-    k_max = max(k_max, 1)
     edges = g.edges()
     power = ExactMatrix.identity(g.n)
-    a_seq, b_seq = [], []
-    for k in range(k_max + 1):
+    a_seq, b_seq, echelon = [], [], []
+    for k in itertools.count():
         if k:
             power = power @ a
+        independent = _extends_echelon(echelon, [x for row in power.num for x in row])
+        if k > 1 and not independent:
+            return OneWalkRegularCertificate(True, tuple(a_seq), tuple(b_seq), k - 1)
         diag = power[0, 0]
-        for i in range(1, g.n):
-            if power[i, i] != diag:
-                return OneWalkRegularCertificate(
-                    False, tuple(a_seq), tuple(b_seq), k, (k, i, i)
-                )
         edge_val = power[edges[0][0], edges[0][1]] if edges else Fraction(0)
-        for i, j in edges:
-            if power[i, j] != edge_val:
-                return OneWalkRegularCertificate(
-                    False, tuple(a_seq), tuple(b_seq), k, (k, i, j)
-                )
+        for i, j in [(i, i) for i in range(1, g.n)] + edges:
+            if power[i, j] != (diag if i == j else edge_val):
+                return OneWalkRegularCertificate(False, tuple(a_seq), tuple(b_seq), k, (k, i, j))
         a_seq.append(diag)
         b_seq.append(edge_val)
-    return OneWalkRegularCertificate(True, tuple(a_seq), tuple(b_seq), k_max)
+
+
+def _extends_echelon(echelon, vec) -> bool:
+    """Reduce the integer vector against the echelon rows (pivot, row) and
+    append the primitive remainder; False if vec is dependent on the rows."""
+    for p, row in echelon:
+        if vec[p]:
+            f, g = row[p], vec[p]
+            vec = [f * x - g * y for x, y in zip(vec, row)]
+    pivot = next((i for i, x in enumerate(vec) if x), None)
+    if pivot is None:
+        return False
+    g = math.gcd(*vec)
+    echelon.append((pivot, [x // g for x in vec]))
+    return True
 
 
 def struts_tensegrity(g: Graph) -> Graph:
@@ -167,38 +177,43 @@ def validate_coloring(g: Graph, gram, t, tol: float = EDGE_TOL) -> ColoringVerdi
     return ColoringVerdict(VALID_STRICT if strict else VALID)
 
 
-def _require_1wr(g: Graph) -> OneWalkRegularCertificate:
-    cert = is_one_walk_regular(g)
+def _require_1wr(g) -> None:
+    cert = is_one_walk_regular(g.graph if isinstance(g, LeastEigenspace) else g)
     if not cert.ok:
         raise ValueError(f"graph is not 1-walk-regular: {cert.describe_failure()}")
-    return cert
 
 
 def optimal_vector_coloring_1wr(
-    g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL
+    g, backend: str = "auto", tol: float = DEFAULT_TOL
 ) -> VectorColoring:
-    """The least-eigenspace coloring of a 1-walk-regular graph.
+    """The least-eigenspace coloring of a 1-walk-regular graph, given as a
+    Graph or as its LeastEigenspace.
 
     Gram matrix (n/d) times the eigenprojector; value t = 1 - r/tau with r
     the common degree. Strictness is rechecked rather than assumed.
     """
     _require_1wr(g)
+    return _eigenspace_coloring(_eigenspace_of(g, backend, tol))[0]
+
+
+def _eigenspace_coloring(les):
+    """(coloring, framework) of a 1-walk-regular graph; no framework if edgeless."""
+    g = les.graph
     if g.num_edges() == 0:
-        gram = ExactMatrix.identity(g.n)
-        return VectorColoring(g, gram, Fraction(1), True, "exact")
-    fw = least_eigenvalue_framework(g, backend, tol)
+        return VectorColoring(g, ExactMatrix.identity(g.n), Fraction(1), True, "exact"), None
+    fw = least_eigenvalue_framework(les)
     r = g.degree(0)
-    if fw.is_exact():
-        t = 1 - Fraction(r) / fw.tau
-        gram = fw.gram * Fraction(g.n, fw.d)
-    else:
-        t = 1.0 - r / float(fw.tau)
-        gram = np.asarray(fw.gram) * (g.n / fw.d)
+    t = 1 - Fraction(r) / fw.tau if fw.is_exact() else 1.0 - r / float(fw.tau)
+    return _scaled_coloring(fw, fw.d, t), fw
+
+
+def _scaled_coloring(fw, d, t) -> VectorColoring:
+    """The framework's Gram matrix times n/d, checked to be a strict t-coloring."""
+    g = fw.graph
+    gram = fw.rescaled(Fraction(g.n, d) if fw.is_exact() else g.n / d).gram
     verdict = validate_coloring(g, gram, t)
     if verdict.status != VALID_STRICT:
-        raise InternalCheckError(
-            f"eigenspace coloring failed its own validation: {verdict}"
-        )
+        raise InternalCheckError(f"scaled framework is not a strict coloring: {verdict}")
     return VectorColoring(g, gram, t, True, fw.backend)
 
 
@@ -216,9 +231,10 @@ class UVCResult:
 
 
 def is_uniquely_vector_colorable_1wr(
-    g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL
+    g, backend: str = "auto", tol: float = DEFAULT_TOL
 ) -> UVCResult:
-    """Decide unique vector colorability of a 1-walk-regular graph.
+    """Decide unique vector colorability of a 1-walk-regular graph, given as
+    a Graph or as its LeastEigenspace.
 
     Unique exactly when the graph is connected and the completability
     witness space is trivial. Negative verdicts come with a second optimal
@@ -227,35 +243,23 @@ def is_uniquely_vector_colorable_1wr(
     value t.
     """
     _require_1wr(g)
-    coloring = optimal_vector_coloring_1wr(g, backend, tol)
+    les = _eigenspace_of(g, backend, tol)
+    g = les.graph
+    coloring, fw = _eigenspace_coloring(les)
     if g.num_edges() == 0:
         if g.n == 1:
             return UVCResult(True, coloring, None)
         ones = ExactMatrix([[1] * g.n for _ in range(g.n)])
         alt = VectorColoring(g, ones, Fraction(1), True, "exact")
         return UVCResult(False, coloring, None, alt, "no edges, any unit vectors do")
-    xs = xspace(g, backend, tol)
+    xs = xspace(les)
     if g.is_connected() and xs.dim == 0:
         return UVCResult(True, coloring, xs)
     reason = None if g.is_connected() else "disconnected, components move independently"
     alternate = None
     if xs.dim > 0:
-        alternate = _second_coloring(g, coloring, xs, tol)
-    return UVCResult(False, coloring, xs, alternate, reason)
-
-
-def _second_coloring(g, coloring, xs, tol) -> VectorColoring:
-    fw = least_eigenvalue_framework(g, xs.backend, tol)
-    shifted = dominated_frameworks(fw, xs.basis[0], tol=tol)
-    if fw.is_exact():
-        scale = Fraction(g.n, fw.d)
-    else:
-        scale = g.n / fw.d
-    alt = shifted.rescaled(scale)
-    verdict = validate_coloring(g, alt.gram, coloring.t)
-    if verdict.status != VALID_STRICT:
-        raise InternalCheckError("second coloring failed validation")
-    if fw.is_exact() and isinstance(coloring.gram, ExactMatrix):
-        if alt.gram == coloring.gram:
+        shifted = dominated_frameworks(fw, xs.basis[0], tol=tol)
+        alternate = _scaled_coloring(shifted, fw.d, coloring.t)
+        if fw.is_exact() and alternate.gram == coloring.gram:
             raise InternalCheckError("second coloring equals the first")
-    return VectorColoring(g, alt.gram, coloring.t, True, alt.backend)
+    return UVCResult(False, coloring, xs, alternate, reason)

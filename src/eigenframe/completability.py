@@ -26,16 +26,13 @@ from .errors import InternalCheckError, ResourceLimitError, UnsupportedInputErro
 from .exact import (
     DEFAULT_TOL,
     ExactMatrix,
+    _eigenspace_of,
     adjacency_matrix,
-    floating_least_eigenspace,
     graph_spectrum,
-    integer_least_eigenvalue,
     invert,
     is_psd_exact,
-    nullspace,
     nullspace_fast,
     pivot_columns,
-    psd_rank_pivot,
     rank_exact,
 )
 from .frameworks import Framework, dominates
@@ -112,7 +109,7 @@ def _vector_to_matrix(vec, n, pairs, exact):
     return ExactMatrix(entries) if exact else np.array(entries, dtype=float)
 
 
-def _rspace_vectors(g: Graph, shifted, mult, pairs):
+def _rspace_vectors(g: Graph, b, pairs):
     """Witnesses X = B R B^T as primitive complement-pair vectors.
 
     X_ij = p_i^T R p_j is a linear form in R: on closed pairs the system, on
@@ -120,9 +117,7 @@ def _rspace_vectors(g: Graph, shifted, mult, pairs):
     its free vertex f_a, where row f_a of B is a positive multiple of e_a, so
     R and X share their last nonzero entry and the lifted echelon basis of
     the R-system is the echelon basis of the complement-pair system."""
-    b = nullspace(shifted)
-    if len(b) != mult:
-        raise InternalCheckError("eigenspace basis does not match the certified multiplicity")
+    mult = len(b)
     p = list(zip(*b))
     tri = [(a, c) for a in range(mult) for c in range(a, mult)]
 
@@ -142,64 +137,34 @@ def _rspace_vectors(g: Graph, shifted, mult, pairs):
     return vectors
 
 
-def xspace(
-    g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL, spectrum=None
-) -> XSpaceBasis:
+def xspace(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> XSpaceBasis:
     """Solve for all symmetric X with (A+I) o X = 0 and (A - tau I) X = 0.
 
-    The basis is the echelon basis over complement-edge unknowns: one
-    matrix per free complement pair, primitive integers on the exact path
-    (solved in R-space, every matrix verified exactly), SVD vectors with a
-    margin on the floating path. A system over SYSTEM_BYTE_CAP bytes raises
-    ResourceLimitError before it is built. A precomputed Spectrum with exact
-    integer tau (for instance from character sums) may be passed in to skip
-    the eigenvalue search; one pivot pass checks that A - tau I is singular
-    PSD with the stated multiplicity, and a ValueError is raised otherwise.
+    g is a Graph, certified here, or its LeastEigenspace. The basis is the
+    echelon basis over complement-edge unknowns: one matrix per free
+    complement pair, primitive integers on the exact path (solved in R-space,
+    every matrix verified exactly), SVD vectors with a margin on the floating
+    path. A system over SYSTEM_BYTE_CAP bytes raises ResourceLimitError
+    before it is built.
     """
-    if backend not in ("auto", "exact", "floating"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if g.n == 0:
-        raise ValueError("empty graph")
+    les = _eigenspace_of(g, backend, tol)
+    g, mult, exact = les.graph, les.spectrum.tau_multiplicity, les.is_exact()
+    tau = les.spectrum.tau if exact else float(les.spectrum.tau)
     pairs = _complement_pairs(g)
-
-    tau = None
-    if spectrum is not None and backend != "floating":
-        if not isinstance(spectrum.tau, Fraction) or spectrum.tau.denominator != 1:
-            raise ValueError("precomputed spectrum must carry an exact integer tau")
-        tau = spectrum.tau
-        status, rank = psd_rank_pivot(adjacency_matrix(g) - ExactMatrix.identity(g.n) * tau)
-        if status != "psd" or g.n - rank != spectrum.tau_multiplicity:
-            raise ValueError("precomputed spectrum does not match the graph's least eigenvalue")
-    elif backend in ("auto", "exact"):
-        spectrum = integer_least_eigenvalue(adjacency_matrix(g), tol)
-        if spectrum is None and backend == "exact":
-            raise UnsupportedInputError(
-                "exact backend unavailable: least eigenvalue is not an integer"
-            )
-        if spectrum is not None:
-            tau = spectrum.tau
-
-    if tau is not None:
-        mult = spectrum.tau_multiplicity
-        if not pairs:
-            return XSpaceBasis(g, tau, (), "exact", None, mult)
-        shifted = adjacency_matrix(g) - ExactMatrix.identity(g.n) * tau
+    if not pairs:
+        return XSpaceBasis(g, tau, (), les.spectrum.backend, None, mult)
+    if exact:
         basis = []
-        for vec in _rspace_vectors(g, shifted, mult, pairs):
+        for vec in _rspace_vectors(g, les.basis, pairs):
             x = _vector_to_matrix(vec, g.n, pairs, exact=True)
-            if not (shifted @ x).is_zero():
+            if not (les.shifted @ x).is_zero():
                 raise InternalCheckError("completability witness fails exact recheck")
             basis.append(x)
         return XSpaceBasis(g, tau, tuple(basis), "exact", None, mult)
 
-    eigsp = floating_least_eigenspace(g, tol)
-    tau_f = float(eigsp.spectrum.tau)
-    mult_f = eigsp.spectrum.tau_multiplicity
-    if not pairs:
-        return XSpaceBasis(g, tau_f, (), "floating", None, mult_f)
     _check_budget(g.n * g.n, len(pairs))
     index = {pair: t for t, pair in enumerate(pairs)}
-    rows = _build_system(g, -tau_f, np.float64, pairs, index)
+    rows = _build_system(g, -tau, np.float64, pairs, index)
     svals = np.linalg.svd(rows, compute_uv=False)
     smax = float(svals[0]) if len(svals) else 0.0
     if smax == 0.0:
@@ -208,13 +173,13 @@ def xspace(
         rank = int(np.sum(svals > SV_THRESHOLD * smax))
     margin = float(svals[-1] / smax) if smax > 0 else 0.0
     if rank == len(pairs):
-        return XSpaceBasis(g, tau_f, (), "floating", margin, mult_f)
+        return XSpaceBasis(g, tau, (), "floating", margin, mult)
     _, _, vh = np.linalg.svd(rows)
     basis = tuple(
         _vector_to_matrix(vh[r], g.n, pairs, exact=False)
         for r in range(rank, len(pairs))
     )
-    return XSpaceBasis(g, tau_f, basis, "floating", margin, mult_f)
+    return XSpaceBasis(g, tau, basis, "floating", margin, mult)
 
 
 @dataclass(frozen=True)
@@ -223,18 +188,18 @@ class UCVerdict:
     witness: XSpaceBasis
 
 
-def is_universally_completable(
-    g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL
-) -> UCVerdict:
-    """Universal completability of the least-eigenvalue framework.
+def is_universally_completable(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> UCVerdict:
+    """Universal completability of the least-eigenvalue framework of a Graph
+    or of its LeastEigenspace.
 
     True exactly when the witness space is trivial; the basis is carried
     along as the certificate either way. Tensegrities with cables are out of
     scope (the canonical stress argument needs nonnegative edge weights).
     """
-    if g.has_cables():
+    les = _eigenspace_of(g, backend, tol)
+    if les.graph.has_cables():
         raise UnsupportedInputError("cable edges are not supported")
-    xs = xspace(g, backend, tol)
+    xs = xspace(les)
     return UCVerdict(xs.dim == 0, xs)
 
 
@@ -397,17 +362,18 @@ class ConditionReport:
     witness: object = None
 
 
-def neighborhood_condition(
-    g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL
-) -> ConditionReport:
+def neighborhood_condition(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> ConditionReport:
     """Punctured-neighborhood test: deleting any closed neighborhood must
     leave a graph whose least eigenvalue strictly exceeds tau.
 
-    Holding implies universal completability; failing implies nothing.
-    Exact comparison when both eigenvalues are integral, floating with a
-    fixed margin otherwise. Empty punctured graphs count as eigenvalue zero.
+    g is a Graph or its LeastEigenspace; backend and tol also pick the
+    route for the punctured graphs. Holding implies universal completability;
+    failing implies nothing. Exact comparison when both eigenvalues are
+    integral, floating with a fixed margin otherwise. Empty punctured graphs
+    count as eigenvalue zero.
     """
-    tau = graph_spectrum(g, backend, tol).tau
+    les = _eigenspace_of(g, backend, tol)
+    g, tau = les.graph, les.spectrum.tau
     for v in range(g.n):
         h = induced_delete_closed_nbhd(g, v)
         if h.n == 0:
@@ -423,16 +389,16 @@ def neighborhood_condition(
     return ConditionReport(True)
 
 
-def clique_condition(
-    g: Graph, clique, backend: str = "auto", tol: float = DEFAULT_TOL
-) -> bool:
+def clique_condition(g, clique, backend: str = "auto", tol: float = DEFAULT_TOL) -> bool:
     """Invertibility of the shifted adjacency matrix outside a clique.
 
-    An invertible principal submatrix of A - tau I on the clique's
-    complement forces every completability witness to vanish, so holding
-    implies universal completability. The empty complement is vacuously
-    invertible.
+    g is a Graph or its LeastEigenspace. An invertible principal submatrix
+    of A - tau I on the clique's complement forces every completability
+    witness to vanish, so holding implies universal completability. The
+    empty complement is vacuously invertible.
     """
+    les = _eigenspace_of(g, backend, tol)
+    g = les.graph
     clique = sorted(set(clique))
     for a in range(len(clique)):
         for b in range(a + 1, len(clique)):
@@ -441,23 +407,17 @@ def clique_condition(
     rest = [v for v in range(g.n) if v not in set(clique)]
     if not rest:
         return True
-    tau = graph_spectrum(g, backend, tol).tau
-    if isinstance(tau, Fraction):
-        a = adjacency_matrix(g)
-        sub = (a - ExactMatrix.identity(g.n) * tau).submatrix(rest, rest)
-        return rank_exact(sub) == len(rest)
-    af = adjacency_matrix(g).to_float() - float(tau) * np.eye(g.n)
-    sub = af[np.ix_(rest, rest)]
-    svals = np.linalg.svd(sub, compute_uv=False)
+    if les.is_exact():
+        return rank_exact(les.shifted.submatrix(rest, rest)) == len(rest)
+    svals = np.linalg.svd(les.shifted[np.ix_(rest, rest)], compute_uv=False)
     return bool(svals[-1] > SV_THRESHOLD * max(1.0, float(svals[0])))
 
 
-def clique_condition_any(
-    g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL
-):
+def clique_condition_any(g, backend: str = "auto", tol: float = DEFAULT_TOL):
     """First maximal clique (largest, then lexicographic) whose complement
-    passes the invertibility test, or (False, None)."""
-    for clique in sorted(maximal_cliques(g), key=lambda c: (-len(c), c)):
-        if clique_condition(g, clique, backend, tol):
+    passes the invertibility test on the one A - tau I, or (False, None)."""
+    les = _eigenspace_of(g, backend, tol)
+    for clique in sorted(maximal_cliques(les.graph), key=lambda c: (-len(c), c)):
+        if clique_condition(les, clique):
             return True, tuple(clique)
     return False, None

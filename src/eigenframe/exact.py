@@ -23,6 +23,7 @@ floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -430,13 +431,17 @@ def invert(m: ExactMatrix) -> ExactMatrix:
     )
 
 
-def projector_onto_nullspace(m: ExactMatrix) -> ExactMatrix:
+def projector_onto_nullspace(m) -> ExactMatrix:
     """Orthogonal projector onto the kernel of m, exactly.
 
-    Built as B (B^T B)^{-1} B^T from a kernel basis B; verified idempotent
-    and annihilated by m before being returned.
+    Built as B (B^T B)^{-1} B^T from a kernel basis B, the shared one when m
+    is an exact LeastEigenspace; verified idempotent and annihilated by the
+    matrix before being returned.
     """
-    basis = nullspace(m)
+    if isinstance(m, LeastEigenspace):
+        basis, m = m.basis, m.shifted
+    else:
+        basis = nullspace(m)
     n = m.ncols
     if not basis:
         return ExactMatrix.zeros(n)
@@ -547,10 +552,6 @@ class Spectrum:
     @property
     def n(self):
         return sum(m for _, m in self.pairs)
-
-    @property
-    def distinct_count(self):
-        return len(self.pairs)
 
 
 def _validate_adjacency(m: ExactMatrix):
@@ -671,15 +672,44 @@ def cayley_spectrum(spec: CayleySpec) -> CayleySpectrum:
     return CayleySpectrum(spec, spectrum, tuple(eig[tau]))
 
 
-@dataclass(frozen=True)
 class LeastEigenspace:
-    spectrum: Spectrum
-    basis: np.ndarray  # n x d, orthonormal columns
+    """A graph's least eigenspace ker(A - tau I), certified once by
+    least_eigenspace and passed to every check that reads it.
+
+    Exact backend: shifted is the ExactMatrix A - tau I, and basis its d
+    primitive integer echelon kernel columns, built on first use and checked
+    against the certified multiplicity d. Floating backend: a float shifted
+    matrix and the orthonormal n x d eigh basis. graph is None for the
+    eigenspace of a bare matrix.
+    """
+
+    def __init__(self, graph, spectrum, basis=None):
+        self.graph, self.spectrum = graph, spectrum
+        if basis is not None:  # eigh gives the floating basis with the spectrum
+            self.basis = basis
+
+    def is_exact(self) -> bool:
+        return self.spectrum.backend == "exact"
+
+    @functools.cached_property
+    def shifted(self):
+        a = adjacency_matrix(self.graph)
+        if self.is_exact():
+            return a - ExactMatrix.identity(a.nrows) * self.spectrum.tau
+        return a.to_float() - float(self.spectrum.tau) * np.eye(a.nrows)
+
+    @functools.cached_property
+    def basis(self):
+        basis = nullspace(self.shifted)
+        if len(basis) != self.spectrum.tau_multiplicity:
+            raise InternalCheckError("eigenspace basis does not match the certified multiplicity")
+        return basis
 
 
 def floating_least_eigenspace(a, tol: float = DEFAULT_TOL) -> LeastEigenspace:
     """Floating spectrum with an orthonormal basis of the least eigencluster."""
-    if isinstance(a, Graph):
+    graph = a if isinstance(a, Graph) else None
+    if graph is not None:
         a = adjacency_matrix(a)
     if isinstance(a, ExactMatrix):
         arr = a.to_float()
@@ -694,25 +724,51 @@ def floating_least_eigenspace(a, tol: float = DEFAULT_TOL) -> LeastEigenspace:
     pairs = tuple(_cluster(list(vals), tol))
     d = pairs[0][1]
     spectrum = Spectrum(pairs, pairs[0][0], d, "floating", tol)
-    return LeastEigenspace(spectrum, vecs[:, :d])
+    return LeastEigenspace(graph, spectrum, vecs[:, :d])
 
 
-def graph_spectrum(g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL) -> Spectrum:
-    """Spectrum of a graph, exact when the least eigenvalue is integral.
+def least_eigenspace(
+    g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL, spectrum=None
+) -> LeastEigenspace:
+    """Certify a graph's least eigenvalue and return its eigenspace.
 
-    backend "exact" raises if it is not; "floating" never certifies; "auto"
-    prefers exact and silently falls back.
+    backend "exact" raises UnsupportedInputError unless the least eigenvalue
+    is an integer; "floating" never certifies; "auto" tries the integer
+    bracket, then the floating eigensolver. A precomputed Spectrum with
+    exact integer tau (for instance from character sums) replaces the
+    bracket; one pivot pass checks that A - tau I is singular PSD with the
+    stated multiplicity, else ValueError.
     """
     if backend not in ("auto", "exact", "floating"):
         raise ValueError(f"unknown backend {backend!r}")
     if g.n == 0:
         raise ValueError("empty graph has no spectrum")
-    if backend in ("auto", "exact"):
-        spec = integer_least_eigenvalue(adjacency_matrix(g), tol)
-        if spec is not None:
-            return spec
-        if backend == "exact":
-            raise UnsupportedInputError(
-                "exact backend unavailable: least eigenvalue is not an integer"
-            )
-    return floating_least_eigenspace(g, tol).spectrum
+    if backend == "floating":
+        return floating_least_eigenspace(g, tol)
+    if spectrum is not None:
+        if not isinstance(spectrum.tau, Fraction) or spectrum.tau.denominator != 1:
+            raise ValueError("precomputed spectrum must carry an exact integer tau")
+        les = LeastEigenspace(g, spectrum)
+        status, rank = psd_rank_pivot(les.shifted)
+        if status != "psd" or g.n - rank != spectrum.tau_multiplicity:
+            raise ValueError("precomputed spectrum does not match the graph's least eigenvalue")
+        return les
+    spectrum = integer_least_eigenvalue(adjacency_matrix(g), tol)
+    if spectrum is not None:
+        return LeastEigenspace(g, spectrum)
+    if backend == "exact":
+        raise UnsupportedInputError(
+            "exact backend unavailable: least eigenvalue is not an integer"
+        )
+    return floating_least_eigenspace(g, tol)
+
+
+def _eigenspace_of(g, backend: str, tol: float) -> LeastEigenspace:
+    """A LeastEigenspace as given, or a graph's, certified here."""
+    return g if isinstance(g, LeastEigenspace) else least_eigenspace(g, backend, tol)
+
+
+def graph_spectrum(g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL) -> Spectrum:
+    """Spectrum of a graph, exact when the least eigenvalue is integral (the
+    backends as in least_eigenspace); no eigenspace basis is built."""
+    return least_eigenspace(g, backend, tol).spectrum

@@ -23,10 +23,9 @@ from .errors import InternalCheckError, UnsupportedInputError
 from .exact import (
     DEFAULT_TOL,
     ExactMatrix,
-    Spectrum,
+    _eigenspace_of,
     adjacency_matrix,
-    floating_least_eigenspace,
-    integer_least_eigenvalue,
+    graph_spectrum,
     is_psd_exact,
     projector_onto_nullspace,
     rank_exact,
@@ -134,45 +133,24 @@ def _gram_rank(gram, points) -> int:
     return int(np.linalg.matrix_rank(np.asarray(gram)))
 
 
-def least_eigenvalue_framework(
-    g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL
-) -> Framework:
-    """The framework spanned by the least adjacency eigenspace.
+def least_eigenvalue_framework(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> Framework:
+    """The framework spanned by the least adjacency eigenspace of a Graph or
+    of its LeastEigenspace.
 
     Exact path (integral least eigenvalue): the Gram matrix is the projector
     onto the eigenspace, computed exactly, and the projector's own rows are
     the points (idempotence makes them a valid factorization). Floating
     path: rows of an orthonormal eigenbasis.
     """
-    if g.n == 0:
-        raise ValueError("empty graph has no framework")
-    if backend not in ("auto", "exact", "floating"):
-        raise ValueError(f"unknown backend {backend!r}")
-    a = adjacency_matrix(g)
-    if backend in ("auto", "exact"):
-        spectrum = integer_least_eigenvalue(a, tol)
-        if spectrum is None:
-            if backend == "exact":
-                raise UnsupportedInputError(
-                    "exact backend unavailable: least eigenvalue is not an integer"
-                )
-        else:
-            tau = spectrum.tau
-            proj = projector_onto_nullspace(a - ExactMatrix.identity(g.n) * tau)
-            return Framework(
-                g, proj, "exact", proj, tau, spectrum.tau_multiplicity,
-                spectrum.tau_multiplicity,
-            )
-    eigsp = floating_least_eigenspace(a, tol)
-    basis = eigsp.basis
+    les = _eigenspace_of(g, backend, tol)
+    if les.is_exact():
+        gram = points = projector_onto_nullspace(les)
+    else:
+        points = les.basis
+        gram = points @ points.T
+    s = les.spectrum
     return Framework(
-        g,
-        basis @ basis.T,
-        "floating",
-        basis,
-        eigsp.spectrum.tau,
-        eigsp.spectrum.tau_multiplicity,
-        eigsp.spectrum.tau_multiplicity,
+        les.graph, gram, s.backend, points, s.tau, s.tau_multiplicity, s.tau_multiplicity
     )
 
 
@@ -180,9 +158,7 @@ def _incidence_framework(g: Graph, p: ExactMatrix) -> Framework:
     for i in range(p.nrows):
         if sum(p.row(i)) != 0:
             raise InternalCheckError("incidence framework rows must sum to zero")
-    spectrum = integer_least_eigenvalue(adjacency_matrix(g))
-    if spectrum is None:
-        raise InternalCheckError("incidence framework graph must have integral least eigenvalue")
+    spectrum = graph_spectrum(g, "exact")
     return Framework(
         g, p @ p.transpose(), "exact", p, spectrum.tau, spectrum.tau_multiplicity, rank_exact(p)
     )

@@ -25,7 +25,7 @@ from multiprocessing import get_context
 
 from .completability import xspace
 from .errors import UnsupportedInputError
-from .exact import cayley_spectrum
+from .exact import cayley_spectrum, least_eigenspace
 from .graphs import CayleySpec, cayley_z2
 from .modular import gf2_rank
 
@@ -286,7 +286,7 @@ def survey_one(n: int, rep: tuple) -> SurveyRecord:
     spec = CayleySpec(n, frozenset(rep))
     g = cayley_z2(spec)
     spectrum = cayley_spectrum(spec).spectrum
-    xs = xspace(g, spectrum=spectrum)
+    xs = xspace(least_eigenspace(g, spectrum=spectrum))
     return SurveyRecord(
         n=n,
         connection_set=tuple(rep),

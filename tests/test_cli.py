@@ -1,11 +1,14 @@
 """Command line driver: schemas, determinism, exit codes."""
 
 import json
+import sys
+from collections import Counter
 
 import pytest
 
-from eigenframe import cli, completability
+from eigenframe import cli, completability, exact
 from eigenframe.errors import InternalCheckError, UnsupportedInputError
+from eigenframe.graphs import Graph
 
 
 def run(capsys, *argv):
@@ -204,8 +207,8 @@ def test_workers_default_is_read_when_survey_runs(monkeypatch, capsys):
 def test_check_uc_clique_condition_uses_the_requested_backend(monkeypatch, capsys):
     calls = []
 
-    def recording(g, backend="auto", tol=1e-8):
-        calls.append((backend, tol))
+    def recording(les, backend="auto", tol=1e-8):
+        calls.append((les.spectrum.backend, les.spectrum.tolerance))
         return True, (0, 1)
 
     monkeypatch.setattr(cli, "clique_condition_any", recording)
@@ -226,3 +229,32 @@ def test_system_over_the_byte_budget_is_refused_before_it_is_built(monkeypatch, 
     code, out, err = run(capsys, "check-uc", "--gen", spec)
     assert code == 2 and out == ""
     assert "byte budget" in err
+
+
+def _shape(m):
+    if isinstance(m, Graph):
+        return (m.n, m.n)
+    if isinstance(m, exact.ExactMatrix):
+        return m.shape
+    return (len(m), len(m[0]) if len(m) else 0)
+
+
+@pytest.mark.parametrize("spec,n", [("kneser:6,2", 15), ("cycle:9", 9)])
+@pytest.mark.parametrize("command", ["check-uc", "vc", "dominated"])
+def test_each_command_certifies_its_input_eigenspace_once(monkeypatch, capsys, command, spec, n):
+    calls = Counter()
+    for name in ("integer_least_eigenvalue", "floating_least_eigenspace", "nullspace"):
+        real = getattr(exact, name)
+
+        def counted(m, *args, _name=name, _real=real, **kwargs):
+            calls[_name, _shape(m)] += 1
+            return _real(m, *args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("eigenframe"):
+                for attr, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, attr, counted)
+    assert run(capsys, command, "--gen", spec)[0] == 0
+    for name in ("integer_least_eigenvalue", "floating_least_eigenspace", "nullspace"):
+        assert calls[name, (n, n)] <= 1, (name, calls)

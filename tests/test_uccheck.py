@@ -34,6 +34,7 @@ from eigenframe.exact import (
     adjacency_matrix,
     cayley_spectrum,
     graph_spectrum,
+    least_eigenspace,
     nullspace,
 )
 from eigenframe.frameworks import dominates, least_eigenvalue_framework
@@ -102,7 +103,7 @@ def test_precomputed_spectrum_path():
     spec = CayleySpec(3, (1, 2, 4))
     g = cayley_z2(spec)
     sp = cayley_spectrum(spec).spectrum
-    xs = xspace(g, spectrum=sp)
+    xs = xspace(least_eigenspace(g, spectrum=sp))
     assert xs.dim == xspace(g).dim
     assert xs.tau == sp.tau
 
@@ -111,16 +112,16 @@ def test_precomputed_spectrum_is_checked_against_the_graph():
     cube = cayley_z2(CayleySpec(3, (1, 2, 4)))  # least eigenvalue -3, multiplicity 1
     for conn in ((1, 2, 4, 7), (1, 2, 3, 4)):  # tau -4 (below) and -2 (above)
         with pytest.raises(ValueError):
-            xspace(cube, spectrum=cayley_spectrum(CayleySpec(3, conn)).spectrum)
+            least_eigenspace(cube, spectrum=cayley_spectrum(CayleySpec(3, conn)).spectrum)
     pairs = ((Fraction(-3), 2), (Fraction(-1), 2), (Fraction(1), 3), (Fraction(3), 1))
     with pytest.raises(ValueError):
-        xspace(cube, spectrum=Spectrum(pairs, Fraction(-3), 2, "exact"))
+        least_eigenspace(cube, spectrum=Spectrum(pairs, Fraction(-3), 2, "exact"))
 
 
 def test_precomputed_spectrum_must_be_exact():
     sp = graph_spectrum(cycle(5), backend="floating")
     with pytest.raises(ValueError):
-        xspace(cycle(5), spectrum=sp)
+        least_eigenspace(cycle(5), spectrum=sp)
 
 
 def test_uc_verdict_carries_the_witness():
@@ -310,7 +311,7 @@ def test_small_cayley_eigenspace_takes_the_modular_full_rank_route(monkeypatch):
 
     monkeypatch.setattr(completability, "rank_mod_p", recording_rank)
     monkeypatch.setattr(completability, "nullspace_fast", no_kernel_solve)
-    xs = xspace(cayley_z2(spec), spectrum=sp)
+    xs = xspace(least_eigenspace(cayley_z2(spec), spectrum=sp))
     assert xs.dim == 0
     assert widths == [3]  # the upper triangle of a 2 x 2 matrix R
 

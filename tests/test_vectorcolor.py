@@ -13,6 +13,7 @@ from eigenframe.coloring import (
     struts_tensegrity,
     validate_coloring,
 )
+from eigenframe import exact
 from eigenframe.errors import UnsupportedInputError
 from eigenframe.exact import ExactMatrix
 from eigenframe.graphs import cycle, from_edges, kneser, q_kneser
@@ -34,6 +35,17 @@ def test_walk_regularity_certificates():
 
     assert is_one_walk_regular(TWO_K3).ok  # disconnected but walk-regular
     assert is_one_walk_regular(cycle(7)).ok
+
+
+def test_walk_regularity_stops_at_the_minimal_polynomial(monkeypatch):
+    def no_spectrum(*args):
+        raise AssertionError("the walk check needs no spectrum")
+
+    monkeypatch.setattr(exact, "integer_least_eigenvalue", no_spectrum)
+    assert is_one_walk_regular(kneser(5, 2)).k_max == 2  # eigenvalues 3, 1, -2
+    assert is_one_walk_regular(cycle(7)).k_max == 3  # 2 and three irrational pairs
+    edgeless = is_one_walk_regular(from_edges(3, []))
+    assert edgeless.ok and edgeless.k_max == 1  # A = 0, but A^1 is still checked
 
 
 def test_struts_tensegrity_labels():
