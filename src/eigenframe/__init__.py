@@ -81,7 +81,6 @@ from .graphs import (
     cycle,
     emit_graph6,
     from_edges,
-    induced_delete_closed_nbhd,
     induced_subgraph,
     is_split,
     kneser,

@@ -191,7 +191,7 @@ def cmd_check_uc(args) -> int:
         verdict = is_universally_completable(les)
         xs = verdict.witness
         _warn_if_floating(args.backend, xs.backend, label)
-        nbhd = neighborhood_condition(les, args.backend, args.tol).holds
+        nbhd = neighborhood_condition(les).holds
         cliq, _ = clique_condition_any(les)
         split, _ = is_split(g)
         doc = {

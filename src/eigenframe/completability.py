@@ -28,7 +28,6 @@ from .exact import (
     ExactMatrix,
     _eigenspace_of,
     adjacency_matrix,
-    graph_spectrum,
     invert,
     is_psd_exact,
     nullspace_fast,
@@ -36,7 +35,7 @@ from .exact import (
     rank_exact,
 )
 from .frameworks import Framework, dominates
-from .graphs import Graph, induced_delete_closed_nbhd, maximal_cliques
+from .graphs import Graph, maximal_cliques
 from .modular import rank_mod_p
 
 SV_THRESHOLD = 1e-7
@@ -362,28 +361,38 @@ class ConditionReport:
     witness: object = None
 
 
-def neighborhood_condition(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> ConditionReport:
-    """Punctured-neighborhood test: deleting any closed neighborhood must
-    leave a graph whose least eigenvalue strictly exceeds tau.
+def _nonsingular_off(les, removed) -> bool:
+    """Whether the principal submatrix of A - tau I off the vertex set
+    removed is nonsingular; the empty submatrix vacuously is.
 
-    g is a Graph or its LeastEigenspace; backend and tol also pick the
-    route for the punctured graphs. Holding implies universal completability;
-    failing implies nothing. Exact comparison when both eigenvalues are
-    integral, floating with a fixed margin otherwise. Empty punctured graphs
-    count as eigenvalue zero.
+    It is A_H - tau I for the induced subgraph H on the other vertices, PSD
+    because interlacing puts lambda_min(H) >= tau, so it is nonsingular
+    exactly when lambda_min(H) > tau. Exact: full Bareiss rank. Floating:
+    least eigenvalue above NEIGHBORHOOD_MARGIN.
+    """
+    rest = [v for v in range(les.graph.n) if v not in removed]
+    if not rest:
+        return True
+    if les.is_exact():
+        return rank_exact(les.shifted.submatrix(rest, rest)) == len(rest)
+    return bool(np.linalg.eigvalsh(les.shifted[np.ix_(rest, rest)])[0] > NEIGHBORHOOD_MARGIN)
+
+
+def neighborhood_condition(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> ConditionReport:
+    """Punctured-neighborhood test: deleting any closed neighborhood N[v]
+    must leave a graph whose least eigenvalue strictly exceeds tau.
+
+    g is a Graph or its LeastEigenspace; backend and tol only pick the
+    certification of a bare Graph. Each vertex costs one principal-submatrix
+    test of A - tau I (_nonsingular_off); an empty punctured graph counts as
+    eigenvalue zero, so passes exactly when tau < 0. Holding implies
+    universal completability; failing implies nothing.
     """
     les = _eigenspace_of(g, backend, tol)
-    g, tau = les.graph, les.spectrum.tau
+    g = les.graph
     for v in range(g.n):
-        h = induced_delete_closed_nbhd(g, v)
-        if h.n == 0:
-            lam = Fraction(0)
-        else:
-            lam = graph_spectrum(h, "auto" if backend != "floating" else "floating", tol).tau
-        if isinstance(lam, Fraction) and isinstance(tau, Fraction):
-            ok = lam > tau
-        else:
-            ok = float(lam) > float(tau) + NEIGHBORHOOD_MARGIN
+        closed = {v, *g.neighbours(v)}
+        ok = _nonsingular_off(les, closed) if len(closed) < g.n else les.spectrum.tau < 0
         if not ok:
             return ConditionReport(False, failed_vertex=v)
     return ConditionReport(True)
@@ -392,25 +401,23 @@ def neighborhood_condition(g, backend: str = "auto", tol: float = DEFAULT_TOL) -
 def clique_condition(g, clique, backend: str = "auto", tol: float = DEFAULT_TOL) -> bool:
     """Invertibility of the shifted adjacency matrix outside a clique.
 
-    g is a Graph or its LeastEigenspace. An invertible principal submatrix
-    of A - tau I on the clique's complement forces every completability
-    witness to vanish, so holding implies universal completability. The
-    empty complement is vacuously invertible.
+    g is a Graph or its LeastEigenspace; backend and tol only pick the
+    certification of a bare Graph. An invertible principal submatrix of
+    A - tau I on the clique's complement (see _nonsingular_off) forces every
+    completability witness to vanish, so holding implies universal
+    completability. Vertices outside the graph raise ValueError.
     """
     les = _eigenspace_of(g, backend, tol)
     g = les.graph
     clique = sorted(set(clique))
+    for v in clique:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
     for a in range(len(clique)):
         for b in range(a + 1, len(clique)):
             if not g.has_edge(clique[a], clique[b]):
                 raise ValueError(f"vertices {clique[a]} and {clique[b]} are not adjacent")
-    rest = [v for v in range(g.n) if v not in set(clique)]
-    if not rest:
-        return True
-    if les.is_exact():
-        return rank_exact(les.shifted.submatrix(rest, rest)) == len(rest)
-    svals = np.linalg.svd(les.shifted[np.ix_(rest, rest)], compute_uv=False)
-    return bool(svals[-1] > SV_THRESHOLD * max(1.0, float(svals[0])))
+    return _nonsingular_off(les, set(clique))
 
 
 def clique_condition_any(g, backend: str = "auto", tol: float = DEFAULT_TOL):

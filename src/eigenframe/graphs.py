@@ -378,14 +378,6 @@ def induced_subgraph(g: Graph, keep) -> Graph:
     return Graph(len(keep), tuple(nbr))
 
 
-def induced_delete_closed_nbhd(g: Graph, v) -> Graph:
-    """Induced subgraph on the vertices outside the closed neighbourhood of v."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    closed = g.nbr[v] | (1 << v)
-    return induced_subgraph(g, [w for w in range(g.n) if not closed >> w & 1])
-
-
 def is_split(g: Graph):
     """Degree-sequence split test.
 

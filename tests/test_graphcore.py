@@ -16,7 +16,6 @@ from eigenframe.graphs import (
     complement,
     cycle,
     from_edges,
-    induced_delete_closed_nbhd,
     induced_subgraph,
     is_split,
     kneser,
@@ -134,13 +133,6 @@ def test_induced_subgraph():
     g = cycle(6)
     h = induced_subgraph(g, [0, 1, 2, 3])
     assert h.n == 4 and sorted(h.edges()) == [(0, 1), (1, 2), (2, 3)]
-
-
-def test_delete_closed_neighbourhood():
-    # dropping a vertex of the 5-cycle together with its neighbours leaves
-    # a single edge
-    h = induced_delete_closed_nbhd(cycle(5), 0)
-    assert h.n == 2 and h.num_edges() == 1
 
 
 def _split_oracle(g):

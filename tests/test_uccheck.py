@@ -14,8 +14,11 @@ import numpy as np
 import pytest
 
 from corpus import atlas_graphs, connected_graphs
-from eigenframe import completability
+from eigenframe import completability, exact
 from eigenframe.completability import (
+    NEIGHBORHOOD_MARGIN,
+    SV_THRESHOLD,
+    ConditionReport,
     RSpaceElement,
     clique_condition_any,
     dominated_frameworks,
@@ -36,6 +39,7 @@ from eigenframe.exact import (
     graph_spectrum,
     least_eigenspace,
     nullspace,
+    rank_exact,
 )
 from eigenframe.frameworks import dominates, least_eigenvalue_framework
 from eigenframe.graphs import (
@@ -43,8 +47,11 @@ from eigenframe.graphs import (
     cayley_z2,
     cycle,
     from_edges,
+    induced_subgraph,
     is_split,
     kneser,
+    maximal_cliques,
+    parse_graph6,
 )
 from oracles import dense_xspace_dim
 
@@ -189,11 +196,15 @@ def test_dominated_framework_smaller_scale_keeps_rank():
 
 
 def test_neighborhood_condition_examples():
-    assert neighborhood_condition(K4).holds
+    assert neighborhood_condition(K4).holds  # empty punctured graphs, tau < 0
     assert neighborhood_condition(cycle(5)).holds
     report = neighborhood_condition(kneser(5, 2))
     assert not report.holds
     assert report.failed_vertex is not None
+    # K1: the empty punctured graph's eigenvalue 0 does not exceed tau = 0
+    assert neighborhood_condition(from_edges(1, [])) == ConditionReport(False, 0)
+    # two isolated vertices: the one-vertex remainder is singular at tau = 0
+    assert neighborhood_condition(from_edges(2, [])) == ConditionReport(False, 0)
 
 
 def test_clique_condition_examples():
@@ -206,6 +217,72 @@ def test_clique_condition_examples():
     from eigenframe.completability import clique_condition
     with pytest.raises(ValueError):
         clique_condition(cycle(5), [0, 2])  # not a clique
+    for outside in ([0, -1], [-1], [7]):  # -1 must not wrap round to vertex 4
+        with pytest.raises(ValueError, match="out of range"):
+            clique_condition(cycle(5), outside)
+
+
+def _spectral_neighborhood_oracle(les):
+    """The neighbourhood condition by its definition: certify a spectrum for
+    every punctured graph and compare its least eigenvalue with tau."""
+    g, tau = les.graph, les.spectrum.tau
+    backend = "floating" if les.spectrum.backend == "floating" else "auto"
+    for v in range(g.n):
+        closed = {v, *g.neighbours(v)}
+        h = induced_subgraph(g, [w for w in range(g.n) if w not in closed])
+        lam = graph_spectrum(h, backend).tau if h.n else Fraction(0)
+        if isinstance(lam, Fraction) and isinstance(tau, Fraction):
+            ok = lam > tau
+        else:
+            ok = float(lam) > float(tau) + NEIGHBORHOOD_MARGIN
+        if not ok:
+            return ConditionReport(False, failed_vertex=v)
+    return ConditionReport(True)
+
+
+def _svd_clique_oracle(les):
+    """The clique condition with its floating route read off the singular
+    values of the submatrix, against SV_THRESHOLD."""
+    g = les.graph
+    for clique in sorted(maximal_cliques(g), key=lambda c: (-len(c), c)):
+        rest = [v for v in range(g.n) if v not in clique]
+        if not rest:
+            ok = True
+        elif les.is_exact():
+            ok = rank_exact(les.shifted.submatrix(rest, rest)) == len(rest)
+        else:
+            svals = np.linalg.svd(les.shifted[np.ix_(rest, rest)], compute_uv=False)
+            ok = svals[-1] > SV_THRESHOLD * max(1.0, float(svals[0]))
+        if ok:
+            return True, tuple(clique)
+    return False, None
+
+
+def test_conditions_agree_with_the_punctured_spectrum_oracles():
+    graphs = [g for g, _ in atlas_graphs()] + [cycle(n) for n in range(3, 40)]
+    routes = set()
+    for g in graphs:
+        les = least_eigenspace(g)
+        routes.add(les.spectrum.backend)
+        assert neighborhood_condition(les) == _spectral_neighborhood_oracle(les), g.nbr
+        assert clique_condition_any(les) == _svd_clique_oracle(les), g.nbr
+    assert routes == {"exact", "floating"}
+
+
+@pytest.mark.parametrize(
+    "g", [kneser(6, 2), cycle(9), parse_graph6("SH??`@gAG?_KA@CGaaKBCk?AC?`@CSD_c")],
+    ids=["kneser6_2", "cycle9", "gnp20"],
+)
+def test_neighborhood_condition_certifies_no_punctured_spectrum(monkeypatch, g):
+    les = least_eigenspace(g)
+    expected = _spectral_neighborhood_oracle(les)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a punctured graph's spectrum was certified")
+
+    monkeypatch.setattr(exact, "integer_least_eigenvalue", refuse)
+    monkeypatch.setattr(exact, "floating_least_eigenspace", refuse)
+    assert neighborhood_condition(les) == expected
 
 
 def test_conditions_imply_uc_on_corpus():
