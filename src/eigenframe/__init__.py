@@ -21,7 +21,6 @@ from .coloring import (
 )
 from .completability import (
     ConditionReport,
-    RSpaceElement,
     UCVerdict,
     XSpaceBasis,
     clique_condition,
@@ -32,7 +31,6 @@ from .completability import (
     neighborhood_condition,
     phi,
     phi_inverse,
-    reduced_points,
     xspace,
 )
 from .errors import (

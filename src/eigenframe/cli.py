@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import io
+import math
 import os
 import sys
 
@@ -319,8 +320,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits; callers get a code instead
         return exc.code if isinstance(exc.code, int) else 1
-    if getattr(args, "tol", 1.0) <= 0:
-        print("error: tolerance must be positive", file=sys.stderr)
+    if not 0 < getattr(args, "tol", 1.0) < math.inf:  # also refuses nan
+        print("error: tolerance must be a positive finite number", file=sys.stderr)
         return 1
     try:
         return _COMMANDS[args.command](args)

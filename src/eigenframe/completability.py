@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
@@ -28,10 +27,8 @@ from .exact import (
     ExactMatrix,
     _eigenspace_of,
     adjacency_matrix,
-    invert,
     is_psd_exact,
     nullspace_fast,
-    pivot_columns,
     rank_exact,
 )
 from .frameworks import Framework, dominates
@@ -101,39 +98,38 @@ def _build_system(g: Graph, diag, dtype, pairs, index):
     return rows
 
 
-def _vector_to_matrix(vec, n, pairs, exact):
-    entries = [[0] * n for _ in range(n)]
+def _vector_to_matrix(vec, n, pairs):
+    entries = np.zeros((n, n))
     for (i, j), v in zip(pairs, vec):
-        entries[i][j] = entries[j][i] = v
-    return ExactMatrix(entries) if exact else np.array(entries, dtype=float)
+        entries[i, j] = entries[j, i] = v
+    return entries
 
 
-def _rspace_vectors(g: Graph, b, pairs):
-    """Witnesses X = B R B^T as primitive complement-pair vectors.
+def _rspace_kernel(les):
+    """Kernel vectors of the R-system, as symmetric d x d ExactMatrices.
 
-    X_ij = p_i^T R p_j is a linear form in R: on closed pairs the system, on
-    complement pairs the lift. Column a of B = nullspace(A - tau I) ends at
-    its free vertex f_a, where row f_a of B is a positive multiple of e_a, so
-    R and X share their last nonzero entry and the lifted echelon basis of
-    the R-system is the echelon basis of the complement-pair system."""
-    mult = len(b)
-    p = list(zip(*b))
+    X_ij = p_i^T R p_j, with p_i row i of B, is one linear form in the upper
+    triangle of R; its forms on the diagonal and on edges are the n + |E|
+    rows. Full column rank modulo a prime proves the kernel trivial."""
+    mult = len(les.basis)
+    p = list(zip(*les.basis))
     tri = [(a, c) for a in range(mult) for c in range(a, mult)]
 
     def form(i, j):
         return [p[i][a] * p[j][c] + (p[i][c] * p[j][a] if a != c else 0) for a, c in tri]
 
-    closed = _closed_pairs(g)
-    _check_budget(len(closed) + len(pairs), len(tri))
+    closed = _closed_pairs(les.graph)
+    _check_budget(len(closed), len(tri))
     rows = [form(i, j) for i, j in closed]
     if rank_mod_p(rows)[0] == len(tri):  # R -> B R B^T is injective
         return []
-    lift = [form(i, j) for i, j in pairs]
-    vectors = []
+    kernel = []
     for vec in nullspace_fast(rows, len(tri)):
-        x = [sum(map(mul, row, vec)) for row in lift]
-        vectors.append([v // math.gcd(*x) for v in x])
-    return vectors
+        r = [[0] * mult for _ in range(mult)]
+        for (a, c), v in zip(tri, vec):
+            r[a][c] = r[c][a] = v
+        kernel.append(ExactMatrix(r))
+    return kernel
 
 
 def xspace(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> XSpaceBasis:
@@ -141,10 +137,13 @@ def xspace(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> XSpaceBasis:
 
     g is a Graph, certified here, or its LeastEigenspace. The basis is the
     echelon basis over complement-edge unknowns: one matrix per free
-    complement pair, primitive integers on the exact path (solved in R-space,
-    every matrix verified exactly), SVD vectors with a margin on the floating
-    path. A system over SYSTEM_BYTE_CAP bytes raises ResourceLimitError
-    before it is built.
+    complement pair. Exact path: phi of each echelon kernel vector of the
+    R-system, divided to a primitive integer matrix and verified exactly.
+    Column a of B ends at its free vertex f_a, where row f_a of B is a
+    positive multiple of e_a, so X and R share their last nonzero entry and
+    this is the echelon basis of the complement-pair system. Floating path:
+    SVD vectors with a margin. A system over SYSTEM_BYTE_CAP bytes raises
+    ResourceLimitError before it is built.
     """
     les = _eigenspace_of(g, backend, tol)
     g, mult, exact = les.graph, les.spectrum.tau_multiplicity, les.is_exact()
@@ -154,8 +153,9 @@ def xspace(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> XSpaceBasis:
         return XSpaceBasis(g, tau, (), les.spectrum.backend, None, mult)
     if exact:
         basis = []
-        for vec in _rspace_vectors(g, les.basis, pairs):
-            x = _vector_to_matrix(vec, g.n, pairs, exact=True)
+        for r in _rspace_kernel(les):
+            x = phi(r, les)
+            x = x * Fraction(1, math.gcd(*(v for row in x.num for v in row)))
             if not (les.shifted @ x).is_zero():
                 raise InternalCheckError("completability witness fails exact recheck")
             basis.append(x)
@@ -174,10 +174,7 @@ def xspace(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> XSpaceBasis:
     if rank == len(pairs):
         return XSpaceBasis(g, tau, (), "floating", margin, mult)
     _, _, vh = np.linalg.svd(rows)
-    basis = tuple(
-        _vector_to_matrix(vh[r], g.n, pairs, exact=False)
-        for r in range(rank, len(pairs))
-    )
+    basis = tuple(_vector_to_matrix(vh[r], g.n, pairs) for r in range(rank, len(pairs)))
     return XSpaceBasis(g, tau, basis, "floating", margin, mult)
 
 
@@ -205,79 +202,59 @@ def is_universally_completable(g, backend: str = "auto", tol: float = DEFAULT_TO
 # -- the bijection with the reduced space -------------------------------------
 
 
-def reduced_points(fw: Framework) -> object:
-    """A full-column-rank point matrix spanning the framework's eigenspace.
-
-    Floating frameworks already carry an orthonormal basis. Exact ones store
-    the projector, whose leftmost rank-many independent columns (the pivot
-    columns of one echelon pass) are selected.
-    """
-    if not fw.is_exact():
-        pts = np.asarray(fw.points)
-        if pts.shape[1] != fw.d:
-            raise InternalCheckError("floating framework points are not a column basis")
-        return pts
-    gram = fw.gram
-    cols = pivot_columns(gram)[: fw.d]
-    if len(cols) != fw.d:
-        raise InternalCheckError("projector rank does not match framework dimension")
-    return gram.submatrix(range(gram.nrows), cols)
-
-
-@dataclass(frozen=True)
-class RSpaceElement:
-    """Symmetric d x d matrix vanishing against point pairs on closed
-    neighborhoods: rows(points) p_i satisfy p_i^T R p_j = 0 for adjacent or
-    equal i, j."""
-
-    r: object  # ExactMatrix | np.ndarray
-    points: object
-
-    def check_membership(self, g: Graph, tol: float = DEFAULT_TOL) -> bool:
-        x = _conjugate(self.points, self.r)
-        return _vanishes_on_closed_pairs(g, x, tol)
-
-
-def _conjugate(points, middle):
-    if isinstance(points, ExactMatrix):
-        return points @ middle @ points.transpose()
-    return np.asarray(points) @ np.asarray(middle) @ np.asarray(points).T
-
-
 def _vanishes_on_closed_pairs(g: Graph, x, tol) -> bool:
-    exact = isinstance(x, ExactMatrix)
-    for i, j in _closed_pairs(g):
-        v = x[i, j]
-        if (v != 0) if exact else (abs(v) > tol):
-            return False
-    return True
+    if isinstance(x, ExactMatrix):
+        return not any(x.num[i][j] for i, j in _closed_pairs(g))
+    return not any(abs(x[i, j]) > tol for i, j in _closed_pairs(g))
 
 
-def phi(elem: RSpaceElement, fw: Framework, tol: float = DEFAULT_TOL):
-    """Conjugate a reduced witness up to vertex space: X = P R P^T."""
-    if not elem.check_membership(fw.graph, tol):
-        raise ValueError("matrix violates the reduced membership conditions")
-    return _conjugate(elem.points, elem.r)
+def phi(r, g, tol: float = DEFAULT_TOL):
+    """Map a reduced witness up to vertex space: X = B R B^T, where B is the
+    eigenspace basis (LeastEigenspace.basis) of a Graph, certified here, or
+    of its LeastEigenspace.
 
-
-def phi_inverse(x, fw: Framework, tol: float = DEFAULT_TOL) -> RSpaceElement:
-    """Invert the conjugation: R = (P^T P)^{-1} P^T X P (P^T P)^{-1}.
-
-    With orthonormal floating points the normal matrix is the identity and
-    this is plain conjugation by the transpose.
+    r must be a symmetric d x d matrix, an ExactMatrix on the exact path,
+    and X must vanish on the diagonal and on edges; ValueError otherwise.
     """
-    p = reduced_points(fw)
-    if isinstance(p, ExactMatrix):
-        if not isinstance(x, ExactMatrix):
-            raise ValueError("exact framework needs an exact witness")
-        normal_inv = invert(p.transpose() @ p)
-        r = normal_inv @ p.transpose() @ x @ p @ normal_inv
+    les = _eigenspace_of(g, "auto", tol)
+    d = les.spectrum.tau_multiplicity
+    if les.is_exact():
+        if not isinstance(r, ExactMatrix) or r.shape != (d, d) or not r.is_symmetric():
+            raise ValueError(f"R must be a symmetric {d} x {d} ExactMatrix")
+        b = ExactMatrix.column_stack(les.basis)
+        x = b @ r @ b.transpose()
     else:
-        xf = np.asarray(x, dtype=float)
-        pn = np.asarray(p)
-        normal_inv = np.linalg.inv(pn.T @ pn)
-        r = normal_inv @ pn.T @ xf @ pn @ normal_inv
-    return RSpaceElement(r, p)
+        r = np.asarray(r, dtype=float)
+        if r.shape != (d, d) or not np.allclose(r, r.T, atol=tol):
+            raise ValueError(f"R must be a symmetric {d} x {d} matrix")
+        x = les.basis @ r @ les.basis.T
+    if not _vanishes_on_closed_pairs(les.graph, x, tol):
+        raise ValueError("matrix violates the reduced membership conditions")
+    return x
+
+
+def phi_inverse(x, g, tol: float = DEFAULT_TOL):
+    """The R with phi(R) = x, read off without inverting anything.
+
+    Exact path: column a of the echelon basis B ends at its free vertex f_a
+    with value c_a, and row f_a of B is c_a e_a, so R_ab = x[f_a, f_b] /
+    (c_a c_b); ValueError unless phi(R) == x, so an x outside the image is
+    refused rather than projected. Floating path: R = B^T x B on the
+    orthonormal eigh basis.
+    """
+    les = _eigenspace_of(g, "auto", tol)
+    if not les.is_exact():
+        b = les.basis
+        return b.T @ np.asarray(x, dtype=float) @ b
+    n = les.graph.n
+    if not isinstance(x, ExactMatrix) or x.shape != (n, n):
+        raise ValueError(f"exact eigenspace needs an exact {n} x {n} witness")
+    ends = [max(i for i, v in enumerate(col) if v) for col in les.basis]
+    c = [col[f] for col, f in zip(les.basis, ends)]
+    r = ExactMatrix([[x[fa, fb] / (ca * cb) for fb, cb in zip(ends, c)] for fa, ca in zip(ends, c)])
+    if phi(r, les) != x:
+        raise ValueError("matrix is not in the image of the reduced space")
+    return r
 
 
 # -- dominated frameworks ------------------------------------------------------

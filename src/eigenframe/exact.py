@@ -206,13 +206,8 @@ def _bareiss_echelon(rows):
     return pivots
 
 
-def pivot_columns(m) -> list:
-    """The leftmost linearly independent columns of m, from one echelon pass."""
-    return [c for _, c in _bareiss_echelon(_mutable_rows(m))]
-
-
 def rank_exact(m) -> int:
-    return len(pivot_columns(m))
+    return len(_bareiss_echelon(_mutable_rows(m)))
 
 
 def _back_substitute(rows, pivots, free_col):

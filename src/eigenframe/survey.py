@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import get_context
@@ -306,9 +307,11 @@ def run_survey(n: int, workers: int = 1) -> SurveyReport:
     """Check every connected Cayley graph representative in dimension n.
 
     Sharding across processes is deterministic: results are collected in
-    the (sorted) enumeration order regardless of worker count.
+    the (sorted) enumeration order regardless of worker count. The pool
+    has at most one worker per representative and per CPU.
     """
     reps = enumerate_orbits(n)
+    workers = min(workers, len(reps), os.cpu_count() or 1)
     if workers > 1:
         with get_context("spawn").Pool(workers) as pool:
             records = pool.map(_survey_star, [(n, rep) for rep in reps], chunksize=8)

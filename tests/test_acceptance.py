@@ -34,8 +34,8 @@ from eigenframe.completability import (
 from eigenframe.exact import (
     ExactMatrix,
     adjacency_matrix,
-    graph_spectrum,
     integer_least_eigenvalue,
+    least_eigenspace,
 )
 from eigenframe.frameworks import (
     canonical_stress,
@@ -231,18 +231,18 @@ def test_criterion_7_invariant_battery(capsys):
     for g in WALK_REGULAR_TWENTY:
         cert = is_one_walk_regular(g)
         assert cert.ok
-        spectrum = graph_spectrum(g, backend="auto")
-        backend = spectrum.backend
-        fw = least_eigenvalue_framework(g, backend=backend)
-        xs = xspace(g, backend=backend)
+        les = least_eigenspace(g, backend="auto")
+        backend = les.spectrum.backend
+        fw = least_eigenvalue_framework(les)
+        xs = xspace(les)
         col = optimal_vector_coloring_1wr(g)
         stress = canonical_stress(g, fw) if backend == "exact" else None
-        cache[g] = (backend, fw, xs, col, stress)
+        cache[g] = (backend, les, fw, xs, col, stress)
 
     import numpy as np
 
     for g in WALK_REGULAR_TWENTY:
-        backend, fw, xs, col, stress = cache[g]
+        backend, les, fw, xs, col, stress = cache[g]
         n, d, tau, deg = g.n, fw.d, fw.tau, g.degree(0)
         for _ in range(25):
             runs += 1
@@ -271,7 +271,7 @@ def test_criterion_7_invariant_battery(capsys):
                 x = ExactMatrix.zeros(n)
                 for b in xs.basis:
                     x = x + b * _random_rational(rng)
-                assert phi(phi_inverse(x, fw), fw) == x
+                assert phi(phi_inverse(x, les), les) == x
                 scale = gershgorin_scale(x) * Fraction(rng.randint(1, 4), 4)
                 dom = dominated_frameworks(fw, x, c=scale)
                 assert dominates(fw, dom)

@@ -160,7 +160,9 @@ def test_exit_code_1_on_parse_errors(capsys):
     assert run(capsys, "check-uc", "--gen", "moebius:5")[0] == 1
     assert run(capsys, "check-uc", "--gen", "cycle:abc")[0] == 1
     assert run(capsys, "gen", "--cayley", "2:01,xx")[0] == 1
-    assert run(capsys, "check-uc", "--gen", "cycle:5", "--tol", "-1")[0] == 1
+    for tol in ("-1", "0", "nan", "inf", "-inf"):  # "--tol -inf" would read as an option
+        code, _, err = run(capsys, "check-uc", "--gen", "cycle:5", f"--tol={tol}")
+        assert code == 1 and "tolerance" in err
     assert run(capsys, "nonsense-command")[0] == 1
     assert run(capsys, "check-uc")[0] == 1  # an input source is required
 

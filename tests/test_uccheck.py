@@ -19,7 +19,6 @@ from eigenframe.completability import (
     NEIGHBORHOOD_MARGIN,
     SV_THRESHOLD,
     ConditionReport,
-    RSpaceElement,
     clique_condition_any,
     dominated_frameworks,
     gershgorin_scale,
@@ -27,7 +26,6 @@ from eigenframe.completability import (
     neighborhood_condition,
     phi,
     phi_inverse,
-    reduced_points,
     xspace,
 )
 from eigenframe.errors import UnsupportedInputError
@@ -137,38 +135,74 @@ def test_uc_verdict_carries_the_witness():
     assert is_universally_completable(K4).uc
 
 
-def test_reduced_points_and_phi_round_trip():
-    from eigenframe.exact import rank_exact
-
-    fw = least_eigenvalue_framework(TWO_K2, backend="exact")
-    pts = reduced_points(fw)
-    # independent columns of the projector: full rank, spanning the eigenspace
-    assert pts.shape == (4, 2)
-    assert rank_exact(pts) == 2
-    assert fw.gram @ pts == pts
-    xs = xspace(TWO_K2)
-    x = xs.basis[0]
-    elem = phi_inverse(x, fw)
-    assert isinstance(elem, RSpaceElement)
-    assert phi(elem, fw) == x
-    # r vanishes against point pairs on closed neighborhoods
-    r = elem.r
+def test_eigenspace_basis_and_phi_round_trip():
+    les = least_eigenspace(TWO_K2, backend="exact")
+    b = ExactMatrix.column_stack(les.basis)
+    # the basis B of X = B R B^T: full column rank, spanning ker(A - tau I)
+    assert b.shape == (4, 2)
+    assert rank_exact(b) == 2
+    assert (les.shifted @ b).is_zero()
+    x = xspace(les).basis[0]
+    r = phi_inverse(x, les)
+    assert r.shape == (2, 2) and r.is_symmetric()
+    assert phi(r, les) == x
+    assert phi_inverse(x, TWO_K2) == r and phi(r, TWO_K2) == x
+    # r vanishes against basis rows on closed neighborhoods
     for i in range(4):
         for j in range(4):
             if i == j or TWO_K2.has_edge(i, j):
-                row_i = ExactMatrix([list(pts.row(i))])
-                row_j = ExactMatrix([[v] for v in pts.row(j)])
+                row_i = b.submatrix([i], range(2))
+                row_j = b.submatrix([j], range(2)).transpose()
                 assert (row_i @ r @ row_j)[0, 0] == 0
 
 
 def test_phi_round_trip_random_combinations():
-    fw = least_eigenvalue_framework(TWO_K2, backend="exact")
-    xs = xspace(TWO_K2)
+    les = least_eigenspace(TWO_K2, backend="exact")
+    xs = xspace(les)
     rng = random.Random(9)
     for _ in range(10):
         c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         x = xs.basis[0] * c
-        assert phi(phi_inverse(x, fw), fw) == x
+        assert phi(phi_inverse(x, les), les) == x
+
+
+def test_exact_phi_inverse_refuses_a_matrix_outside_the_image():
+    les = least_eigenspace(TWO_K2, backend="exact")
+    x = xspace(les).basis[0]
+    e00 = ExactMatrix([[int(i == j == 0) for j in range(4)] for i in range(4)])
+    for bad in (x + e00, x + ExactMatrix.identity(4), x.to_float()):
+        with pytest.raises(ValueError):
+            phi_inverse(bad, les)
+    with pytest.raises(ValueError):
+        phi_inverse(ExactMatrix.identity(3), les)
+
+
+def test_phi_refuses_a_non_symmetric_or_wrongly_sized_r():
+    exact = least_eigenspace(TWO_K2, backend="exact")  # d = 2
+    floating = least_eigenspace(TWO_K2, backend="floating")
+    r = phi_inverse(xspace(exact).basis[0], exact)
+    upper = ExactMatrix([[0, 1], [0, 0]])
+    for bad in (upper, ExactMatrix([[1]]), ExactMatrix.identity(3), r.to_float()):
+        with pytest.raises(ValueError):
+            phi(bad, exact)
+    for bad in (upper.to_float(), np.eye(1), np.eye(3)):
+        with pytest.raises(ValueError):
+            phi(bad, floating)
+    with pytest.raises(ValueError):  # symmetric, but X = B B^T is nonzero on the diagonal
+        phi(ExactMatrix.identity(2), exact)
+
+
+def test_floating_phi_round_trip_on_two_pentagons():
+    two_c5 = from_edges(10, [(k + i, k + (i + 1) % 5) for k in (0, 5) for i in range(5)])
+    les = least_eigenspace(two_c5)
+    assert not les.is_exact() and les.spectrum.tau_multiplicity == 4
+    assert abs(les.spectrum.tau + (1 + math.sqrt(5)) / 2) < 1e-12
+    xs = xspace(les)
+    assert xs.dim == 4
+    for x in xs.basis:
+        r = phi_inverse(x, les)
+        assert r.shape == (4, 4)
+        assert np.max(np.abs(phi(r, les) - x)) < 1e-12
 
 
 def test_dominated_framework_default_scale():
