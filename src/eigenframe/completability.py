@@ -110,7 +110,8 @@ def _rspace_kernel(les):
 
     X_ij = p_i^T R p_j, with p_i row i of B, is one linear form in the upper
     triangle of R; its forms on the diagonal and on edges are the n + |E|
-    rows. Full column rank modulo a prime proves the kernel trivial."""
+    rows. Full column rank modulo a prime proves the kernel trivial;
+    otherwise nullspace_fast eliminates the pivot rows found modulo it."""
     mult = len(les.basis)
     p = list(zip(*les.basis))
     tri = [(a, c) for a in range(mult) for c in range(a, mult)]
@@ -121,10 +122,11 @@ def _rspace_kernel(les):
     closed = _closed_pairs(les.graph)
     _check_budget(len(closed), len(tri))
     rows = [form(i, j) for i, j in closed]
-    if rank_mod_p(rows)[0] == len(tri):  # R -> B R B^T is injective
+    rank, pivot_rows, _ = rank_mod_p(rows)
+    if rank == len(tri):  # R -> B R B^T is injective
         return []
     kernel = []
-    for vec in nullspace_fast(rows, len(tri)):
+    for vec in nullspace_fast(rows, pivot_rows):
         r = [[0] * mult for _ in range(mult)]
         for (a, c), v in zip(tri, vec):
             r[a][c] = r[c][a] = v
@@ -240,13 +242,19 @@ def phi_inverse(x, g, tol: float = DEFAULT_TOL):
     with value c_a, and row f_a of B is c_a e_a, so R_ab = x[f_a, f_b] /
     (c_a c_b); ValueError unless phi(R) == x, so an x outside the image is
     refused rather than projected. Floating path: R = B^T x B on the
-    orthonormal eigh basis.
+    orthonormal eigh basis; ValueError unless x is n x n and phi(R) is
+    within tol * max(1, max |x_ij|) of x.
     """
     les = _eigenspace_of(g, "auto", tol)
-    if not les.is_exact():
-        b = les.basis
-        return b.T @ np.asarray(x, dtype=float) @ b
     n = les.graph.n
+    if not les.is_exact():
+        x = np.asarray(x, dtype=float)
+        if x.shape != (n, n):
+            raise ValueError(f"floating eigenspace needs an {n} x {n} witness")
+        r = les.basis.T @ x @ les.basis
+        if np.max(np.abs(phi(r, les, tol) - x)) > tol * max(1.0, np.max(np.abs(x))):
+            raise ValueError("matrix is not in the image of the reduced space")
+        return r
     if not isinstance(x, ExactMatrix) or x.shape != (n, n):
         raise ValueError(f"exact eigenspace needs an exact {n} x {n} witness")
     ends = [max(i for i, v in enumerate(col) if v) for col in les.basis]

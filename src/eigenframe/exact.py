@@ -4,14 +4,15 @@ An exact matrix is stored as integer rows over one positive common
 denominator, in lowest terms, so sums, products, equality and zero tests are
 integer work; entries are read back as Fractions. Rank, kernel and PSD status
 are unchanged by one positive scale, so every elimination runs directly on
-the integer numerators: fraction-free (Bareiss) for rank and the reference
-nullspace, and a word-size prime for the certified fast nullspace. That one
-discovers the pivot structure modulo the prime, solves the square pivot
-system exactly (p-adic lifting, fraction-free elimination when lifting
-bails; the same solver inverts matrices), and verifies every integer kernel
-vector against the full matrix, falling back to pure Bareiss if verification
-fails. Full column rank modulo the prime is accepted as a proof of a trivial
-nullspace, which is the one-sided bound that keeps large instances cheap.
+the integer numerators. There is one exact solver: fraction-free (Bareiss)
+row echelon form, then an integer back substitution scaled by the last pivot,
+where Cramer's rule makes every division exact. It gives rank, the echelon
+nullspace basis and the inverse (by eliminating [m | I]). The certified fast
+nullspace runs it on the rows that are pivot rows modulo a word-size prime
+and verifies every kernel vector against the full matrix, falling back to
+all rows if verification fails. Full column rank modulo the prime is
+accepted as a proof of a trivial nullspace, which is the one-sided bound
+that keeps large instances cheap.
 
 Positive semidefiniteness has one test: a symmetric fraction-free pivot pass
 that decides PD / PSD-deficient / indefinite and reports the rank. Least
@@ -210,23 +211,35 @@ def rank_exact(m) -> int:
     return len(_bareiss_echelon(_mutable_rows(m)))
 
 
-def _back_substitute(rows, pivots, free_col):
-    """Kernel vector with value 1 at free_col and 0 at the other free columns."""
-    x = {free_col: Fraction(1)}
+def _back_substitute(rows, pivots, free_col, ncols):
+    """Integer kernel vector of the echelon rows: D at free_col, 0 at the
+    other free columns, where D is the last pivot (1 if there is none).
+
+    D is the determinant of the pivot minor, so by Cramer's rule this is D
+    times the rational kernel vector with 1 at free_col; it is integral and
+    every division below is exact. Columns past free_col stay 0.
+    """
+    y = [0] * ncols
+    y[free_col] = rows[len(pivots) - 1][pivots[-1][1]] if pivots else 1
     for r, c in reversed(pivots):
-        row = rows[r]
-        s = sum(row[j] * v for j, v in x.items() if j > c)
-        if s:
-            x[c] = -s / row[c]
-    return x
+        if c < free_col:
+            row = rows[r]
+            y[c] = -sum(map(mul, row[c + 1 : free_col + 1], y[c + 1 : free_col + 1])) // row[c]
+    return y
 
 
-def _normalize_kernel_vector(x, ncols):
-    """The primitive integer vector along the sparse rational vector x."""
-    scale = math.lcm(*(v.denominator for v in x.values()))
-    ints = {j: v.numerator * (scale // v.denominator) for j, v in x.items()}
-    g = math.gcd(*ints.values())
-    return tuple([ints.get(j, 0) // g for j in range(ncols)])
+def _kernel_basis(rows, ncols):
+    """Echelon kernel basis of integer rows, which are eliminated in place:
+    one primitive integer vector per free column, positive there."""
+    pivots = _bareiss_echelon(rows)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for f in range(ncols):
+        if f not in pivot_cols:
+            y = _back_substitute(rows, pivots, f, ncols)
+            g = math.gcd(*y) if y[f] > 0 else -math.gcd(*y)
+            basis.append(tuple([v // g for v in y]))
+    return tuple(basis)
 
 
 def _annihilates(rows, vec) -> bool:
@@ -241,189 +254,48 @@ def nullspace(m):
     returned.
     """
     rows = _mutable_rows(m)
-    work = [row[:] for row in rows]
-    pivots = _bareiss_echelon(work)
-    pivot_cols = {c for _, c in pivots}
-    ncols = len(rows[0]) if rows else 0
-    basis = [
-        _normalize_kernel_vector(_back_substitute(work, pivots, f), ncols)
-        for f in range(ncols)
-        if f not in pivot_cols
-    ]
+    basis = _kernel_basis([row[:] for row in rows], len(rows[0]) if rows else 0)
     if not all(_annihilates(rows, vec) for vec in basis):
         raise InternalCheckError("kernel vector fails exact verification")
-    return tuple(basis)
+    return basis
 
 
-def _rational_reconstruct(a, m):
-    """(n, d) with d > 0, a*d = n (mod m) and |n|, d <= sqrt(m/2), or None.
+def nullspace_fast(int_rows, pivot_rows):
+    """Certified nullspace of an integer matrix, given the pivot rows that
+    rank_mod_p found for it.
 
-    Standard half-extended Euclid on (m, a), stopping at the first remainder
-    below the bound.
+    Those rows are independent modulo the prime, hence over the rationals,
+    so their kernel contains the true one. Only they are eliminated, and
+    every vector of their echelon kernel basis is verified against all rows:
+    if all pass, the two kernels are equal and this is the echelon basis
+    nullspace returns. Any failure falls back to nullspace on all rows.
     """
-    bound = math.isqrt(m // 2)
-    r0, r1 = m, a % m
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if r1 > bound or t1 == 0 or abs(t1) > bound:
-        return None
-    if math.gcd(r1, t1) != 1:
-        return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
-def _inverse_mod_p(s, p):
-    """Inverse of a square int64 matrix mod p, or None if singular mod p."""
-    n = s.shape[0]
-    a = np.concatenate([s % p, np.eye(n, dtype=np.int64)], axis=1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i, c]), None)
-        if piv is None:
-            return None
-        if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-        a[c] = (a[c] * pow(int(a[c, c]), p - 2, p)) % p
-        col = a[:, c].copy()
-        col[c] = 0
-        a = (a - np.outer(col, a[c])) % p
-    return a[:, n:]
-
-
-def _solve_dixon(s_rows, rhs_cols, p=2_147_483_647):
-    """Exact solutions of S y = b for each column b, by p-adic lifting.
-
-    Each solution is (integer numerators, positive common denominator).
-    S must be invertible mod p (hence over Q). Candidate solutions come from
-    rational reconstruction of the p-adic expansion; each is verified exactly
-    before being returned, so a reconstruction failure returns None rather
-    than a wrong answer.
-    """
-    r = len(s_rows)
-    if r == 0:
-        return [([], 1) for _ in rhs_cols]
-    # int64 matvec bounds: |S| < 2^20 and r < 2^12 keep every sum below 2^63
-    if r >= 1 << 12 or max(abs(x) for row in s_rows for x in row) >= 1 << 20:
-        return None
-    s_np = np.array(s_rows, dtype=np.int64)
-    c_np = _inverse_mod_p(s_np, p)
-    if c_np is None:
-        return None
-    c_hi, c_lo = c_np >> 16, c_np & 0xFFFF
-    solutions = []
-    for col in rhs_cols:
-        if max((abs(x) for x in col), default=0) >= 1 << 40:
-            return None
-        b = np.array(col, dtype=np.int64)
-        acc = [0] * r
-        pk = 1
-        steps = 0
-        steps_cap = 4 * r + 40
-        check_at = 10
-        y = None
-        while steps < steps_cap:
-            bp = b % p
-            d = (((c_hi @ bp) % p << 16) + c_lo @ bp) % p
-            for i in range(r):
-                acc[i] += pk * int(d[i])
-            pk *= p
-            b = (b - s_np @ d) // p
-            steps += 1
-            if steps >= check_at or steps == steps_cap:
-                check_at *= 2
-                cand = [_rational_reconstruct(a, pk) for a in acc]
-                if None not in cand:
-                    den = math.lcm(*(q for _, q in cand))
-                    nums = [n * (den // q) for n, q in cand]
-                    if all(sum(map(mul, row, nums)) == den * v for row, v in zip(s_rows, col)):
-                        y = (nums, den)
-                        break
-        if y is None:
-            return None
-        solutions.append(y)
-    return solutions
-
-
-def _solve_bareiss_square(sub, rhs):
-    """Exact solve of a square system against every right-hand side by
-    fraction-free elimination, or None if the matrix is singular.
-
-    Back substitution is scaled by the last pivot, which is +-det(S), so by
-    Cramer's rule every step divides exactly and the numerators stay integral.
-    """
-    r = len(sub)
-    aug = [list(row) + [col[i] for col in rhs] for i, row in enumerate(sub)]
-    pivots = _bareiss_echelon(aug)
-    if len(pivots) != r or any(c >= r for _, c in pivots):
-        return None
-    det = aug[r - 1][r - 1] if r else 1
-    sign = 1 if det > 0 else -1
-    sols = []
-    for t in range(len(rhs)):
-        y = [0] * r
-        for i in reversed(range(r)):
-            row = aug[i]
-            s = det * row[r + t] - sum(map(mul, row[i + 1 : r], y[i + 1 :]))
-            y[i] = s // row[i]
-        sols.append(([sign * v for v in y], abs(det)))
-    return sols
-
-
-def _solve_square(s_rows, rhs_cols):
-    """Exact solutions (numerators, positive denominator) of S y = b for every
-    column b, or None if S is singular: p-adic lifting, and fraction-free
-    elimination whenever lifting bails."""
-    sols = _solve_dixon(s_rows, rhs_cols)
-    return sols if sols is not None else _solve_bareiss_square(s_rows, rhs_cols)
-
-
-def nullspace_fast(int_rows, ncols):
-    """Certified nullspace of an integer matrix.
-
-    Pivot structure is discovered modulo a word-size prime. Full column rank
-    mod p already proves a trivial kernel. Otherwise the square pivot
-    submatrix (nonsingular over Q because it is nonsingular mod p) is solved
-    exactly for each free column, and every candidate integer vector is
-    verified against the whole matrix; any failure falls back to pure
-    elimination. Verified candidates are independent (distinct free
-    columns), so their count meeting the mod-p nullity certifies the
-    dimension exactly.
-    """
-    if ncols == 0:
+    if not int_rows:
         return ()
-    rank, prows, pcols = rank_mod_p(int_rows)
-    if rank == ncols:
-        return ()
-    pivot_set = set(pcols)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    sub = [[int_rows[r][c] for c in pcols] for r in prows]
-    rhs = [[int_rows[r][f] for r in prows] for f in free]
-    basis = []
-    for f, (nums, den) in zip(free, _solve_square(sub, rhs)):
-        full = {c: -v for c, v in zip(pcols, nums)}
-        full[f] = den
-        vec = _normalize_kernel_vector(full, ncols)
-        if not _annihilates(int_rows, vec):
-            return nullspace(int_rows)
-        basis.append(vec)
-    return tuple(basis)
+    basis = _kernel_basis([list(int_rows[r]) for r in pivot_rows], len(int_rows[0]))
+    if all(_annihilates(int_rows, vec) for vec in basis):
+        return basis
+    return nullspace(int_rows)
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse through the square solver; ValueError if m is singular."""
+    """Exact inverse by eliminating [m | I]; ValueError if m is singular.
+
+    The kernel vector at free column n + j is (-D m^-1 e_j, D e_j) for the
+    last pivot D, so column j of the inverse is read off its first n entries.
+    """
     if m.nrows != m.ncols:
         raise ValueError("only square matrices invert")
     n = m.nrows
-    cols = _solve_square(m.num, [[int(i == j) for i in range(n)] for j in range(n)])
-    if cols is None:
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.num)]
+    pivots = _bareiss_echelon(aug)
+    if len(pivots) != n or any(c >= n for _, c in pivots):
         raise ValueError("matrix is singular")
-    # (num / den)^-1 = den * num^-1, and column j of num^-1 is nums_j / den_j
-    den = math.lcm(*(d for _, d in cols))
-    return ExactMatrix._from_ints(
-        [[m.den * nums[i] * (den // d) for nums, d in cols] for i in range(n)], den
-    )
+    cols = [_back_substitute(aug, pivots, n + j, 2 * n) for j in range(n)]
+    d = aug[n - 1][n - 1] if n else 1
+    # (num / den)^-1 = den * num^-1, and column j of num^-1 is -cols[j][:n] / d
+    s = -m.den if d > 0 else m.den
+    return ExactMatrix._from_ints([[s * col[i] for col in cols] for i in range(n)], abs(d))
 
 
 def projector_onto_nullspace(m) -> ExactMatrix:

@@ -3,8 +3,8 @@ elimination, and reduced-echelon enumeration of subspaces over a prime field.
 
 The mod-p elimination is the workhorse behind the certified exact nullspace:
 full column rank modulo a prime is already a proof of full column rank over
-the rationals, and when the rank is deficient the pivot structure found here
-tells the exact solver which square submatrix to invert.
+the rationals, and when the rank is deficient the pivot rows found here are
+independent over the rationals, so the exact solver eliminates only them.
 """
 
 from __future__ import annotations

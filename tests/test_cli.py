@@ -1,14 +1,19 @@
 """Command line driver: schemas, determinism, exit codes."""
 
+import hashlib
 import json
 import sys
 from collections import Counter
 
 import pytest
 
+from corpus import atlas_graphs
 from eigenframe import cli, completability, exact
 from eigenframe.errors import InternalCheckError, UnsupportedInputError
-from eigenframe.graphs import Graph
+from eigenframe.graphs import Graph, complement, emit_graph6, kneser
+
+EXACT_REPORT_COUNT = 202
+EXACT_REPORT_DIGEST = "25d3bd6d7f8338a3b74905d27bc231482aa9f6ec8d3cfe6d457b3951e269be4f"
 
 
 def run(capsys, *argv):
@@ -260,3 +265,33 @@ def test_each_command_certifies_its_input_eigenspace_once(monkeypatch, capsys, c
     assert run(capsys, command, "--gen", spec)[0] == 0
     for name in ("integer_least_eigenvalue", "floating_least_eigenspace", "nullspace"):
         assert calls[name, (n, n)] <= 1, (name, calls)
+
+
+def _exact_report_argvs():
+    """Every integer-tau atlas graph on at most six vertices, the Kneser
+    graphs K(5,2) to K(7,2), C4, T(6) and a Z_2^4 Cayley graph with a
+    13-dimensional witness space, under all three report commands."""
+    inputs = [
+        ["--graph6", emit_graph6(g)]
+        for g, _ in atlas_graphs()
+        if g.n <= 6 and exact.integer_least_eigenvalue(g) is not None
+    ]
+    inputs += [["--gen", spec] for spec in ("kneser:5,2", "kneser:6,2", "kneser:7,2", "cycle:4")]
+    inputs.append(["--graph6", emit_graph6(complement(kneser(6, 2)))])
+    inputs.append(["--gen", "cayley:4:0001,0010,0011,0100,1000,1100"])
+    argvs = [[cmd, *src, "--backend", "exact"] for src in inputs
+             for cmd in ("check-uc", "vc", "dominated")]
+    return argvs + [["survey", "--n", "3"]]
+
+
+def test_exact_reports_are_byte_identical(capsys):
+    # sha256 over argv, exit code and stdout of every call. A change to an
+    # exact report must be deliberate: re-record the digest and say why.
+    # Every input is exact, so the digest does not depend on the LAPACK build.
+    digest = hashlib.sha256()
+    argvs = _exact_report_argvs()
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}\n".encode())
+    assert len(argvs) == EXACT_REPORT_COUNT
+    assert digest.hexdigest() == EXACT_REPORT_DIGEST

@@ -1,8 +1,9 @@
-"""Exact linear algebra: elimination, lifting, spectra, PSD certificates.
+"""Exact linear algebra: elimination, spectra, PSD certificates.
 
-The fast nullspace (modular rank bound plus p-adic solve) and the plain
-fraction-arithmetic elimination are independent routes to the same answers,
-so they are run against each other on randomized inputs throughout.
+The fast nullspace (eliminating only the pivot rows found modulo a prime)
+and the plain elimination of every row are independent routes to the same
+echelon basis, so they are run against each other on randomized inputs
+throughout.
 """
 
 import random
@@ -40,6 +41,9 @@ from eigenframe.modular import (
     rref_mod_q,
     subspaces_mod_q,
 )
+
+
+P = 2_147_483_647  # the prime of rank_mod_p
 
 
 def _random_int_matrix(rng, nrows, ncols, lo=-5, hi=5):
@@ -138,26 +142,31 @@ def test_nullspace_is_a_kernel_basis():
             assert rank_exact(stacked) == len(basis)
 
 
+def _fast(rows):
+    """nullspace_fast as xspace calls it: with the pivot rows mod p."""
+    return nullspace_fast([list(r) for r in rows], rank_mod_p(rows)[1])
+
+
 def test_fast_nullspace_agrees_with_plain_elimination():
     rng = random.Random(31)
+    inputs = []
     for trial in range(30):
         nrows, ncols = rng.randint(2, 10), rng.randint(2, 10)
         rows = _random_int_matrix(rng, nrows, ncols, -9, 9)
         if trial % 3 == 0:  # force rank deficiency
             rows.append([a + b for a, b in zip(rows[0], rows[-1])])
-        plain = nullspace(ExactMatrix(rows))
-        fast = nullspace_fast([list(r) for r in rows], ncols)
-        assert len(fast) == len(plain)
-        assert sorted(map(tuple, fast)) == sorted(map(tuple, plain))
+        inputs.append(rows)
+    # the prime divides an entry: a pivot mod p sits in another column
+    inputs += [[[P, 0, 1], [0, 1, 0]], [[P, 1, 0, 1], [0, 0, 1, 1]]]
+    for rows in inputs:
+        assert _fast(rows) == nullspace(ExactMatrix(rows))
 
 
 def test_fast_nullspace_with_large_entries():
-    # entries big enough that the p-adic solve must lift several digits
+    # entries big enough that the pivot minors run to many words
     rng = random.Random(47)
     rows = _random_int_matrix(rng, 12, 15, -10**6, 10**6)
-    fast = nullspace_fast([list(r) for r in rows], 15)
-    plain = nullspace(ExactMatrix(rows))
-    assert sorted(map(tuple, fast)) == sorted(map(tuple, plain))
+    assert _fast(rows) == nullspace(ExactMatrix(rows))
 
 
 def _record_results(monkeypatch, name):
@@ -173,24 +182,23 @@ def _record_results(monkeypatch, name):
     return results
 
 
-def test_fast_nullspace_bareiss_route_for_entries_beyond_lifting(monkeypatch):
-    # entries >= 2^20 exceed the int64 bound of p-adic lifting
+def test_fast_nullspace_with_entries_beyond_a_word(monkeypatch):
+    # entries >= 2^20, a dependent row, and no fallback to all rows
     rng = random.Random(53)
     rows = _random_int_matrix(rng, 6, 9, -(1 << 22), 1 << 22)
     rows.append([a - b for a, b in zip(rows[0], rows[1])])
     assert max(abs(x) for row in rows for x in row) >= 1 << 20
-    dixon = _record_results(monkeypatch, "_solve_dixon")
-    bareiss = _record_results(monkeypatch, "_solve_bareiss_square")
-    fast = nullspace_fast([list(r) for r in rows], 9)
-    assert dixon == [None] and len(bareiss) == 1 and bareiss[0] is not None
+    plain = _record_results(monkeypatch, "nullspace")
+    fast = _fast(rows)
+    assert plain == []
     assert len(fast) == 3
-    assert sorted(fast) == sorted(nullspace(ExactMatrix(rows)))
+    assert fast == nullspace(ExactMatrix(rows))
 
 
 def test_fast_nullspace_falls_back_when_rank_drops_mod_p(monkeypatch):
     # the prime itself: rank 0 mod p, so the candidate (1,) fails verification
     plain = _record_results(monkeypatch, "nullspace")
-    assert nullspace_fast([[2_147_483_647]], 1) == () == nullspace([[2_147_483_647]])
+    assert _fast([[P]]) == () == nullspace([[P]])
     assert plain == [()]
 
 
@@ -201,14 +209,17 @@ def test_invert():
     assert invert(b) @ b == ExactMatrix.identity(2) == b @ invert(b)
     with pytest.raises(ValueError):
         invert(ExactMatrix([[1, 2], [2, 4]]))
+    rng = random.Random(61)  # pivots of either sign, fractional entries
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        m = ExactMatrix(_random_fraction_rows(rng, n, n))
+        if rank_exact(m) == n:
+            assert m @ invert(m) == ExactMatrix.identity(n) == invert(m) @ m
 
 
-def test_invert_matrix_singular_mod_p(monkeypatch):
-    dixon = _record_results(monkeypatch, "_solve_dixon")
-    bareiss = _record_results(monkeypatch, "_solve_bareiss_square")
-    inv = invert(ExactMatrix([[2_147_483_647, 0], [0, 1]]))
-    assert inv == ExactMatrix([[Fraction(1, 2_147_483_647), 0], [0, 1]])
-    assert dixon == [None] and len(bareiss) == 1
+def test_invert_matrix_singular_mod_p():
+    inv = invert(ExactMatrix([[P, 0], [0, 1]]))
+    assert inv == ExactMatrix([[Fraction(1, P), 0], [0, 1]])
 
 
 def test_projector_onto_nullspace():

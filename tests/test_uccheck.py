@@ -192,9 +192,11 @@ def test_phi_refuses_a_non_symmetric_or_wrongly_sized_r():
         phi(ExactMatrix.identity(2), exact)
 
 
+TWO_C5 = from_edges(10, [(k + i, k + (i + 1) % 5) for k in (0, 5) for i in range(5)])
+
+
 def test_floating_phi_round_trip_on_two_pentagons():
-    two_c5 = from_edges(10, [(k + i, k + (i + 1) % 5) for k in (0, 5) for i in range(5)])
-    les = least_eigenspace(two_c5)
+    les = least_eigenspace(TWO_C5)
     assert not les.is_exact() and les.spectrum.tau_multiplicity == 4
     assert abs(les.spectrum.tau + (1 + math.sqrt(5)) / 2) < 1e-12
     xs = xspace(les)
@@ -203,6 +205,19 @@ def test_floating_phi_round_trip_on_two_pentagons():
         r = phi_inverse(x, les)
         assert r.shape == (4, 4)
         assert np.max(np.abs(phi(r, les) - x)) < 1e-12
+
+
+def test_floating_phi_inverse_refuses_a_matrix_outside_the_image():
+    c5 = least_eigenspace(cycle(5))  # phi(I_2) = B B^T, not I_5
+    for bad in (np.eye(5), np.eye(3)):
+        with pytest.raises(ValueError):
+            phi_inverse(bad, c5)
+    les = least_eigenspace(TWO_C5)
+    x = xspace(les).basis[0]
+    e00 = np.zeros((10, 10))
+    e00[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        phi_inverse(x + e00, les)
 
 
 def test_dominated_framework_default_scale():
