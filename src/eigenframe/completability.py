@@ -343,24 +343,29 @@ def dominated_frameworks(p: Framework, x, c=None, tol: float = DEFAULT_TOL) -> F
 class ConditionReport:
     holds: bool
     failed_vertex: int | None = None
-    witness: object = None
 
 
 def _nonsingular_off(les, removed) -> bool:
     """Whether the principal submatrix of A - tau I off the vertex set
     removed is nonsingular; the empty submatrix vacuously is.
 
-    It is A_H - tau I for the induced subgraph H on the other vertices, PSD
-    because interlacing puts lambda_min(H) >= tau, so it is nonsingular
-    exactly when lambda_min(H) > tau. Exact: full Bareiss rank. Floating:
-    least eigenvalue above NEIGHBORHOOD_MARGIN.
+    Decided on the rows B[removed, :] of the n x d eigenspace basis B
+    (LeastEigenspace.basis): the submatrix is singular exactly when those
+    rows have rank < d. A - tau I is PSD with kernel col(B). If the
+    submatrix kills y, pad y with zeros to x; then x^T (A - tau I) x = 0,
+    so (A - tau I) x = 0 by PSD and x = Bc is nonzero and vanishes on
+    removed. Conversely a nonzero Bc vanishing on removed restricts to a
+    kernel vector of the submatrix. Fewer than d vertices fail at once.
+    Exact: Bareiss rank of the integer rows. Floating: least singular value
+    of the rows of the orthonormal eigh basis above NEIGHBORHOOD_MARGIN.
     """
-    rest = [v for v in range(les.graph.n) if v not in removed]
-    if not rest:
-        return True
+    rows = sorted(removed)
+    d = les.spectrum.tau_multiplicity
+    if len(rows) < d:
+        return False
     if les.is_exact():
-        return rank_exact(les.shifted.submatrix(rest, rest)) == len(rest)
-    return bool(np.linalg.eigvalsh(les.shifted[np.ix_(rest, rest)])[0] > NEIGHBORHOOD_MARGIN)
+        return rank_exact([[col[v] for col in les.basis] for v in rows]) == d
+    return bool(np.linalg.svd(les.basis[rows], compute_uv=False)[-1] > NEIGHBORHOOD_MARGIN)
 
 
 def neighborhood_condition(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> ConditionReport:
@@ -368,10 +373,12 @@ def neighborhood_condition(g, backend: str = "auto", tol: float = DEFAULT_TOL) -
     must leave a graph whose least eigenvalue strictly exceeds tau.
 
     g is a Graph or its LeastEigenspace; backend and tol only pick the
-    certification of a bare Graph. Each vertex costs one principal-submatrix
-    test of A - tau I (_nonsingular_off); an empty punctured graph counts as
-    eigenvalue zero, so passes exactly when tau < 0. Holding implies
-    universal completability; failing implies nothing.
+    certification of a bare Graph. By interlacing that is nonsingularity of
+    A - tau I off N[v], so each vertex costs one rank test of the |N[v]|
+    rows of the eigenspace basis there (_nonsingular_off); an empty
+    punctured graph counts as eigenvalue zero, so passes exactly when
+    tau < 0. Holding implies universal completability; failing implies
+    nothing.
     """
     les = _eigenspace_of(g, backend, tol)
     g = les.graph
@@ -388,9 +395,11 @@ def clique_condition(g, clique, backend: str = "auto", tol: float = DEFAULT_TOL)
 
     g is a Graph or its LeastEigenspace; backend and tol only pick the
     certification of a bare Graph. An invertible principal submatrix of
-    A - tau I on the clique's complement (see _nonsingular_off) forces every
-    completability witness to vanish, so holding implies universal
-    completability. Vertices outside the graph raise ValueError.
+    A - tau I on the clique's complement forces every completability
+    witness to vanish, so holding implies universal completability. It is
+    invertible exactly when the clique's rows of the eigenspace basis have
+    full rank d (see _nonsingular_off), so a clique of fewer than d vertices
+    never passes. Vertices outside the graph raise ValueError.
     """
     les = _eigenspace_of(g, backend, tol)
     g = les.graph
@@ -407,9 +416,13 @@ def clique_condition(g, clique, backend: str = "auto", tol: float = DEFAULT_TOL)
 
 def clique_condition_any(g, backend: str = "auto", tol: float = DEFAULT_TOL):
     """First maximal clique (largest, then lexicographic) whose complement
-    passes the invertibility test on the one A - tau I, or (False, None)."""
+    passes the invertibility test on the one A - tau I, or (False, None).
+    The search stops at the first clique of fewer than d vertices."""
     les = _eigenspace_of(g, backend, tol)
+    d = les.spectrum.tau_multiplicity
     for clique in sorted(maximal_cliques(les.graph), key=lambda c: (-len(c), c)):
+        if len(clique) < d:
+            break
         if clique_condition(les, clique):
             return True, tuple(clique)
     return False, None

@@ -1,9 +1,11 @@
 """Command line driver: schemas, determinism, exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from eigenframe.graphs import Graph, complement, emit_graph6, kneser
 
 EXACT_REPORT_COUNT = 202
 EXACT_REPORT_DIGEST = "25d3bd6d7f8338a3b74905d27bc231482aa9f6ec8d3cfe6d457b3951e269be4f"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(capsys, *argv):
@@ -295,3 +298,21 @@ def test_exact_reports_are_byte_identical(capsys):
         digest.update(f"{' '.join(argv)}\n{code}\n{out}\n".encode())
     assert len(argvs) == EXACT_REPORT_COUNT
     assert digest.hexdigest() == EXACT_REPORT_DIGEST
+
+
+@pytest.mark.parametrize("workload", ["certify", "witness"])
+def test_exact_benchmark_ops_match_their_golden_digests(capsys, monkeypatch, workload):
+    # Seed 1 of the benchmark's exact workloads, hashed as perfbench/child.py
+    # does: the exit code line, then stdout. Every input is exact, so the
+    # digests do not depend on the LAPACK build.
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    golden = json.loads((PERFBENCH / "golden" / f"{workload}.json").read_text())
+    ops = workloads.build(workload, 1)
+    assert ops
+    for op in ops:
+        code, out, _ = run(capsys, *op.argv)
+        digest = hashlib.sha256(f"{code}\n".encode() + out.encode()).hexdigest()
+        assert digest == golden[op.key], op.key

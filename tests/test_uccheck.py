@@ -50,10 +50,12 @@ from eigenframe.graphs import (
     kneser,
     maximal_cliques,
     parse_graph6,
+    q_kneser,
 )
 from oracles import dense_xspace_dim
 
 TWO_K2 = from_edges(4, [(0, 1), (2, 3)])
+GNP20 = "SH??`@gAG?_KA@CGaaKBCk?AC?`@CSD_c"  # G(20, 0.2), irrational tau
 K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 
 
@@ -319,7 +321,7 @@ def test_conditions_agree_with_the_punctured_spectrum_oracles():
 
 
 @pytest.mark.parametrize(
-    "g", [kneser(6, 2), cycle(9), parse_graph6("SH??`@gAG?_KA@CGaaKBCk?AC?`@CSD_c")],
+    "g", [kneser(6, 2), cycle(9), parse_graph6(GNP20)],
     ids=["kneser6_2", "cycle9", "gnp20"],
 )
 def test_neighborhood_condition_certifies_no_punctured_spectrum(monkeypatch, g):
@@ -332,6 +334,60 @@ def test_neighborhood_condition_certifies_no_punctured_spectrum(monkeypatch, g):
     monkeypatch.setattr(exact, "integer_least_eigenvalue", refuse)
     monkeypatch.setattr(exact, "floating_least_eigenspace", refuse)
     assert neighborhood_condition(les) == expected
+
+
+def _submatrix_rule(les, removed):
+    """Nonsingularity of A - tau I off removed by eliminating the principal
+    submatrix itself: Bareiss rank, or its least eigenvalue on the floating
+    path."""
+    rest = [v for v in range(les.graph.n) if v not in removed]
+    if not rest:
+        return True
+    if les.is_exact():
+        return rank_exact(les.shifted.submatrix(rest, rest)) == len(rest)
+    return bool(np.linalg.eigvalsh(les.shifted[np.ix_(rest, rest)])[0] > NEIGHBORHOOD_MARGIN)
+
+
+def test_basis_row_rank_decides_nonsingularity_off_random_vertex_sets():
+    graphs = [g for g, _ in atlas_graphs()] + [cycle(n) for n in range(3, 40)]
+    graphs += [kneser(5, 2), kneser(6, 2), kneser(7, 2), q_kneser(2, 4, 2), parse_graph6(GNP20)]
+    rng = random.Random(9)
+    outcomes = set()
+    for g in graphs:
+        les = least_eigenspace(g)
+        for _ in range(6):
+            removed = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+            got = completability._nonsingular_off(les, removed)
+            assert got == _submatrix_rule(les, removed), (g.nbr, sorted(removed))
+            outcomes.add((les.spectrum.backend, got))
+    assert outcomes == {(b, v) for b in ("exact", "floating") for v in (False, True)}
+
+
+@pytest.mark.parametrize(
+    "g", [kneser(6, 2), kneser(7, 2), cycle(9), parse_graph6(GNP20)],
+    ids=["kneser6_2", "kneser7_2", "cycle9", "gnp20"],
+)
+def test_conditions_eliminate_no_principal_submatrix(monkeypatch, g):
+    les = least_eigenspace(g)
+    expected = (_spectral_neighborhood_oracle(les), _svd_clique_oracle(les))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a principal submatrix was eliminated")
+
+    monkeypatch.setattr(ExactMatrix, "submatrix", refuse)
+    monkeypatch.setattr(completability.np.linalg, "eigvalsh", refuse)
+    assert (neighborhood_condition(les), clique_condition_any(les)) == expected
+
+
+def test_clique_search_stops_below_the_multiplicity(monkeypatch):
+    les = least_eigenspace(kneser(7, 2))
+    assert les.spectrum.tau_multiplicity == 6
+    assert sorted(map(len, maximal_cliques(les.graph))) == [3] * 105
+    calls = []
+    monkeypatch.setattr(completability, "rank_exact", lambda rows: calls.append(rows))
+    monkeypatch.setattr(completability, "clique_condition", lambda *a: calls.append(a))
+    assert clique_condition_any(les) == (False, None)
+    assert calls == []
 
 
 def test_conditions_imply_uc_on_corpus():
