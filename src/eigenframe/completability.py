@@ -5,16 +5,22 @@ on closed neighborhoods (diagonal and edges) and satisfies (A - tau I)X = 0
 witnesses a non-congruent dominated framework, and the framework is
 universally completable exactly when no nonzero such X exists.
 
-The exact path solves the paper's reduced space X = B R B^T (B an integer
-basis of ker(A - tau I), R symmetric d x d): n + |E| equations in d(d+1)/2
-unknowns, where full column rank modulo a word-size prime certifies
-dimension zero and kernel vectors are otherwise solved exactly and verified.
-The floating path reads the dimension and a smallest-to-largest margin off
-the singular values of the n^2 x |E(complement)| complement-edge system.
+Both paths decide the dimension in the paper's reduced space X = B R B^T
+(B a basis of ker(A - tau I), R symmetric d x d): n + |E| equations in
+d(d+1)/2 unknowns. On the exact path B is an integer basis; full column
+rank modulo a word-size prime certifies dimension zero, and kernel vectors
+are otherwise solved exactly and verified. On the floating path B is the
+orthonormal eigh basis, and the least singular value of the same system
+bounds the margin of the n^2 x |E(complement)| complement-edge system from
+below; only when that bound is too small to prove full rank is the
+complement-edge system built and its SVD read. The reported margin, the
+smallest-to-largest singular value ratio of that system, is computed the
+first time it is read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,21 +52,30 @@ class XSpaceBasis:
 
     Every element vanishes on the diagonal and on edges and is annihilated
     by the shifted adjacency matrix; dimension zero is exactly universal
-    completability of the least-eigenvalue framework. sv_margin (floating
-    path only) is the smallest-to-largest singular value ratio of the
-    constraint system: large margins mean the rank decision is comfortable.
+    completability of the least-eigenvalue framework.
     """
 
     graph: Graph
     tau: object
     basis: tuple
     backend: str
-    sv_margin: float | None = None
     tau_multiplicity: int | None = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @functools.cached_property
+    def sv_margin(self) -> float | None:
+        """Floating path only (else None): the smallest-to-largest singular
+        value ratio of the n^2-row complement-edge system built from graph
+        and tau; large margins mean the rank decision is comfortable. Built
+        and decomposed on first read, after the same SYSTEM_BYTE_CAP check
+        as every system (ResourceLimitError)."""
+        if self.backend != "floating":
+            return None
+        pairs = _complement_pairs(self.graph)
+        return _x_system(self.graph, self.tau, pairs)[2] if pairs else None
 
 
 def _complement_pairs(g: Graph):
@@ -105,15 +120,27 @@ def _vector_to_matrix(vec, n, pairs):
     return entries
 
 
-def _rspace_kernel(les):
-    """Kernel vectors of the R-system, as symmetric d x d ExactMatrices.
+def _x_system(g: Graph, tau, pairs):
+    """The floating complement-edge system, its rank and its margin (the
+    smallest-to-largest singular value ratio); the budget is checked first."""
+    _check_budget(g.n * g.n, len(pairs))
+    index = {pair: t for t, pair in enumerate(pairs)}
+    rows = _build_system(g, -tau, np.float64, pairs, index)
+    svals = np.linalg.svd(rows, compute_uv=False)
+    smax = float(svals[0])
+    if smax == 0.0:
+        return rows, 0, 0.0
+    return rows, int(np.sum(svals > SV_THRESHOLD * smax)), float(svals[-1] / smax)
 
-    X_ij = p_i^T R p_j, with p_i row i of B, is one linear form in the upper
-    triangle of R; its forms on the diagonal and on edges are the n + |E|
-    rows. Full column rank modulo a prime proves the kernel trivial;
-    otherwise nullspace_fast eliminates the pivot rows found modulo it."""
-    mult = len(les.basis)
-    p = list(zip(*les.basis))
+
+def _rspace_rows(les):
+    """The R-system and its unknowns, the upper triangle (a, c) of R.
+
+    X_ij = p_i^T R p_j, with p_i row i of the eigenspace basis B, is one
+    linear form in the upper triangle of R; its forms on the diagonal and on
+    edges are the n + |E| rows."""
+    mult = les.spectrum.tau_multiplicity
+    p = list(zip(*les.basis)) if les.is_exact() else les.basis.tolist()
     tri = [(a, c) for a in range(mult) for c in range(a, mult)]
 
     def form(i, j):
@@ -121,7 +148,46 @@ def _rspace_kernel(les):
 
     closed = _closed_pairs(les.graph)
     _check_budget(len(closed), len(tri))
-    rows = [form(i, j) for i, j in closed]
+    return [form(i, j) for i, j in closed], tri
+
+
+def _rspace_margin_bound(les) -> float:
+    """A lower bound on the margin of the floating complement-edge system M,
+    from the least singular value s of the R-system on the orthonormal eigh
+    basis B; 0.0 when s = 0 or no spectral gap separates tau.
+
+    With g = lambda_{d+1} - tau and r = max_k |lambda_k - tau|, the margin
+    sigma_min(M) / sigma_max(M) is at least g s / (sqrt2 r (2 + sqrt2 s)).
+    Take X symmetric and zero on closed pairs (x its complement entries),
+    Q = I - BB^T and E = QX. Outside col(B), A - tau I scales by at least g
+    and stays orthogonal to col(B), so ||(A - tau I)X|| >= g ||E||. With
+    R = B^T X B, X - B R B^T = QX + BB^T XQ has norm <= 2||E|| and equals
+    -B R B^T on closed pairs, so ||R||_F <= sqrt2 ||r|| <= 2 sqrt2 ||E|| / s
+    (r the upper triangle of R) and ||X||_F <= ||R||_F + 2||E||. Finally
+    ||Mx|| = ||(A - tau I)X||_F, ||x|| = ||X||_F / sqrt2 and sigma_max(M) <=
+    sqrt2 r. Cluster members sit up to tol apart, so g and r are widened by
+    the spread of their clusters.
+    """
+    rows, tri = _rspace_rows(les)
+    spectrum = les.spectrum
+    if len(rows) < len(tri) or len(spectrum.pairs) < 2:
+        return 0.0
+    (above, m_above), (top, m_top) = spectrum.pairs[1], spectrum.pairs[-1]
+    gap = above - (m_above - 1) * spectrum.tolerance - spectrum.tau
+    if gap <= 0.0:
+        return 0.0
+    radius = top + (m_top - 1) * spectrum.tolerance - spectrum.tau
+    s = float(np.linalg.svd(np.array(rows), compute_uv=False)[-1])
+    return float(gap * s / (math.sqrt(2) * radius * (2 + math.sqrt(2) * s)))
+
+
+def _rspace_kernel(les):
+    """Kernel vectors of the exact R-system (_rspace_rows), as symmetric
+    d x d ExactMatrices. Full column rank modulo a prime proves the kernel
+    trivial; otherwise nullspace_fast eliminates the pivot rows found modulo
+    it."""
+    mult = len(les.basis)
+    rows, tri = _rspace_rows(les)
     rank, pivot_rows, _ = rank_mod_p(rows)
     if rank == len(tri):  # R -> B R B^T is injective
         return []
@@ -144,7 +210,12 @@ def xspace(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> XSpaceBasis:
     Column a of B ends at its free vertex f_a, where row f_a of B is a
     positive multiple of e_a, so X and R share their last nonzero entry and
     this is the echelon basis of the complement-pair system. Floating path:
-    SVD vectors with a margin. A system over SYSTEM_BYTE_CAP bytes raises
+    the dimension is zero when the R-system on the orthonormal eigh basis
+    bounds the complement-pair system's margin by ten times SV_THRESHOLD
+    (_rspace_margin_bound), the answer that system's rank test would give;
+    otherwise that system is built, its rank gives the dimension and its SVD
+    vectors the basis. sv_margin is computed on first read, or kept from the
+    fallback's SVD. A system over SYSTEM_BYTE_CAP bytes raises
     ResourceLimitError before it is built.
     """
     les = _eigenspace_of(g, backend, tol)
@@ -152,7 +223,7 @@ def xspace(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> XSpaceBasis:
     tau = les.spectrum.tau if exact else float(les.spectrum.tau)
     pairs = _complement_pairs(g)
     if not pairs:
-        return XSpaceBasis(g, tau, (), les.spectrum.backend, None, mult)
+        return XSpaceBasis(g, tau, (), les.spectrum.backend, mult)
     if exact:
         basis = []
         for r in _rspace_kernel(les):
@@ -161,23 +232,18 @@ def xspace(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> XSpaceBasis:
             if not (les.shifted @ x).is_zero():
                 raise InternalCheckError("completability witness fails exact recheck")
             basis.append(x)
-        return XSpaceBasis(g, tau, tuple(basis), "exact", None, mult)
+        return XSpaceBasis(g, tau, tuple(basis), "exact", mult)
 
-    _check_budget(g.n * g.n, len(pairs))
-    index = {pair: t for t, pair in enumerate(pairs)}
-    rows = _build_system(g, -tau, np.float64, pairs, index)
-    svals = np.linalg.svd(rows, compute_uv=False)
-    smax = float(svals[0]) if len(svals) else 0.0
-    if smax == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(svals > SV_THRESHOLD * smax))
-    margin = float(svals[-1] / smax) if smax > 0 else 0.0
-    if rank == len(pairs):
-        return XSpaceBasis(g, tau, (), "floating", margin, mult)
-    _, _, vh = np.linalg.svd(rows)
-    basis = tuple(_vector_to_matrix(vh[r], g.n, pairs) for r in range(rank, len(pairs)))
-    return XSpaceBasis(g, tau, basis, "floating", margin, mult)
+    if _rspace_margin_bound(les) > 10 * SV_THRESHOLD:  # slack for rounding
+        return XSpaceBasis(g, tau, (), "floating", mult)
+    rows, rank, margin = _x_system(g, tau, pairs)
+    basis = ()
+    if rank < len(pairs):
+        _, _, vh = np.linalg.svd(rows)
+        basis = tuple(_vector_to_matrix(vh[r], g.n, pairs) for r in range(rank, len(pairs)))
+    xs = XSpaceBasis(g, tau, basis, "floating", mult)
+    vars(xs)["sv_margin"] = margin  # the cached property's slot: no second build
+    return xs
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,21 @@ with at least one vertex).  We convert each to our Graph type once per
 session and hand out filtered views.  The published counts are asserted
 at load time so a broken atlas install fails loudly instead of silently
 shrinking the corpus.
+
+benchmark_ops hands out the benchmark's own inputs, built from a seed by
+perfbench/workloads.py, which is loaded read-only.
 """
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import networkx as nx
 from networkx.generators.atlas import graph_atlas_g
 
 from eigenframe.graphs import from_edges
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # all graphs / connected graphs on exactly n vertices, n = 1..7
 ATLAS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -42,3 +51,17 @@ def connected_graphs(max_n=7, min_n=1):
     out = [(g, nxg) for g, nxg in atlas_graphs()
            if min_n <= g.n <= max_n and nx.is_connected(nxg)]
     return out
+
+
+def benchmark_ops(workload, seed=1):
+    """The ops of one benchmark workload for one seed, each with .key and
+    .argv (None for a direct survey_one call) as perfbench/child.py runs
+    them."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["workloads"] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules["workloads"]
+    return module.build(workload, seed)

@@ -3,10 +3,13 @@
 Everything here deliberately avoids the package's own elimination and
 nullspace code: plain Gauss-Jordan over Fraction on the full set of
 symmetric-matrix unknowns. Slow, obviously correct, and wrong in different
-ways than the production route would be.
+ways than the production route would be. The floating oracle builds the
+complement-edge system with numpy alone and reads it off one full SVD.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def rref_fraction(rows):
@@ -63,3 +66,42 @@ def dense_xspace_dim(g, tau):
             rows.append(row)
     rank = rref_fraction(rows)
     return len(unknowns) - rank
+
+
+def x_system_svd(g, threshold=1e-7, tol=1e-8):
+    """The floating witness space from the n^2 x |complement edges| system.
+
+    tau is the mean of the least eigenvalue cluster (consecutive eigh values
+    at most tol apart). Column (k, l) of the system is vec((A - tau I)X) for
+    X = e_k e_l^T + e_l e_k^T, row-major. Returns (dim, margin, basis): the
+    number of singular values at most threshold times the largest, the
+    smallest-to-largest ratio, and the right singular vectors past the rank
+    as symmetric n x n matrices.
+    """
+    n = g.n
+    a = np.zeros((n, n))
+    for i, j in g.edges():
+        a[i, j] = a[j, i] = 1.0
+    vals = np.linalg.eigvalsh(a)
+    cluster = [vals[0]]
+    for v in vals[1:]:
+        if v - cluster[-1] > tol:
+            break
+        cluster.append(v)
+    s = a - sum(cluster) / len(cluster) * np.eye(n)
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n) if a[k, l] == 0]
+    m = np.zeros((n * n, len(pairs)))
+    rows = np.arange(n) * n
+    for t, (k, l) in enumerate(pairs):
+        m[rows + l, t] = s[:, k]
+        m[rows + k, t] = s[:, l]
+    _, svals, vh = np.linalg.svd(m)
+    smax = svals[0]
+    rank = int(np.sum(svals > threshold * smax))
+    basis = []
+    for vec in vh[rank:]:
+        x = np.zeros((n, n))
+        for (k, l), v in zip(pairs, vec):
+            x[k, l] = x[l, k] = v
+        basis.append(x)
+    return len(pairs) - rank, float(svals[-1] / smax) if smax > 0 else 0.0, basis

@@ -1,22 +1,21 @@
 """Command line driver: schemas, determinism, exit codes."""
 
 import hashlib
-import importlib.util
 import json
 import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-from corpus import atlas_graphs
+from corpus import PERFBENCH, atlas_graphs, benchmark_ops
 from eigenframe import cli, completability, exact
 from eigenframe.errors import InternalCheckError, UnsupportedInputError
-from eigenframe.graphs import Graph, complement, emit_graph6, kneser
+from eigenframe.graphs import Graph, complement, cycle, emit_graph6, kneser, parse_graph6
+from eigenframe.serialize import number_token
+from oracles import x_system_svd
 
 EXACT_REPORT_COUNT = 202
 EXACT_REPORT_DIGEST = "25d3bd6d7f8338a3b74905d27bc231482aa9f6ec8d3cfe6d457b3951e269be4f"
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(capsys, *argv):
@@ -241,6 +240,55 @@ def test_system_over_the_byte_budget_is_refused_before_it_is_built(monkeypatch, 
     assert "byte budget" in err
 
 
+def test_the_byte_budget_holds_for_the_system_a_command_builds(monkeypatch, capsys):
+    # C5: the R-system is 10 x 3 (240 bytes), the complement-edge system
+    # 25 x 5 (1000 bytes). Only check-uc reads the margin that needs it.
+    def never(*args):
+        raise AssertionError("a system was built over the budget")
+
+    expected = {cmd: run(capsys, cmd, "--gen", "cycle:5") for cmd in ("vc", "dominated")}
+    monkeypatch.setattr(completability, "SYSTEM_BYTE_CAP", 500)
+    monkeypatch.setattr(completability, "_build_system", never)
+    code, out, err = run(capsys, "check-uc", "--gen", "cycle:5")
+    assert code == 2 and out == ""
+    assert "25 x 5 system exceeds the 500-byte budget" in err
+    for cmd, result in expected.items():
+        assert result[0] == 0
+        assert run(capsys, cmd, "--gen", "cycle:5") == result
+
+
+@pytest.mark.parametrize("source", ["cycle:9", "gnp"])
+def test_only_check_uc_builds_the_complement_edge_system(monkeypatch, capsys, source):
+    # The G(20, 0.2) input is the first one of the seed-1 floating benchmark
+    # workload; a G(n, p) graph is not 1-walk-regular, so vc refuses it.
+    if source == "gnp":
+        argv = list(benchmark_ops("floating")[0].argv[1:])
+        g = parse_graph6(argv[1])
+        assert argv[0] == "--graph6" and g.n == 20
+    else:
+        argv, g = ["--gen", source], cycle(9)
+    dim, margin, _ = x_system_svd(g)
+    real, calls = completability._build_system, []
+
+    def never(*args):
+        raise AssertionError("the complement-edge system was built")
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(completability, "_build_system", never)
+    for cmd, rc in (("dominated", 0), ("vc", 2 if source == "gnp" else 0)):
+        code, out, _ = run(capsys, cmd, *argv)
+        assert code == rc
+        assert code or json.loads(out)["x_dim"] == dim == 0
+    monkeypatch.setattr(completability, "_build_system", counted)
+    code, out, _ = run(capsys, "check-uc", *argv)
+    doc = json.loads(out)
+    assert code == 0 and len(calls) == 1
+    assert doc["x_dim"] == dim and doc["sv_margin"] == number_token(margin)
+
+
 def _shape(m):
     if isinstance(m, Graph):
         return (m.n, m.n)
@@ -301,16 +349,12 @@ def test_exact_reports_are_byte_identical(capsys):
 
 
 @pytest.mark.parametrize("workload", ["certify", "witness"])
-def test_exact_benchmark_ops_match_their_golden_digests(capsys, monkeypatch, workload):
+def test_exact_benchmark_ops_match_their_golden_digests(capsys, workload):
     # Seed 1 of the benchmark's exact workloads, hashed as perfbench/child.py
     # does: the exit code line, then stdout. Every input is exact, so the
     # digests do not depend on the LAPACK build.
-    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
-    spec.loader.exec_module(workloads)
     golden = json.loads((PERFBENCH / "golden" / f"{workload}.json").read_text())
-    ops = workloads.build(workload, 1)
+    ops = benchmark_ops(workload)
     assert ops
     for op in ops:
         code, out, _ = run(capsys, *op.argv)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from corpus import atlas_graphs, connected_graphs
+from corpus import atlas_graphs, benchmark_ops, connected_graphs
 from eigenframe import completability, exact
 from eigenframe.completability import (
     NEIGHBORHOOD_MARGIN,
@@ -44,6 +44,7 @@ from eigenframe.graphs import (
     CayleySpec,
     cayley_z2,
     cycle,
+    emit_graph6,
     from_edges,
     induced_subgraph,
     is_split,
@@ -52,7 +53,8 @@ from eigenframe.graphs import (
     parse_graph6,
     q_kneser,
 )
-from oracles import dense_xspace_dim
+from eigenframe.serialize import number_token
+from oracles import dense_xspace_dim, x_system_svd
 
 TWO_K2 = from_edges(4, [(0, 1), (2, 3)])
 GNP20 = "SH??`@gAG?_KA@CGaaKBCk?AC?`@CSD_c"  # G(20, 0.2), irrational tau
@@ -104,6 +106,58 @@ def test_odd_cycles_floating():
         assert xs.dim == 0
         verdict = is_universally_completable(cycle(n), backend="floating")
         assert verdict.uc and verdict.witness.dim == 0
+
+
+def test_rspace_bound_never_exceeds_the_complement_edge_margin():
+    # Wherever the R-space bound proves dimension zero, the n^2-row system
+    # read by a full SVD must have full column rank and a margin at least
+    # the bound: every atlas graph forced floating, C5-C21 and the seed-1
+    # G(n, 0.2) inputs of the floating benchmark workload. On these inputs
+    # the proof also fails only where that system is rank deficient.
+    gnp = [parse_graph6(op.argv[2]) for op in benchmark_ops("floating")
+           if op.argv[:2] == ("check-uc", "--graph6")]
+    assert [g.n for g in gnp] == [20, 23, 26, 29, 32]
+    graphs = [g for g, _ in atlas_graphs()] + [cycle(n) for n in range(5, 22, 2)] + gnp
+    fallbacks = 0
+    for g in graphs:
+        if g.num_edges() == g.n * (g.n - 1) // 2:
+            continue  # no complement pair, no system
+        bound = completability._rspace_margin_bound(least_eigenspace(g, "floating"))
+        dim, margin, _ = x_system_svd(g)
+        if bound > 10 * SV_THRESHOLD:
+            assert dim == 0 and margin >= bound, emit_graph6(g)
+        else:
+            assert dim > 0, emit_graph6(g)
+            fallbacks += 1
+    assert fallbacks == 24  # all disconnected: every connected atlas graph is UC
+
+
+def test_floating_fallback_reads_the_complement_edge_system():
+    les = least_eigenspace(TWO_K2, "floating")
+    assert completability._rspace_margin_bound(les) <= 10 * SV_THRESHOLD
+    xs = xspace(les)
+    dim, margin, basis = x_system_svd(TWO_K2)
+    assert xs.dim == dim == 1
+    assert xs.sv_margin == pytest.approx(margin, abs=1e-12)
+    assert np.allclose(xs.basis[0], basis[0]) or np.allclose(xs.basis[0], -basis[0])
+
+
+def test_forced_fallback_gives_the_proof_route_result(monkeypatch):
+    proved = xspace(cycle(5), backend="floating")
+    real, calls = completability._build_system, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(completability, "_build_system", counted)
+    monkeypatch.setattr(completability, "_rspace_margin_bound", lambda les: 0.0)
+    fallback = xspace(cycle(5), backend="floating")
+    assert fallback == proved and fallback.dim == 0
+    assert number_token(fallback.sv_margin) == 0.504622638711
+    assert len(calls) == 1  # the fallback keeps the margin of its own SVD
+    assert number_token(proved.sv_margin) == 0.504622638711
+    assert len(calls) == 2  # the proof route builds its system when read
 
 
 def test_precomputed_spectrum_path():
