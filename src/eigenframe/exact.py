@@ -17,9 +17,12 @@ that keeps large instances cheap.
 Positive semidefiniteness has one test: a symmetric fraction-free pivot pass
 that decides PD / PSD-deficient / indefinite and reports the rank. Least
 eigenvalues of adjacency matrices are certified with it: an integer k is the
-least eigenvalue iff A - kI is singular and positive semidefinite, so a
-binary search over the integer range settles integrality without trusting
-floating point.
+least eigenvalue iff A - kI is singular and positive semidefinite. Floating
+point only proposes k, the integer nearest the least eigh value, and one pass
+at k proves tau and its multiplicity; a least value far from every integer is
+proved irrational by two passes (A - floor I positive definite, A - ceil I
+indefinite). When a pass refutes the guess, a binary search over the integer
+range settles integrality without trusting floating point at all.
 """
 
 from __future__ import annotations
@@ -397,8 +400,9 @@ class Spectrum:
     """Eigenvalues with multiplicities, ascending.
 
     On the exact backend tau is a Fraction whose multiplicity is verified by
-    an exact rank computation; irrational eigenvalues above tau appear as
-    floating cluster values (multiplicities still summing to n).
+    an exact rank computation. Pairs above tau are floating eigh clusters,
+    except that graph_spectrum and integer_least_eigenvalue certify the
+    integer ones by exact rank (multiplicities still summing to n).
     """
 
     pairs: tuple
@@ -442,45 +446,38 @@ def _cluster(values, tol):
 
 
 def integer_least_eigenvalue(a: ExactMatrix, tol: float = DEFAULT_TOL):
-    """Exact least adjacency eigenvalue when it is an integer, else None.
-
-    Binary search over integers k in [-maxdeg, 0]: A - kI is positive
-    definite below the least eigenvalue, singular PSD exactly at it, and
-    indefinite above it, so the bracket certifies both outcomes without any
-    floating-point trust. Integer eigenvalues elsewhere in the spectrum are
-    also certified exactly; irrational ones are reported as floating
-    clusters.
+    """Exact spectrum when the least adjacency eigenvalue is an integer, else
+    None: the integer bracket, then every integer eigenvalue above tau
+    certified by an exact rank. least_eigenspace runs the bracket only as the
+    fallback of its eigh guess; this is the full-spectrum route.
     """
     if isinstance(a, Graph):
         a = adjacency_matrix(a)
     _validate_adjacency(a)
-    n = a.nrows
-    if n == 0:
+    if a.nrows == 0:
         raise ValueError("empty matrix has no spectrum")
-    rows = a.num  # 0/1 entries, so the denominator is 1
-    maxdeg = max(sum(row) for row in rows)
+    found = _integer_bracket(a.num)  # 0/1 entries, so the denominator is 1
+    return None if found is None else _exact_spectrum(a.num, Fraction(found[0]), found[1], tol)
 
-    def status(k):
-        return psd_rank_pivot(_shift_diagonal(rows, k))
 
-    lo, lo_status = -maxdeg, status(-maxdeg)
-    if lo_status[0] == "psd":
-        return _exact_spectrum(rows, Fraction(lo), n - lo_status[1], tol)
-    if lo_status[0] == "indefinite":
-        raise InternalCheckError("adjacency matrix indefinite below its degree bound")
-    hi = 0
-    hi_status = status(0)
-    if hi_status[0] == "psd":
-        return _exact_spectrum(rows, Fraction(0), n - hi_status[1], tol)
-    if hi_status[0] == "pd":
-        raise InternalCheckError("adjacency matrix positive definite, impossible")
+def _integer_bracket(rows):
+    """(tau, multiplicity) when the least eigenvalue of the adjacency rows is
+    an integer, else None.
+
+    Binary search over integers: A - kI is positive definite below the least
+    eigenvalue, singular PSD exactly at it, and indefinite above it, so the
+    bracket certifies both outcomes without any floating-point trust. It
+    starts from -maxdeg - 1 (below every eigenvalue) and 1 (above tau, as
+    the trace is 0).
+    """
+    lo, hi = -max(sum(row) for row in rows) - 1, 1
     while hi - lo > 1:
         mid = (hi + lo) // 2
-        st, rank = status(mid)
+        st, rank = psd_rank_pivot(_shift_diagonal(rows, mid))
+        if st == "psd":
+            return mid, len(rows) - rank
         if st == "pd":
             lo = mid
-        elif st == "psd":
-            return _exact_spectrum(rows, Fraction(mid), n - rank, tol)
         else:
             hi = mid
     return None  # least eigenvalue lies strictly between two integers
@@ -573,6 +570,19 @@ class LeastEigenspace:
         return basis
 
 
+def _eigh_eigenspace(graph, arr, tol):
+    """The ascending eigenvalues of one eigh call on arr, and the floating
+    LeastEigenspace built from that same call."""
+    try:
+        vals, vecs = np.linalg.eigh(arr)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"eigensolver failed to converge: {e}") from e
+    pairs = tuple(_cluster(list(vals), tol))
+    d = pairs[0][1]
+    spectrum = Spectrum(pairs, pairs[0][0], d, "floating", tol)
+    return vals, LeastEigenspace(graph, spectrum, vecs[:, :d])
+
+
 def floating_least_eigenspace(a, tol: float = DEFAULT_TOL) -> LeastEigenspace:
     """Floating spectrum with an orthonormal basis of the least eigencluster."""
     graph = a if isinstance(a, Graph) else None
@@ -584,14 +594,7 @@ def floating_least_eigenspace(a, tol: float = DEFAULT_TOL) -> LeastEigenspace:
         arr = np.asarray(a, dtype=float)
     if arr.size and not np.allclose(arr, arr.T, atol=1e-12):
         raise ValueError("floating eigenspace needs a symmetric matrix")
-    try:
-        vals, vecs = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"eigensolver failed to converge: {e}") from e
-    pairs = tuple(_cluster(list(vals), tol))
-    d = pairs[0][1]
-    spectrum = Spectrum(pairs, pairs[0][0], d, "floating", tol)
-    return LeastEigenspace(graph, spectrum, vecs[:, :d])
+    return _eigh_eigenspace(graph, arr, tol)[1]
 
 
 def least_eigenspace(
@@ -600,11 +603,12 @@ def least_eigenspace(
     """Certify a graph's least eigenvalue and return its eigenspace.
 
     backend "exact" raises UnsupportedInputError unless the least eigenvalue
-    is an integer; "floating" never certifies; "auto" tries the integer
-    bracket, then the floating eigensolver. A precomputed Spectrum with
-    exact integer tau (for instance from character sums) replaces the
-    bracket; one pivot pass checks that A - tau I is singular PSD with the
-    stated multiplicity, else ValueError.
+    is an integer; "floating" never certifies; "auto" certifies an integer
+    one, else returns the floating eigenspace of the same eigh call that
+    guessed tau. Only tau is certified; the pairs above it are eigh clusters.
+    A precomputed Spectrum with exact integer tau (for instance from
+    character sums) replaces the guess; one pivot pass checks that A - tau I
+    is singular PSD with the stated multiplicity, else ValueError.
     """
     if backend not in ("auto", "exact", "floating"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -620,14 +624,31 @@ def least_eigenspace(
         if status != "psd" or g.n - rank != spectrum.tau_multiplicity:
             raise ValueError("precomputed spectrum does not match the graph's least eigenvalue")
         return les
-    spectrum = integer_least_eigenvalue(adjacency_matrix(g), tol)
-    if spectrum is not None:
-        return LeastEigenspace(g, spectrum)
-    if backend == "exact":
-        raise UnsupportedInputError(
-            "exact backend unavailable: least eigenvalue is not an integer"
-        )
-    return floating_least_eigenspace(g, tol)
+    a = adjacency_matrix(g)
+    vals, floating = _eigh_eigenspace(g, a.to_float(), tol)
+    rows, lam = a.num, float(vals[0])
+    k = round(lam)
+    if abs(lam - k) <= 1e-6:
+        status, rank = psd_rank_pivot(_shift_diagonal(rows, k))
+        found = (k, g.n - rank) if status == "psd" else _integer_bracket(rows)
+    elif backend == "auto":
+        return floating
+    elif (
+        psd_rank_pivot(_shift_diagonal(rows, math.floor(lam)))[0] == "pd"
+        and psd_rank_pivot(_shift_diagonal(rows, math.ceil(lam)))[0] == "indefinite"
+    ):
+        found = None
+    else:
+        found = _integer_bracket(rows)
+    if found is None:
+        if backend == "exact":
+            raise UnsupportedInputError(
+                "exact backend unavailable: least eigenvalue is not an integer"
+            )
+        return floating
+    tau, d = Fraction(found[0]), found[1]
+    pairs = ((tau, d), *_cluster(list(vals[d:]), tol))
+    return LeastEigenspace(g, Spectrum(pairs, tau, d, "exact"))
 
 
 def _eigenspace_of(g, backend: str, tol: float) -> LeastEigenspace:
@@ -637,5 +658,10 @@ def _eigenspace_of(g, backend: str, tol: float) -> LeastEigenspace:
 
 def graph_spectrum(g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL) -> Spectrum:
     """Spectrum of a graph, exact when the least eigenvalue is integral (the
-    backends as in least_eigenspace); no eigenspace basis is built."""
-    return least_eigenspace(g, backend, tol).spectrum
+    backends as in least_eigenspace); no eigenspace basis is built. The full
+    spectrum is what its callers read, so unlike least_eigenspace an exact
+    spectrum here also certifies every integer eigenvalue above tau."""
+    s = least_eigenspace(g, backend, tol).spectrum
+    if s.backend == "floating":
+        return s
+    return _exact_spectrum(adjacency_matrix(g).num, s.tau, s.tau_multiplicity, tol)

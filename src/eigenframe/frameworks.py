@@ -25,8 +25,8 @@ from .exact import (
     ExactMatrix,
     _eigenspace_of,
     adjacency_matrix,
-    graph_spectrum,
     is_psd_exact,
+    least_eigenspace,
     projector_onto_nullspace,
     rank_exact,
 )
@@ -158,7 +158,7 @@ def _incidence_framework(g: Graph, p: ExactMatrix) -> Framework:
     for i in range(p.nrows):
         if sum(p.row(i)) != 0:
             raise InternalCheckError("incidence framework rows must sum to zero")
-    spectrum = graph_spectrum(g, "exact")
+    spectrum = least_eigenspace(g, "exact").spectrum
     return Framework(
         g, p @ p.transpose(), "exact", p, spectrum.tau, spectrum.tau_multiplicity, rank_exact(p)
     )

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from corpus import connected_graphs
+from corpus import atlas_graphs, benchmark_ops, connected_graphs
 import eigenframe.exact as exact_mod
 from eigenframe.exact import (
     ExactMatrix,
@@ -24,6 +24,7 @@ from eigenframe.exact import (
     integer_least_eigenvalue,
     invert,
     is_psd_exact,
+    least_eigenspace,
     nullspace,
     nullspace_fast,
     projector_onto_nullspace,
@@ -31,7 +32,7 @@ from eigenframe.exact import (
     rank_exact,
 )
 from eigenframe.errors import UnsupportedInputError
-from eigenframe.graphs import CayleySpec, cayley_z2, cycle, from_edges, kneser
+from eigenframe.graphs import CayleySpec, cayley_z2, complement, cycle, from_edges, kneser
 from eigenframe.modular import (
     gaussian_binomial,
     gf2_rank,
@@ -313,6 +314,101 @@ def test_cayley_spectrum_against_dense_route():
             a = adjacency_matrix(g)
             v = cs.tau_eigenvector_matrix()
             assert a @ v == v * cs.spectrum.tau
+
+
+def _count_pivot_passes(monkeypatch):
+    """Sizes of the psd_rank_pivot passes made from here on, with both
+    integer bracket routes made to fail."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the integer bracket ran")
+
+    monkeypatch.setattr(exact_mod, "integer_least_eigenvalue", refuse)
+    monkeypatch.setattr(exact_mod, "_integer_bracket", refuse)
+    sizes, real = [], exact_mod.psd_rank_pivot
+
+    def counted(m):
+        sizes.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(exact_mod, "psd_rank_pivot", counted)
+    return sizes
+
+
+def _floating_benchmark_graphs():
+    ops = benchmark_ops("floating")
+    return [from_edges(n, edges) for n, edges in dict.fromkeys((op.n, op.edges) for op in ops)]
+
+
+@pytest.mark.parametrize(
+    "g,backend,passes",
+    [
+        (kneser(7, 2), "auto", 1),
+        (kneser(5, 2), "auto", 1),
+        (complement(kneser(6, 2)), "auto", 1),  # T(6)
+        (cayley_z2(CayleySpec(5, (1, 2, 4, 8, 16, 31))), "auto", 1),
+        (cycle(7), "auto", 0),
+        (None, "auto", 0),  # the first seed-1 G(20, 0.2) floating benchmark input
+        (cycle(5), "exact", 2),
+    ],
+    ids=["kneser7_2", "petersen", "t6", "cayley5", "cycle7", "gnp20", "cycle5_exact"],
+)
+def test_least_eigenspace_verifies_its_eigh_guess_in_few_passes(monkeypatch, g, backend, passes):
+    if g is None:
+        g = _floating_benchmark_graphs()[0]
+    sizes = _count_pivot_passes(monkeypatch)
+    if backend == "exact":
+        with pytest.raises(UnsupportedInputError):
+            least_eigenspace(g, backend)
+    else:
+        least_eigenspace(g, backend)
+    assert sizes == [g.n] * passes
+
+
+def test_a_refuted_eigh_guess_falls_back_to_the_bracket(monkeypatch):
+    petersen = kneser(5, 2)
+    expected = least_eigenspace(petersen).spectrum
+    real_eigh, real_bracket = np.linalg.eigh, exact_mod._integer_bracket
+    brackets = []
+
+    def lying_eigh(arr):
+        vals, vecs = real_eigh(arr)
+        return np.concatenate([[vals[0] - 1], vals[1:]]), vecs
+
+    def counted_bracket(rows):
+        brackets.append(len(rows))
+        return real_bracket(rows)
+
+    monkeypatch.setattr(np.linalg, "eigh", lying_eigh)
+    monkeypatch.setattr(exact_mod, "_integer_bracket", counted_bracket)
+    # -3 is guessed, A + 3I is positive definite, the bracket finds -2
+    assert least_eigenspace(petersen).spectrum == expected
+    assert brackets == [10]
+    # C5's -1.618 is reported as -2.618, and A + 2I is definite, not indefinite
+    brackets.clear()
+    with pytest.raises(UnsupportedInputError) as err:
+        least_eigenspace(cycle(5), "exact")
+    assert str(err.value) == "exact backend unavailable: least eigenvalue is not an integer"
+    assert brackets == [5]
+
+
+def test_least_eigenspace_agrees_with_the_bracket_and_the_floating_route():
+    # the bracket (integer_least_eigenvalue) certifies without any eigh guess
+    for g, _ in atlas_graphs():
+        les, bracket = least_eigenspace(g), integer_least_eigenvalue(g)
+        if bracket is None:
+            bracket = floating_least_eigenspace(g).spectrum
+        s = les.spectrum
+        assert (s.backend, s.tau, s.tau_multiplicity) == (
+            bracket.backend, bracket.tau, bracket.tau_multiplicity
+        )
+    # the auto floating route is floating_least_eigenspace, bit for bit
+    graphs = _floating_benchmark_graphs()
+    assert len(graphs) == 14
+    for g in graphs:
+        les, floating = least_eigenspace(g), floating_least_eigenspace(g)
+        assert les.spectrum == floating.spectrum
+        assert np.array_equal(les.basis, floating.basis)
 
 
 def test_floating_eigenspace_orthonormal():
