@@ -19,10 +19,9 @@ that decides PD / PSD-deficient / indefinite and reports the rank. Least
 eigenvalues of adjacency matrices are certified with it: an integer k is the
 least eigenvalue iff A - kI is singular and positive semidefinite. Floating
 point only proposes k, the integer nearest the least eigh value, and one pass
-at k proves tau and its multiplicity; a least value far from every integer is
-proved irrational by two passes (A - floor I positive definite, A - ceil I
-indefinite). When a pass refutes the guess, a binary search over the integer
-range settles integrality without trusting floating point at all.
+at k proves tau and its multiplicity. When that pass refutes the guess, or
+the exact backend must prove that tau is not an integer, a binary search over
+the integer range settles integrality without trusting floating point at all.
 """
 
 from __future__ import annotations
@@ -605,10 +604,12 @@ def least_eigenspace(
     backend "exact" raises UnsupportedInputError unless the least eigenvalue
     is an integer; "floating" never certifies; "auto" certifies an integer
     one, else returns the floating eigenspace of the same eigh call that
-    guessed tau. Only tau is certified; the pairs above it are eigh clusters.
-    A precomputed Spectrum with exact integer tau (for instance from
-    character sums) replaces the guess; one pivot pass checks that A - tau I
-    is singular PSD with the stated multiplicity, else ValueError.
+    guessed tau: auto trusts eigh to within 1e-6 when it routes an input to
+    floating, as a least value farther from every integer is not tested.
+    Only tau is certified; the pairs above it are eigh clusters. A
+    precomputed Spectrum with exact integer tau (for instance from character
+    sums) replaces the guess; one pivot pass checks that A - tau I is
+    singular PSD with the stated multiplicity, else ValueError.
     """
     if backend not in ("auto", "exact", "floating"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -631,15 +632,8 @@ def least_eigenspace(
     if abs(lam - k) <= 1e-6:
         status, rank = psd_rank_pivot(_shift_diagonal(rows, k))
         found = (k, g.n - rank) if status == "psd" else _integer_bracket(rows)
-    elif backend == "auto":
-        return floating
-    elif (
-        psd_rank_pivot(_shift_diagonal(rows, math.floor(lam)))[0] == "pd"
-        and psd_rank_pivot(_shift_diagonal(rows, math.ceil(lam)))[0] == "indefinite"
-    ):
-        found = None
     else:
-        found = _integer_bracket(rows)
+        found = None if backend == "auto" else _integer_bracket(rows)
     if found is None:
         if backend == "exact":
             raise UnsupportedInputError(

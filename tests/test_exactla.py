@@ -317,22 +317,27 @@ def test_cayley_spectrum_against_dense_route():
 
 
 def _count_pivot_passes(monkeypatch):
-    """Sizes of the psd_rank_pivot passes made from here on, with both
-    integer bracket routes made to fail."""
+    """Sizes of the psd_rank_pivot passes and of the integer bracket searches
+    made from here on, with integer_least_eigenvalue made to fail."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the integer bracket ran")
+        raise AssertionError("integer_least_eigenvalue ran")
 
     monkeypatch.setattr(exact_mod, "integer_least_eigenvalue", refuse)
-    monkeypatch.setattr(exact_mod, "_integer_bracket", refuse)
-    sizes, real = [], exact_mod.psd_rank_pivot
+    sizes, brackets = [], []
+    real_pivot, real_bracket = exact_mod.psd_rank_pivot, exact_mod._integer_bracket
 
-    def counted(m):
+    def counted_pivot(m):
         sizes.append(len(m))
-        return real(m)
+        return real_pivot(m)
 
-    monkeypatch.setattr(exact_mod, "psd_rank_pivot", counted)
-    return sizes
+    def counted_bracket(rows):
+        brackets.append(len(rows))
+        return real_bracket(rows)
+
+    monkeypatch.setattr(exact_mod, "psd_rank_pivot", counted_pivot)
+    monkeypatch.setattr(exact_mod, "_integer_bracket", counted_bracket)
+    return sizes, brackets
 
 
 def _floating_benchmark_graphs():
@@ -341,55 +346,56 @@ def _floating_benchmark_graphs():
 
 
 @pytest.mark.parametrize(
-    "g,backend,passes",
+    "g,backend,passes,brackets",
     [
-        (kneser(7, 2), "auto", 1),
-        (kneser(5, 2), "auto", 1),
-        (complement(kneser(6, 2)), "auto", 1),  # T(6)
-        (cayley_z2(CayleySpec(5, (1, 2, 4, 8, 16, 31))), "auto", 1),
-        (cycle(7), "auto", 0),
-        (None, "auto", 0),  # the first seed-1 G(20, 0.2) floating benchmark input
-        (cycle(5), "exact", 2),
+        (kneser(7, 2), "auto", 1, 0),
+        (kneser(5, 2), "auto", 1, 0),
+        (complement(kneser(6, 2)), "auto", 1, 0),  # T(6)
+        (cayley_z2(CayleySpec(5, (1, 2, 4, 8, 16, 31))), "auto", 1, 0),
+        (cycle(7), "auto", 0, 0),
+        (None, "auto", 0, 0),  # the first seed-1 G(20, 0.2) floating benchmark input
+        # the exact backend proves -1.618 is not an integer by the bracket:
+        # A + I indefinite, then A + 2I definite
+        (cycle(5), "exact", 2, 1),
     ],
     ids=["kneser7_2", "petersen", "t6", "cayley5", "cycle7", "gnp20", "cycle5_exact"],
 )
-def test_least_eigenspace_verifies_its_eigh_guess_in_few_passes(monkeypatch, g, backend, passes):
+def test_least_eigenspace_verifies_its_eigh_guess_in_few_passes(
+    monkeypatch, g, backend, passes, brackets
+):
     if g is None:
         g = _floating_benchmark_graphs()[0]
-    sizes = _count_pivot_passes(monkeypatch)
+    sizes, searches = _count_pivot_passes(monkeypatch)
     if backend == "exact":
         with pytest.raises(UnsupportedInputError):
             least_eigenspace(g, backend)
     else:
         least_eigenspace(g, backend)
     assert sizes == [g.n] * passes
+    assert searches == [g.n] * brackets
 
 
 def test_a_refuted_eigh_guess_falls_back_to_the_bracket(monkeypatch):
     petersen = kneser(5, 2)
     expected = least_eigenspace(petersen).spectrum
-    real_eigh, real_bracket = np.linalg.eigh, exact_mod._integer_bracket
-    brackets = []
+    _, brackets = _count_pivot_passes(monkeypatch)
+    # C5's least eigh value -1.618 is far from every integer, so the exact
+    # backend runs the integer search and refuses
+    with pytest.raises(UnsupportedInputError) as err:
+        least_eigenspace(cycle(5), "exact")
+    assert str(err.value) == "exact backend unavailable: least eigenvalue is not an integer"
+    assert brackets == [5]
+    real_eigh = np.linalg.eigh
 
     def lying_eigh(arr):
         vals, vecs = real_eigh(arr)
         return np.concatenate([[vals[0] - 1], vals[1:]]), vecs
 
-    def counted_bracket(rows):
-        brackets.append(len(rows))
-        return real_bracket(rows)
-
     monkeypatch.setattr(np.linalg, "eigh", lying_eigh)
-    monkeypatch.setattr(exact_mod, "_integer_bracket", counted_bracket)
     # -3 is guessed, A + 3I is positive definite, the bracket finds -2
+    brackets.clear()
     assert least_eigenspace(petersen).spectrum == expected
     assert brackets == [10]
-    # C5's -1.618 is reported as -2.618, and A + 2I is definite, not indefinite
-    brackets.clear()
-    with pytest.raises(UnsupportedInputError) as err:
-        least_eigenspace(cycle(5), "exact")
-    assert str(err.value) == "exact backend unavailable: least eigenvalue is not an integer"
-    assert brackets == [5]
 
 
 def test_least_eigenspace_agrees_with_the_bracket_and_the_floating_route():

@@ -385,8 +385,11 @@ def test_neighborhood_condition_certifies_no_punctured_spectrum(monkeypatch, g):
     def refuse(*args, **kwargs):
         raise AssertionError("a punctured graph's spectrum was certified")
 
-    monkeypatch.setattr(exact, "integer_least_eigenvalue", refuse)
-    monkeypatch.setattr(exact, "floating_least_eigenspace", refuse)
+    # least_eigenspace guesses tau with _eigh_eigenspace and falls back to
+    # _integer_bracket; the older routes are refused too
+    for name in ("_eigh_eigenspace", "_integer_bracket",
+                 "integer_least_eigenvalue", "floating_least_eigenspace"):
+        monkeypatch.setattr(exact, name, refuse)
     assert neighborhood_condition(les) == expected
 
 

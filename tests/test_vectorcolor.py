@@ -41,7 +41,8 @@ def test_walk_regularity_stops_at_the_minimal_polynomial(monkeypatch):
     def no_spectrum(*args):
         raise AssertionError("the walk check needs no spectrum")
 
-    monkeypatch.setattr(exact, "integer_least_eigenvalue", no_spectrum)
+    for name in ("_eigh_eigenspace", "_integer_bracket", "integer_least_eigenvalue"):
+        monkeypatch.setattr(exact, name, no_spectrum)
     assert is_one_walk_regular(kneser(5, 2)).k_max == 2  # eigenvalues 3, 1, -2
     assert is_one_walk_regular(cycle(7)).k_max == 3  # 2 and three irrational pairs
     edgeless = is_one_walk_regular(from_edges(3, []))
