@@ -23,7 +23,8 @@ from eigenframe.frameworks import dominates
 from eigenframe.graphs import cycle, from_edges, kneser
 
 # odd cycles: irrational least eigenvalue, so the floating backend decides,
-# reporting a singular-value margin for the rank call it makes
+# reporting the singular-value margin of the complement-edge system whose
+# full rank it proves
 for n in (5, 7, 9, 11):
     verdict = is_universally_completable(cycle(n), backend="floating")
     xs = verdict.witness

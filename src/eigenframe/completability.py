@@ -12,10 +12,10 @@ rank modulo a word-size prime certifies dimension zero, and kernel vectors
 are otherwise solved exactly and verified. On the floating path B is the
 orthonormal eigh basis, and the least singular value of the same system
 bounds the margin of the n^2 x |E(complement)| complement-edge system from
-below; only when that bound is too small to prove full rank is the
-complement-edge system built and its SVD read. The reported margin, the
-smallest-to-largest singular value ratio of that system, is computed the
-first time it is read.
+below; only when that bound is too small to prove full rank do its rank
+and null vectors decide. The reported margin, the smallest-to-largest
+singular value ratio of the complement-edge system, is read from that
+system's Gram matrix when first asked for; the system itself is never built.
 """
 
 from __future__ import annotations
@@ -68,20 +68,35 @@ class XSpaceBasis:
     @functools.cached_property
     def sv_margin(self) -> float | None:
         """Floating path only (else None): the smallest-to-largest singular
-        value ratio of the n^2-row complement-edge system built from graph
-        and tau; large margins mean the rank decision is comfortable. Built
-        and decomposed on first read, after the same SYSTEM_BYTE_CAP check
-        as every system (ResourceLimitError)."""
+        value ratio of the complement-edge system M from graph and tau; None
+        without complement pairs, 0.0 when dim > 0. Read on first use from
+        the Gram matrix M^T M (_complement_gram), after the SYSTEM_BYTE_CAP
+        check: sigma_max^2 is its largest eigenvalue, and sigma_min is
+        ||M v|| / ||v|| = ||(A - tau I) X||_F / ||v|| for v from one inverse
+        iteration step, shifted |pairs| eps lambda_max below lambda_min. That
+        keeps an SVD's relative error of about eps / margin, where
+        sqrt(lambda_min) has eps / margin^2: enough to move a reported digit."""
         if self.backend != "floating":
             return None
+        if self.dim:
+            return 0.0
         pairs = _complement_pairs(self.graph)
-        return _x_system(self.graph, self.tau, pairs)[2] if pairs else None
+        if not pairs:
+            return None
+        _check_budget(len(pairs), len(pairs))
+        shifted = adjacency_matrix(self.graph).to_float() - self.tau * np.eye(self.graph.n)
+        k, j = np.array(pairs).T
+        gram = _complement_gram(shifted, k, j)
+        w = np.linalg.eigvalsh(gram)
+        gram[np.diag_indices_from(gram)] -= w[0] - len(pairs) * np.finfo(float).eps * w[-1]
+        v = np.linalg.solve(gram, np.sin(np.arange(1.0, len(pairs) + 1)))  # any generic start
+        x = np.zeros_like(shifted)
+        x[k, j] = x[j, k] = v
+        return float(np.linalg.norm(shifted @ x) / np.linalg.norm(v) / math.sqrt(w[-1]))
 
 
 def _complement_pairs(g: Graph):
-    return [
-        (i, j) for i in range(g.n) for j in range(i + 1, g.n) if not g.has_edge(i, j)
-    ]
+    return [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if not g.has_edge(i, j)]
 
 
 def _closed_pairs(g: Graph):
@@ -95,42 +110,18 @@ def _check_budget(nrows, ncols):
         )
 
 
-def _build_system(g: Graph, diag, dtype, pairs, index):
-    """Rows of the floating system (A - tau I) X = 0 over complement-edge
-    unknowns; diag is the diagonal coefficient (-tau)."""
-    n = g.n
-    rows = np.zeros((n * n, len(pairs)), dtype=dtype)
-    for i in range(n):
-        stencil = [(k, 1) for k in g.neighbours(i)] + [(i, diag)]
-        for j in range(n):
-            r = i * n + j
-            for k, coef in stencil:
-                if k == j:
-                    continue
-                t = index.get((k, j) if k < j else (j, k))
-                if t is not None:
-                    rows[r, t] = coef
-    return rows
-
-
-def _vector_to_matrix(vec, n, pairs):
-    entries = np.zeros((n, n))
-    for (i, j), v in zip(pairs, vec):
-        entries[i, j] = entries[j, i] = v
-    return entries
-
-
-def _x_system(g: Graph, tau, pairs):
-    """The floating complement-edge system, its rank and its margin (the
-    smallest-to-largest singular value ratio); the budget is checked first."""
-    _check_budget(g.n * g.n, len(pairs))
-    index = {pair: t for t, pair in enumerate(pairs)}
-    rows = _build_system(g, -tau, np.float64, pairs, index)
-    svals = np.linalg.svd(rows, compute_uv=False)
-    smax = float(svals[0])
-    if smax == 0.0:
-        return rows, 0, 0.0
-    return rows, int(np.sum(svals > SV_THRESHOLD * smax)), float(svals[-1] / smax)
+def _complement_gram(shifted, k, j):
+    """The Gram matrix M^T M of the floating complement-edge system M over
+    the pairs (k[t], j[t]). Column (k, j) of M is vec((A - tau I) X) with
+    X = e_k e_j^T + e_j e_k^T, so with T = (A - tau I)^2 the entry at (k, j),
+    (k', j') is T_jk'[k = j'] + T_jj'[k = k'] + T_kk'[j = j'] + T_kj'[j = k'];
+    M itself, n^2 rows, is never built."""
+    t = shifted @ shifted
+    gram = np.zeros((len(k), len(k)))
+    for row, col, left, right in ((j, k, k, j), (j, j, k, k), (k, k, j, j), (k, j, j, k)):
+        r, c = np.nonzero(np.equal.outer(left, right))
+        gram[r, c] += t[row[r], col[c]]
+    return gram
 
 
 def _rspace_rows(les):
@@ -151,10 +142,19 @@ def _rspace_rows(les):
     return [form(i, j) for i, j in closed], tri
 
 
-def _rspace_margin_bound(les) -> float:
+def _rspace_svd(les):
+    """The singular values, zero-padded to one per unknown, and the right
+    singular vectors of the floating R-system (_rspace_rows), and its
+    unknowns; u is never larger than the system."""
+    rows, tri = _rspace_rows(les)
+    _, svals, vh = np.linalg.svd(np.array(rows), full_matrices=len(rows) < len(tri))
+    return np.pad(svals, (0, len(tri) - len(svals))), vh, tri
+
+
+def _rspace_margin_bound(les, s) -> float:
     """A lower bound on the margin of the floating complement-edge system M,
     from the least singular value s of the R-system on the orthonormal eigh
-    basis B; 0.0 when s = 0 or no spectral gap separates tau.
+    basis B (_rspace_svd); 0.0 when s = 0 or no spectral gap separates tau.
 
     With g = lambda_{d+1} - tau and r = max_k |lambda_k - tau|, the margin
     sigma_min(M) / sigma_max(M) is at least g s / (sqrt2 r (2 + sqrt2 s)).
@@ -168,17 +168,23 @@ def _rspace_margin_bound(les) -> float:
     sqrt2 r. Cluster members sit up to tol apart, so g and r are widened by
     the spread of their clusters.
     """
-    rows, tri = _rspace_rows(les)
     spectrum = les.spectrum
-    if len(rows) < len(tri) or len(spectrum.pairs) < 2:
+    if len(spectrum.pairs) < 2:
         return 0.0
     (above, m_above), (top, m_top) = spectrum.pairs[1], spectrum.pairs[-1]
     gap = above - (m_above - 1) * spectrum.tolerance - spectrum.tau
     if gap <= 0.0:
         return 0.0
     radius = top + (m_top - 1) * spectrum.tolerance - spectrum.tau
-    s = float(np.linalg.svd(np.array(rows), compute_uv=False)[-1])
     return float(gap * s / (math.sqrt(2) * radius * (2 + math.sqrt(2) * s)))
+
+
+def _symmetric(tri, vec, d):
+    """The d x d symmetric matrix, as rows, with upper triangle vec on tri."""
+    r = [[0] * d for _ in range(d)]
+    for (a, c), v in zip(tri, vec):
+        r[a][c] = r[c][a] = v
+    return r
 
 
 def _rspace_kernel(les):
@@ -186,36 +192,31 @@ def _rspace_kernel(les):
     d x d ExactMatrices. Full column rank modulo a prime proves the kernel
     trivial; otherwise nullspace_fast eliminates the pivot rows found modulo
     it."""
-    mult = len(les.basis)
     rows, tri = _rspace_rows(les)
     rank, pivot_rows, _ = rank_mod_p(rows)
     if rank == len(tri):  # R -> B R B^T is injective
         return []
-    kernel = []
-    for vec in nullspace_fast(rows, pivot_rows):
-        r = [[0] * mult for _ in range(mult)]
-        for (a, c), v in zip(tri, vec):
-            r[a][c] = r[c][a] = v
-        kernel.append(ExactMatrix(r))
-    return kernel
+    return [ExactMatrix(_symmetric(tri, vec, len(les.basis)))
+            for vec in nullspace_fast(rows, pivot_rows)]
 
 
 def xspace(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> XSpaceBasis:
     """Solve for all symmetric X with (A+I) o X = 0 and (A - tau I) X = 0.
 
-    g is a Graph, certified here, or its LeastEigenspace. The basis is the
-    echelon basis over complement-edge unknowns: one matrix per free
-    complement pair. Exact path: phi of each echelon kernel vector of the
-    R-system, divided to a primitive integer matrix and verified exactly.
-    Column a of B ends at its free vertex f_a, where row f_a of B is a
-    positive multiple of e_a, so X and R share their last nonzero entry and
-    this is the echelon basis of the complement-pair system. Floating path:
-    the dimension is zero when the R-system on the orthonormal eigh basis
-    bounds the complement-pair system's margin by ten times SV_THRESHOLD
-    (_rspace_margin_bound), the answer that system's rank test would give;
-    otherwise that system is built, its rank gives the dimension and its SVD
-    vectors the basis. sv_margin is computed on first read, or kept from the
-    fallback's SVD. A system over SYSTEM_BYTE_CAP bytes raises
+    g is a Graph, certified here, or its LeastEigenspace. Exact path: the
+    basis is the echelon basis over complement-edge unknowns, one matrix per
+    free complement pair: phi of each echelon kernel vector of the R-system,
+    divided to a primitive integer matrix and verified exactly. Column a of
+    B ends at its free vertex f_a, where row f_a of B is a positive multiple
+    of e_a, so X and R share their last nonzero entry and this is the
+    echelon basis of the complement-pair system. Floating path: the
+    dimension is zero when the R-system on the orthonormal eigh basis bounds
+    the complement-pair system's margin by ten times SV_THRESHOLD
+    (_rspace_margin_bound), the answer that system's rank test would give.
+    Otherwise the same SVD of the R-system decides: its singular values at
+    most SV_THRESHOLD times the largest count the dimension, and phi of their
+    right singular vectors, each scaled to unit norm over the complement
+    pairs, are the basis. A system over SYSTEM_BYTE_CAP bytes raises
     ResourceLimitError before it is built.
     """
     les = _eigenspace_of(g, backend, tol)
@@ -234,16 +235,13 @@ def xspace(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> XSpaceBasis:
             basis.append(x)
         return XSpaceBasis(g, tau, tuple(basis), "exact", mult)
 
-    if _rspace_margin_bound(les) > 10 * SV_THRESHOLD:  # slack for rounding
+    svals, vh, tri = _rspace_svd(les)
+    if _rspace_margin_bound(les, svals[-1]) > 10 * SV_THRESHOLD:  # slack for rounding
         return XSpaceBasis(g, tau, (), "floating", mult)
-    rows, rank, margin = _x_system(g, tau, pairs)
-    basis = ()
-    if rank < len(pairs):
-        _, _, vh = np.linalg.svd(rows)
-        basis = tuple(_vector_to_matrix(vh[r], g.n, pairs) for r in range(rank, len(pairs)))
-    xs = XSpaceBasis(g, tau, basis, "floating", mult)
-    vars(xs)["sv_margin"] = margin  # the cached property's slot: no second build
-    return xs
+    k, j = np.array(pairs).T
+    null = vh[int(np.sum(svals > SV_THRESHOLD * svals[0])):]
+    xs = [phi(np.array(_symmetric(tri, vec, mult)), les) for vec in null]
+    return XSpaceBasis(g, tau, tuple(x / np.linalg.norm(x[k, j]) for x in xs), "floating", mult)
 
 
 @dataclass(frozen=True)
@@ -343,8 +341,7 @@ def _membership_in_xspace(g: Graph, tau, x, tol) -> bool:
     xf = np.asarray(x, dtype=float)
     if not np.allclose(xf, xf.T, atol=tol) or not _vanishes_on_closed_pairs(g, xf, tol):
         return False
-    a = adjacency_matrix(g).to_float()
-    shifted = a - float(tau) * np.eye(g.n)
+    shifted = adjacency_matrix(g).to_float() - float(tau) * np.eye(g.n)
     return bool(np.max(np.abs(shifted @ xf)) <= tol * max(1.0, np.max(np.abs(xf))))
 
 

@@ -234,7 +234,7 @@ def test_system_over_the_byte_budget_is_refused_before_it_is_built(monkeypatch, 
         raise AssertionError("a system was built over the budget")
 
     monkeypatch.setattr(completability, "SYSTEM_BYTE_CAP", 8)
-    monkeypatch.setattr(completability, "_build_system", never)
+    monkeypatch.setattr(completability, "_complement_gram", never)
     monkeypatch.setattr(completability, "rank_mod_p", never)
     code, out, err = run(capsys, "check-uc", "--gen", spec)
     assert code == 2 and out == ""
@@ -242,20 +242,21 @@ def test_system_over_the_byte_budget_is_refused_before_it_is_built(monkeypatch, 
 
 
 def test_the_byte_budget_holds_for_the_system_a_command_builds(monkeypatch, capsys):
-    # C5: the R-system is 10 x 3 (240 bytes), the complement-edge system
-    # 25 x 5 (1000 bytes). Only check-uc reads the margin that needs it.
+    # C9: the R-system is 18 x 3 (432 bytes), the Gram matrix of the
+    # complement-edge system 27 x 27 (5832 bytes). Only check-uc reads the
+    # margin that needs it.
     def never(*args):
         raise AssertionError("a system was built over the budget")
 
-    expected = {cmd: run(capsys, cmd, "--gen", "cycle:5") for cmd in ("vc", "dominated")}
+    expected = {cmd: run(capsys, cmd, "--gen", "cycle:9") for cmd in ("vc", "dominated")}
     monkeypatch.setattr(completability, "SYSTEM_BYTE_CAP", 500)
-    monkeypatch.setattr(completability, "_build_system", never)
-    code, out, err = run(capsys, "check-uc", "--gen", "cycle:5")
+    monkeypatch.setattr(completability, "_complement_gram", never)
+    code, out, err = run(capsys, "check-uc", "--gen", "cycle:9")
     assert code == 2 and out == ""
-    assert "25 x 5 system exceeds the 500-byte budget" in err
+    assert "27 x 27 system exceeds the 500-byte budget" in err
     for cmd, result in expected.items():
         assert result[0] == 0
-        assert run(capsys, cmd, "--gen", "cycle:5") == result
+        assert run(capsys, cmd, "--gen", "cycle:9") == result
 
 
 @pytest.mark.parametrize("source", ["cycle:9", "gnp"])
@@ -269,21 +270,21 @@ def test_only_check_uc_builds_the_complement_edge_system(monkeypatch, capsys, so
     else:
         argv, g = ["--gen", source], cycle(9)
     dim, margin, _ = x_system_svd(g)
-    real, calls = completability._build_system, []
+    real, calls = completability._complement_gram, []
 
     def never(*args):
-        raise AssertionError("the complement-edge system was built")
+        raise AssertionError("the complement-edge Gram matrix was built")
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(completability, "_build_system", never)
+    monkeypatch.setattr(completability, "_complement_gram", never)
     for cmd, rc in (("dominated", 0), ("vc", 2 if source == "gnp" else 0)):
         code, out, _ = run(capsys, cmd, *argv)
         assert code == rc
         assert code or json.loads(out)["x_dim"] == dim == 0
-    monkeypatch.setattr(completability, "_build_system", counted)
+    monkeypatch.setattr(completability, "_complement_gram", counted)
     code, out, _ = run(capsys, "check-uc", *argv)
     doc = json.loads(out)
     assert code == 0 and len(calls) == 1

@@ -108,56 +108,101 @@ def test_odd_cycles_floating():
         assert verdict.uc and verdict.witness.dim == 0
 
 
-def test_rspace_bound_never_exceeds_the_complement_edge_margin():
+def _rspace_bound(les):
+    return completability._rspace_margin_bound(les, completability._rspace_svd(les)[0][-1])
+
+
+def _assert_same_span(basis, oracle_basis, g):
+    # Both bases as vectors over the complement pairs; the oracle's rows are
+    # orthonormal, so projecting onto them must leave each vector unchanged.
+    k, j = np.array([(a, b) for a in range(g.n) for b in range(a + 1, g.n)
+                     if not g.has_edge(a, b)]).T
+    ours = np.array([x[k, j] for x in basis])
+    theirs = np.array([x[k, j] for x in oracle_basis])
+    assert ours.shape == theirs.shape, emit_graph6(g)
+    assert np.allclose(np.linalg.norm(ours, axis=1), 1.0), emit_graph6(g)
+    assert np.linalg.matrix_rank(ours) == len(ours), emit_graph6(g)
+    assert np.allclose(ours @ theirs.T @ theirs, ours, atol=1e-9), emit_graph6(g)
+
+
+def test_rspace_bound_never_exceeds_the_complement_edge_margin(monkeypatch):
     # Wherever the R-space bound proves dimension zero, the n^2-row system
     # read by a full SVD must have full column rank and a margin at least
-    # the bound: every atlas graph forced floating, C5-C21 and the seed-1
-    # G(n, 0.2) inputs of the floating benchmark workload. On these inputs
-    # the proof also fails only where that system is rank deficient.
+    # the bound, and the reported margin, read from that system's Gram
+    # matrix, must agree with the SVD's to 1e-14 relative: every atlas graph
+    # forced floating, C5-C21 and the seed-1 G(n, 0.2) inputs of the
+    # floating benchmark workload. That is the twelve digits of a report
+    # unless a rounding boundary lies between the two values, which rounding
+    # alone can decide: the atlas graph F~~]w has its margin 6e-17 below
+    # one, and the removed n^2-row SVD landed over it. On these inputs the
+    # proof also fails only where that system is rank deficient, and there
+    # the R-space fallback must span the SVD's null space and report margin
+    # 0.0 without building the Gram matrix.
     gnp = [parse_graph6(op.argv[2]) for op in benchmark_ops("floating")
            if op.argv[:2] == ("check-uc", "--graph6")]
     assert [g.n for g in gnp] == [20, 23, 26, 29, 32]
     graphs = [g for g, _ in atlas_graphs()] + [cycle(n) for n in range(5, 22, 2)] + gnp
+    real, calls = completability._complement_gram, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(completability, "_complement_gram", counted)
     fallbacks = 0
     for g in graphs:
         if g.num_edges() == g.n * (g.n - 1) // 2:
             continue  # no complement pair, no system
-        bound = completability._rspace_margin_bound(least_eigenspace(g, "floating"))
-        dim, margin, _ = x_system_svd(g)
+        les = least_eigenspace(g, "floating")
+        bound = _rspace_bound(les)
+        dim, margin, basis = x_system_svd(g)
+        xs = xspace(les)
+        built = len(calls)
         if bound > 10 * SV_THRESHOLD:
             assert dim == 0 and margin >= bound, emit_graph6(g)
+            assert xs.sv_margin == pytest.approx(margin, rel=1e-14, abs=0), emit_graph6(g)
+            assert len(calls) == built + 1, emit_graph6(g)
         else:
-            assert dim > 0, emit_graph6(g)
+            assert dim > 0 and xs.dim == dim, emit_graph6(g)
+            _assert_same_span(xs.basis, basis, g)
+            assert xs.sv_margin == 0.0 and len(calls) == built, emit_graph6(g)
             fallbacks += 1
     assert fallbacks == 24  # all disconnected: every connected atlas graph is UC
 
 
-def test_floating_fallback_reads_the_complement_edge_system():
+def test_floating_fallback_reads_the_complement_edge_system(monkeypatch):
     les = least_eigenspace(TWO_K2, "floating")
-    assert completability._rspace_margin_bound(les) <= 10 * SV_THRESHOLD
+    assert _rspace_bound(les) <= 10 * SV_THRESHOLD
     xs = xspace(les)
     dim, margin, basis = x_system_svd(TWO_K2)
     assert xs.dim == dim == 1
+    _assert_same_span(xs.basis, basis, TWO_K2)
+
+    def never(*args):
+        raise AssertionError("the complement-edge Gram matrix was built")
+
+    monkeypatch.setattr(completability, "_complement_gram", never)
+    assert xs.sv_margin == 0.0
     assert xs.sv_margin == pytest.approx(margin, abs=1e-12)
     assert np.allclose(xs.basis[0], basis[0]) or np.allclose(xs.basis[0], -basis[0])
 
 
 def test_forced_fallback_gives_the_proof_route_result(monkeypatch):
     proved = xspace(cycle(5), backend="floating")
-    real, calls = completability._build_system, []
+    real, calls = completability._complement_gram, []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(completability, "_build_system", counted)
-    monkeypatch.setattr(completability, "_rspace_margin_bound", lambda les: 0.0)
+    monkeypatch.setattr(completability, "_complement_gram", counted)
+    monkeypatch.setattr(completability, "_rspace_margin_bound", lambda les, s: 0.0)
     fallback = xspace(cycle(5), backend="floating")
     assert fallback == proved and fallback.dim == 0
     assert number_token(fallback.sv_margin) == 0.504622638711
-    assert len(calls) == 1  # the fallback keeps the margin of its own SVD
+    assert len(calls) == 1  # one build per read, on either route
     assert number_token(proved.sv_margin) == 0.504622638711
-    assert len(calls) == 2  # the proof route builds its system when read
+    assert len(calls) == 2
 
 
 def test_precomputed_spectrum_path():
