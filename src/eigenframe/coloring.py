@@ -29,7 +29,7 @@ from .exact import (
     is_psd_exact,
 )
 from .completability import XSpaceBasis, dominated_frameworks, xspace
-from .frameworks import Framework, least_eigenvalue_framework
+from .frameworks import least_eigenvalue_framework
 from .graphs import STRUT, Graph
 
 EDGE_TOL = 1e-9

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import InternalCheckError, ResourceLimitError, UnsupportedInputError
 from .exact import (
     DEFAULT_TOL,
+    SYSTEM_BYTE_CAP,
     ExactMatrix,
     _eigenspace_of,
     adjacency_matrix,
@@ -43,7 +44,6 @@ from .modular import rank_mod_p
 
 SV_THRESHOLD = 1e-7
 NEIGHBORHOOD_MARGIN = 1e-6
-SYSTEM_BYTE_CAP = 1 << 30  # largest linear system allocated, at 8 bytes a cell
 
 
 @dataclass(frozen=True)

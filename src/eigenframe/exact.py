@@ -34,11 +34,11 @@ from operator import mul
 
 import numpy as np
 
-from .errors import InternalCheckError, NumericalError, UnsupportedInputError
-from .graphs import CayleySpec, Graph
-from .modular import rank_mod_p
+from .errors import InternalCheckError, NumericalError, ResourceLimitError, UnsupportedInputError
+from .graphs import CayleySpec, Graph, cayley_z2
 
 DEFAULT_TOL = 1e-8
+SYSTEM_BYTE_CAP = 1 << 30  # largest matrix or linear system allocated, at 8 bytes a cell
 
 
 def _coerce(x):
@@ -169,6 +169,9 @@ class ExactMatrix:
 
 
 def adjacency_matrix(g: Graph) -> ExactMatrix:
+    """Exact adjacency matrix; ResourceLimitError before it is built over SYSTEM_BYTE_CAP."""
+    if 8 * g.n * g.n > SYSTEM_BYTE_CAP:
+        raise ResourceLimitError(f"{g.n} x {g.n} matrix exceeds the {SYSTEM_BYTE_CAP}-byte budget")
     return ExactMatrix._from_ints(g.adjacency_rows())
 
 
@@ -505,34 +508,37 @@ def _exact_spectrum(rows, tau, tau_mult, tol):
 
 @dataclass(frozen=True)
 class CayleySpectrum:
-    """Character spectrum of a Cayley graph on Z_2^n."""
+    """Character spectrum of a Cayley graph on Z_2^n, proved on graph."""
 
-    spec: CayleySpec
+    graph: Graph  # cayley_z2 of the connection set
     spectrum: Spectrum
-    tau_characters: tuple  # group elements whose character eigenvalue is tau
-
-    def tau_eigenvector_matrix(self) -> ExactMatrix:
-        n_verts = 1 << self.spec.n
-        return ExactMatrix(
-            [
-                [(-1) ** ((x & v).bit_count() & 1) for v in self.tau_characters]
-                for x in range(n_verts)
-            ]
-        )
+    tau_characters: tuple  # the +-1 character vectors whose eigenvalue is tau
 
 
 def cayley_spectrum(spec: CayleySpec) -> CayleySpectrum:
-    """Exact spectrum by character sums: one integer eigenvalue per group element."""
-    n_verts = 1 << spec.n
-    conn = sorted(spec.connection_set)
+    """Exact spectrum by character sums, proved on the graph cayley_z2 builds.
+
+    The character chi_v(x) = (-1)^popcount(x & v) has eigenvalue lambda_v =
+    sum over c in C of chi_v(c), and A chi_v = lambda_v chi_v is checked in
+    integers for every v (InternalCheckError if not). The characters satisfy
+    H^T H = 2^n I, so they are 2^n independent eigenvectors: the lambda_v are
+    the whole spectrum, tau the least, and the tau characters a basis of
+    ker(A - tau I), their number its dimension d.
+    """
+    g = cayley_z2(spec)
     eig = {}
-    for v in range(n_verts):
-        val = sum(1 if (v & c).bit_count() % 2 == 0 else -1 for c in conn)
-        eig.setdefault(val, []).append(v)
+    for v in range(g.n):
+        chi = tuple(-1 if (x & v).bit_count() & 1 else 1 for x in range(g.n))
+        val = sum(chi[c] for c in spec.connection_set)
+        plus = sum(1 << x for x in range(g.n) if chi[x] == 1)  # P: where chi = +1
+        image = (2 * (m & plus).bit_count() - m.bit_count() for m in g.nbr)  # A chi, by P
+        if any(a != val * c for a, c in zip(image, chi)):
+            raise InternalCheckError(f"character {v} is not an eigenvector of the graph")
+        eig.setdefault(val, []).append(chi)
     pairs = tuple((Fraction(v), len(eig[v])) for v in sorted(eig))
     tau = min(eig)
     spectrum = Spectrum(pairs, Fraction(tau), len(eig[tau]), "exact")
-    return CayleySpectrum(spec, spectrum, tuple(eig[tau]))
+    return CayleySpectrum(g, spectrum, tuple(eig[tau]))
 
 
 class LeastEigenspace:
@@ -548,7 +554,7 @@ class LeastEigenspace:
 
     def __init__(self, graph, spectrum, basis=None):
         self.graph, self.spectrum = graph, spectrum
-        if basis is not None:  # eigh gives the floating basis with the spectrum
+        if basis is not None:  # eigh's floating basis, or the census's characters
             self.basis = basis
 
     def is_exact(self) -> bool:
@@ -597,7 +603,7 @@ def floating_least_eigenspace(a, tol: float = DEFAULT_TOL) -> LeastEigenspace:
 
 
 def least_eigenspace(
-    g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL, spectrum=None
+    g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL
 ) -> LeastEigenspace:
     """Certify a graph's least eigenvalue and return its eigenspace.
 
@@ -606,10 +612,7 @@ def least_eigenspace(
     one, else returns the floating eigenspace of the same eigh call that
     guessed tau: auto trusts eigh to within 1e-6 when it routes an input to
     floating, as a least value farther from every integer is not tested.
-    Only tau is certified; the pairs above it are eigh clusters. A
-    precomputed Spectrum with exact integer tau (for instance from character
-    sums) replaces the guess; one pivot pass checks that A - tau I is
-    singular PSD with the stated multiplicity, else ValueError.
+    Only tau is certified; the pairs above it are eigh clusters.
     """
     if backend not in ("auto", "exact", "floating"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -617,14 +620,6 @@ def least_eigenspace(
         raise ValueError("empty graph has no spectrum")
     if backend == "floating":
         return floating_least_eigenspace(g, tol)
-    if spectrum is not None:
-        if not isinstance(spectrum.tau, Fraction) or spectrum.tau.denominator != 1:
-            raise ValueError("precomputed spectrum must carry an exact integer tau")
-        les = LeastEigenspace(g, spectrum)
-        status, rank = psd_rank_pivot(les.shifted)
-        if status != "psd" or g.n - rank != spectrum.tau_multiplicity:
-            raise ValueError("precomputed spectrum does not match the graph's least eigenvalue")
-        return les
     a = adjacency_matrix(g)
     vals, floating = _eigh_eigenspace(g, a.to_float(), tol)
     rows, lam = a.num, float(vals[0])

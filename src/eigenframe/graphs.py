@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import Graph6Error, InternalCheckError, ResourceLimitError, UnsupportedInputError
-from .modular import gaussian_binomial, gf2_span, rank_mod_q, rref_mod_q, subspaces_mod_q
+from .modular import gaussian_binomial, gf2_span, rank_mod_q, subspaces_mod_q
 
 BAR = "bar"
 CABLE = "cable"
@@ -45,9 +45,9 @@ class Graph:
             if mask >> i & 1:
                 raise ValueError(f"loop at vertex {i}")
         for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.nbr[i] >> j & 1) != (self.nbr[j] >> i & 1):
-                    raise ValueError(f"adjacency not symmetric at ({i}, {j})")
+            for j in self.neighbours(i):
+                if not self.nbr[j] >> i & 1:
+                    raise ValueError(f"adjacency not symmetric at ({min(i, j)}, {max(i, j)})")
         if self.edge_labels is not None:
             edges = set(self.edges())
             if set(self.edge_labels) != edges:

@@ -21,13 +21,12 @@ import csv
 import io
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from multiprocessing import get_context
 
 from .completability import xspace
 from .errors import UnsupportedInputError
-from .exact import cayley_spectrum, least_eigenspace
-from .graphs import CayleySpec, cayley_z2
+from .exact import LeastEigenspace, cayley_spectrum
+from .graphs import CayleySpec
 from .modular import gf2_rank
 
 MAX_DIMENSION = 5
@@ -283,17 +282,21 @@ class SurveyReport:
 
 
 def survey_one(n: int, rep: tuple) -> SurveyRecord:
-    """Spectrum and completability verdict for one representative."""
+    """Spectrum and completability verdict for one representative.
+
+    The exact basis is the tau characters, which cayley_spectrum proves span
+    ker(A - tau I). x_dim does not depend on the basis: BT maps R to T R T^T,
+    a bijection that keeps the closed-pair equations. phi_inverse and the
+    reported witnesses need the echelon basis, so this eigenspace stays here."""
     spec = CayleySpec(n, frozenset(rep))
-    g = cayley_z2(spec)
-    spectrum = cayley_spectrum(spec).spectrum
-    xs = xspace(least_eigenspace(g, spectrum=spectrum))
+    cs = cayley_spectrum(spec)
+    xs = xspace(LeastEigenspace(cs.graph, cs.spectrum, cs.tau_characters))
     return SurveyRecord(
         n=n,
         connection_set=tuple(rep),
         connected=spec.spans(),
-        tau=int(spectrum.tau),
-        tau_multiplicity=spectrum.tau_multiplicity,
+        tau=int(cs.spectrum.tau),
+        tau_multiplicity=cs.spectrum.tau_multiplicity,
         x_dim=xs.dim,
         uc=xs.dim == 0,
     )

@@ -1,5 +1,6 @@
 """Command line driver: schemas, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -13,6 +14,7 @@ from eigenframe import cli, completability, exact
 from eigenframe.errors import InternalCheckError, UnsupportedInputError
 from eigenframe.graphs import Graph, complement, cycle, emit_graph6, kneser, parse_graph6
 from eigenframe.serialize import number_token
+from eigenframe.survey import survey_one
 from oracles import x_system_svd
 
 EXACT_REPORT_COUNT = 202
@@ -241,6 +243,20 @@ def test_system_over_the_byte_budget_is_refused_before_it_is_built(monkeypatch, 
     assert "byte budget" in err
 
 
+@pytest.mark.parametrize("command", ["check-uc", "vc", "dominated"])
+def test_an_adjacency_matrix_over_the_byte_budget_is_refused_before_it_is_built(
+    monkeypatch, capsys, command
+):
+    # 8 * 12000^2 bytes is over the 2^30-byte budget; the vertex cap is 10^6
+    def never(self):
+        raise AssertionError("the adjacency rows were built")
+
+    monkeypatch.setattr(Graph, "adjacency_rows", never)
+    code, out, err = run(capsys, command, "--gen", "cycle:12000")
+    assert code == 2 and out == ""
+    assert "12000 x 12000 matrix exceeds the 1073741824-byte budget" in err
+
+
 def test_the_byte_budget_holds_for_the_system_a_command_builds(monkeypatch, capsys):
     # C9: the R-system is 18 x 3 (432 bytes), the Gram matrix of the
     # complement-edge system 27 x 27 (5832 bytes). Only check-uc reads the
@@ -362,15 +378,20 @@ def test_exact_reports_are_byte_identical(capsys):
     assert digest.hexdigest() == EXACT_REPORT_DIGEST
 
 
-@pytest.mark.parametrize("workload", ["certify", "witness"])
+@pytest.mark.parametrize("workload", ["certify", "witness", "census"])
 def test_exact_benchmark_ops_match_their_golden_digests(capsys, workload):
     # Seed 1 of the benchmark's exact workloads, hashed as perfbench/child.py
-    # does: the exit code line, then stdout. Every input is exact, so the
-    # digests do not depend on the LAPACK build.
+    # does: the exit code line, then stdout, which for a survey_one op is its
+    # record as sorted-key compact JSON. Every input is exact and census
+    # records hold no floats, so the digests do not depend on the LAPACK build.
     golden = json.loads((PERFBENCH / "golden" / f"{workload}.json").read_text())
     ops = benchmark_ops(workload)
     assert ops
     for op in ops:
-        code, out, _ = run(capsys, *op.argv)
+        if op.survey_set is None:
+            code, out, _ = run(capsys, *op.argv)
+        else:
+            record = dataclasses.asdict(survey_one(5, op.survey_set))
+            code, out = 0, json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         digest = hashlib.sha256(f"{code}\n".encode() + out.encode()).hexdigest()
         assert digest == golden[op.key], op.key

@@ -311,8 +311,9 @@ def test_cayley_spectrum_against_dense_route():
             assert cs.spectrum.pairs == dense.pairs
             # character vectors are actual eigenvectors for tau
             g = cayley_z2(spec)
+            assert cs.graph == g
             a = adjacency_matrix(g)
-            v = cs.tau_eigenvector_matrix()
+            v = ExactMatrix.column_stack(cs.tau_characters)
             assert a @ v == v * cs.spectrum.tau
 
 

@@ -18,7 +18,7 @@ from eigenframe.frameworks import (
     least_eigenvalue_framework,
     qkneser_framework,
 )
-from eigenframe.graphs import complement, cycle, from_edges, kneser, q_kneser
+from eigenframe.graphs import cycle, from_edges, kneser
 
 K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 

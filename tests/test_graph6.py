@@ -5,7 +5,7 @@ import pytest
 
 from corpus import atlas_graphs
 from eigenframe.errors import Graph6Error, ResourceLimitError
-from eigenframe.graphs import Graph, cycle, emit_graph6, from_edges, parse_graph6
+from eigenframe.graphs import cycle, emit_graph6, from_edges, parse_graph6
 
 
 def test_roundtrip_full_atlas():

@@ -10,12 +10,13 @@ import json
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from corpus import connected_graphs
-from eigenframe import survey
-from eigenframe.errors import UnsupportedInputError
-from eigenframe.graphs import CayleySpec, cayley_z2
+from eigenframe import exact, survey
+from eigenframe.completability import xspace
+from eigenframe.errors import InternalCheckError, UnsupportedInputError
+from eigenframe.graphs import CayleySpec, cayley_z2, from_edges
 from eigenframe.modular import gf2_rank
 from eigenframe.survey import (
     MAX_DIMENSION,
@@ -196,6 +197,43 @@ def test_survey_one_fields():
     assert rec.x_dim == 0 and rec.uc
     rec = survey_one(3, (1, 2))  # spans only a plane: disconnected graph
     assert not rec.connected
+
+
+@pytest.mark.parametrize("toggle", [(0, 1), (0, 3)], ids=["edge-dropped", "edge-added"])
+def test_a_graph_its_characters_do_not_fit_is_refused(monkeypatch, toggle):
+    real = exact.cayley_z2
+
+    def toggled(spec):
+        g = real(spec)
+        return from_edges(g.n, set(g.edges()) ^ {toggle})
+
+    monkeypatch.setattr(exact, "cayley_z2", toggled)
+    with pytest.raises(InternalCheckError):
+        survey_one(3, (1, 2, 4))
+
+
+def test_survey_x_dim_agrees_with_the_echelon_basis_route():
+    # the census uses the tau characters as the basis, xspace(graph) the
+    # echelon basis of a certified eigenspace
+    reps = [(n, rep) for n in range(1, 5) for rep in enumerate_orbits(n, spanning_only=False)]
+    reps.append((5, (4, 5, 6, 7, 10, 13, 17, 22)))
+    dims = []
+    for n, rep in reps:
+        dims.append(survey_one(n, rep).x_dim)
+        assert dims[-1] == xspace(cayley_z2(CayleySpec(n, rep))).dim, rep
+    assert len(dims) == 59 and sum(d > 0 for d in dims) == 16 and dims[-1] == 2
+
+
+def test_survey_one_makes_no_pivot_pass_elimination_or_eigensolver_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("survey_one left the character route")
+
+    for name in ("psd_rank_pivot", "nullspace"):
+        monkeypatch.setattr(exact, name, refuse)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert run_survey(4).summary() == {"n": 4, "connected": 36, "uc": 34}
+    assert survey_one(5, (4, 5, 6, 7, 10, 13, 17, 22)).x_dim == 2
 
 
 def test_csv_format():

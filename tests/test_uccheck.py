@@ -31,8 +31,6 @@ from eigenframe.completability import (
 from eigenframe.errors import UnsupportedInputError
 from eigenframe.exact import (
     ExactMatrix,
-    Spectrum,
-    adjacency_matrix,
     cayley_spectrum,
     graph_spectrum,
     least_eigenspace,
@@ -54,6 +52,7 @@ from eigenframe.graphs import (
     q_kneser,
 )
 from eigenframe.serialize import number_token
+from eigenframe.survey import survey_one
 from oracles import dense_xspace_dim, x_system_svd
 
 TWO_K2 = from_edges(4, [(0, 1), (2, 3)])
@@ -203,31 +202,6 @@ def test_forced_fallback_gives_the_proof_route_result(monkeypatch):
     assert len(calls) == 1  # one build per read, on either route
     assert number_token(proved.sv_margin) == 0.504622638711
     assert len(calls) == 2
-
-
-def test_precomputed_spectrum_path():
-    spec = CayleySpec(3, (1, 2, 4))
-    g = cayley_z2(spec)
-    sp = cayley_spectrum(spec).spectrum
-    xs = xspace(least_eigenspace(g, spectrum=sp))
-    assert xs.dim == xspace(g).dim
-    assert xs.tau == sp.tau
-
-
-def test_precomputed_spectrum_is_checked_against_the_graph():
-    cube = cayley_z2(CayleySpec(3, (1, 2, 4)))  # least eigenvalue -3, multiplicity 1
-    for conn in ((1, 2, 4, 7), (1, 2, 3, 4)):  # tau -4 (below) and -2 (above)
-        with pytest.raises(ValueError):
-            least_eigenspace(cube, spectrum=cayley_spectrum(CayleySpec(3, conn)).spectrum)
-    pairs = ((Fraction(-3), 2), (Fraction(-1), 2), (Fraction(1), 3), (Fraction(3), 1))
-    with pytest.raises(ValueError):
-        least_eigenspace(cube, spectrum=Spectrum(pairs, Fraction(-3), 2, "exact"))
-
-
-def test_precomputed_spectrum_must_be_exact():
-    sp = graph_spectrum(cycle(5), backend="floating")
-    with pytest.raises(ValueError):
-        least_eigenspace(cycle(5), spectrum=sp)
 
 
 def test_uc_verdict_carries_the_witness():
@@ -580,8 +554,8 @@ def test_exact_basis_is_the_echelon_basis_of_the_complement_pair_system():
 
 
 def test_small_cayley_eigenspace_takes_the_modular_full_rank_route(monkeypatch):
-    spec = CayleySpec(5, (1, 4, 14, 18, 21, 27, 30))
-    sp = cayley_spectrum(spec).spectrum
+    conn = (1, 4, 14, 18, 21, 27, 30)
+    sp = cayley_spectrum(CayleySpec(5, conn)).spectrum
     assert sp.tau == -5 and sp.tau_multiplicity == 2
     widths = []
     real_rank = completability.rank_mod_p
@@ -595,8 +569,7 @@ def test_small_cayley_eigenspace_takes_the_modular_full_rank_route(monkeypatch):
 
     monkeypatch.setattr(completability, "rank_mod_p", recording_rank)
     monkeypatch.setattr(completability, "nullspace_fast", no_kernel_solve)
-    xs = xspace(least_eigenspace(cayley_z2(spec), spectrum=sp))
-    assert xs.dim == 0
+    assert survey_one(5, conn).x_dim == 0
     assert widths == [3]  # the upper triangle of a 2 x 2 matrix R
 
 

@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from eigenframe.coloring import (
@@ -14,9 +13,8 @@ from eigenframe.coloring import (
     validate_coloring,
 )
 from eigenframe import exact
-from eigenframe.errors import UnsupportedInputError
 from eigenframe.exact import ExactMatrix
-from eigenframe.graphs import cycle, from_edges, kneser, q_kneser
+from eigenframe.graphs import cycle, from_edges, kneser
 
 K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 STAR = from_edges(4, [(0, 1), (0, 2), (0, 3)])
