@@ -32,10 +32,10 @@ from .exact import (
     DEFAULT_TOL,
     SYSTEM_BYTE_CAP,
     ExactMatrix,
+    LeastEigenspace,
     _eigenspace_of,
-    adjacency_matrix,
-    is_psd_exact,
     nullspace_fast,
+    psd_rank_pivot,
     rank_exact,
 )
 from .frameworks import Framework, dominates
@@ -52,14 +52,30 @@ class XSpaceBasis:
 
     Every element vanishes on the diagonal and on edges and is annihilated
     by the shifted adjacency matrix; dimension zero is exactly universal
-    completability of the least-eigenvalue framework.
+    completability of the least-eigenvalue framework. eigenspace is the
+    certified LeastEigenspace the basis was solved on; graph, tau, backend
+    and tau_multiplicity are read from it.
     """
 
-    graph: Graph
-    tau: object
+    eigenspace: LeastEigenspace
     basis: tuple
-    backend: str
-    tau_multiplicity: int | None = None
+
+    @property
+    def graph(self) -> Graph:
+        return self.eigenspace.graph
+
+    @property
+    def tau(self):
+        tau = self.eigenspace.spectrum.tau
+        return tau if self.eigenspace.is_exact() else float(tau)
+
+    @property
+    def backend(self) -> str:
+        return self.eigenspace.spectrum.backend
+
+    @property
+    def tau_multiplicity(self) -> int:
+        return self.eigenspace.spectrum.tau_multiplicity
 
     @property
     def dim(self) -> int:
@@ -68,7 +84,7 @@ class XSpaceBasis:
     @functools.cached_property
     def sv_margin(self) -> float | None:
         """Floating path only (else None): the smallest-to-largest singular
-        value ratio of the complement-edge system M from graph and tau; None
+        value ratio of the complement-edge system M on the eigenspace; None
         without complement pairs, 0.0 when dim > 0. Read on first use from
         the Gram matrix M^T M (_complement_gram), after the SYSTEM_BYTE_CAP
         check: sigma_max^2 is its largest eigenvalue, and sigma_min is
@@ -84,7 +100,7 @@ class XSpaceBasis:
         if not pairs:
             return None
         _check_budget(len(pairs), len(pairs))
-        shifted = adjacency_matrix(self.graph).to_float() - self.tau * np.eye(self.graph.n)
+        shifted = self.eigenspace.shifted
         k, j = np.array(pairs).T
         gram = _complement_gram(shifted, k, j)
         w = np.linalg.eigvalsh(gram)
@@ -220,12 +236,10 @@ def xspace(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> XSpaceBasis:
     ResourceLimitError before it is built.
     """
     les = _eigenspace_of(g, backend, tol)
-    g, mult, exact = les.graph, les.spectrum.tau_multiplicity, les.is_exact()
-    tau = les.spectrum.tau if exact else float(les.spectrum.tau)
-    pairs = _complement_pairs(g)
+    pairs = _complement_pairs(les.graph)
     if not pairs:
-        return XSpaceBasis(g, tau, (), les.spectrum.backend, mult)
-    if exact:
+        return XSpaceBasis(les, ())
+    if les.is_exact():
         basis = []
         for r in _rspace_kernel(les):
             x = phi(r, les)
@@ -233,15 +247,16 @@ def xspace(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> XSpaceBasis:
             if not (les.shifted @ x).is_zero():
                 raise InternalCheckError("completability witness fails exact recheck")
             basis.append(x)
-        return XSpaceBasis(g, tau, tuple(basis), "exact", mult)
+        return XSpaceBasis(les, tuple(basis))
 
     svals, vh, tri = _rspace_svd(les)
     if _rspace_margin_bound(les, svals[-1]) > 10 * SV_THRESHOLD:  # slack for rounding
-        return XSpaceBasis(g, tau, (), "floating", mult)
+        return XSpaceBasis(les, ())
     k, j = np.array(pairs).T
     null = vh[int(np.sum(svals > SV_THRESHOLD * svals[0])):]
+    mult = les.spectrum.tau_multiplicity
     xs = [phi(np.array(_symmetric(tri, vec, mult)), les) for vec in null]
-    return XSpaceBasis(g, tau, tuple(x / np.linalg.norm(x[k, j]) for x in xs), "floating", mult)
+    return XSpaceBasis(les, tuple(x / np.linalg.norm(x[k, j]) for x in xs))
 
 
 @dataclass(frozen=True)
@@ -332,25 +347,29 @@ def phi_inverse(x, g, tol: float = DEFAULT_TOL):
 # -- dominated frameworks ------------------------------------------------------
 
 
-def _membership_in_xspace(g: Graph, tau, x, tol) -> bool:
+def _membership_in_xspace(les, x, tol) -> bool:
+    """Whether x is a completability witness on the eigenspace les: checked
+    against its A - tau I (exactly only when both are exact)."""
+    g, shifted = les.graph, les.shifted
     if isinstance(x, ExactMatrix):
-        if not x.is_symmetric() or not _vanishes_on_closed_pairs(g, x, tol):
+        if not les.is_exact() or not x.is_symmetric() or not _vanishes_on_closed_pairs(g, x, tol):
             return False
-        shifted = adjacency_matrix(g) - ExactMatrix.identity(g.n) * tau
         return (shifted @ x).is_zero()
     xf = np.asarray(x, dtype=float)
     if not np.allclose(xf, xf.T, atol=tol) or not _vanishes_on_closed_pairs(g, xf, tol):
         return False
-    shifted = adjacency_matrix(g).to_float() - float(tau) * np.eye(g.n)
+    if les.is_exact():
+        shifted = shifted.to_float()
     return bool(np.max(np.abs(shifted @ xf)) <= tol * max(1.0, np.max(np.abs(xf))))
 
 
 def gershgorin_scale(x):
     """1 / (max absolute row sum): guarantees the scaled matrix has least
-    eigenvalue >= -1 without ever leaving the rationals."""
+    eigenvalue >= -1 without ever leaving the rationals. For an
+    ExactMatrix num / den that is den / (max absolute row sum of num)."""
     if isinstance(x, ExactMatrix):
-        s = max((sum(map(abs, x.row(i))) for i in range(x.nrows)), default=0)
-        return None if s == 0 else Fraction(1) / s
+        s = max((sum(map(abs, row)) for row in x.num), default=0)
+        return None if s == 0 else Fraction(x.den, s)
     s = float(np.max(np.sum(np.abs(np.asarray(x, dtype=float)), axis=1), initial=0.0))
     return None if s == 0.0 else 1.0 / s
 
@@ -358,14 +377,16 @@ def gershgorin_scale(x):
 def dominated_frameworks(p: Framework, x, c=None, tol: float = DEFAULT_TOL) -> Framework:
     """The framework whose Gram matrix is gram(p) + c*x.
 
-    x must be a completability witness; c defaults to the Gershgorin scale
-    of x, which keeps the sum positive semidefinite. The result is verified
-    PSD and verified to be dominated by p with equality on the diagonal and
-    on edges.
+    x must be a completability witness on p's eigenspace (ValueError if p
+    carries none); c defaults to the Gershgorin scale of x, which keeps the
+    sum positive semidefinite. The result carries p's eigenspace and is
+    verified PSD and dominated by p, with equality on edges. On the exact
+    path the symmetric pivot pass that proves PSD also gives its rank d.
     """
-    if p.tau is None:
-        raise ValueError("framework carries no spectral data")
-    if not _membership_in_xspace(p.graph, p.tau, x, tol):
+    les = p.eigenspace
+    if les is None:
+        raise ValueError("framework carries no eigenspace")
+    if not _membership_in_xspace(les, x, tol):
         raise ValueError("matrix is not a completability witness for this graph")
     if c is None:
         c = gershgorin_scale(x)
@@ -375,8 +396,9 @@ def dominated_frameworks(p: Framework, x, c=None, tol: float = DEFAULT_TOL) -> F
         c = Fraction(c)
         if c <= 0:
             raise ValueError("scale must be positive")
-        gram = p.gram + x * c
-        if not is_psd_exact(gram):
+        gram = p.gram + x * c  # symmetric, as p.gram and the witness x are
+        status, d = psd_rank_pivot(gram)
+        if status == "indefinite":
             raise InternalCheckError("scaled witness broke positive semidefiniteness")
     else:
         c = float(c)
@@ -386,13 +408,11 @@ def dominated_frameworks(p: Framework, x, c=None, tol: float = DEFAULT_TOL) -> F
         w = np.linalg.eigvalsh(gram)
         if w[0] < -1e-9 * max(1.0, float(w[-1])):
             raise InternalCheckError("scaled witness broke positive semidefiniteness")
-    q = Framework(p.graph, gram, p.backend, None, p.tau, p.tau_multiplicity)
-    if not dominates(p, q):
+        d = None  # the Framework reads it off the Gram matrix
+    q = Framework(p.graph, gram, None, les, d)
+    if not dominates(p, q):  # also proves the diagonal unchanged
         raise InternalCheckError("dominated framework fails the domination check")
     eps = 0 if p.is_exact() else 1e-9
-    for i in range(p.n):
-        if abs(q.entry(i, i) - p.entry(i, i)) > eps:
-            raise InternalCheckError("dominated framework changed a diagonal entry")
     for i, j in p.graph.edges():
         if abs(q.entry(i, j) - p.entry(i, j)) > eps:
             raise InternalCheckError("dominated framework changed an edge entry")

@@ -35,10 +35,9 @@ from operator import mul
 import numpy as np
 
 from .errors import InternalCheckError, NumericalError, ResourceLimitError, UnsupportedInputError
-from .graphs import CayleySpec, Graph, cayley_z2
+from .graphs import SYSTEM_BYTE_CAP, CayleySpec, Graph, cayley_z2
 
 DEFAULT_TOL = 1e-8
-SYSTEM_BYTE_CAP = 1 << 30  # largest matrix or linear system allocated, at 8 bytes a cell
 
 
 def _coerce(x):
@@ -401,10 +400,12 @@ def psd_rank_pivot(m) -> tuple:
 class Spectrum:
     """Eigenvalues with multiplicities, ascending.
 
-    On the exact backend tau is a Fraction whose multiplicity is verified by
-    an exact rank computation. Pairs above tau are floating eigh clusters,
-    except that graph_spectrum and integer_least_eigenvalue certify the
-    integer ones by exact rank (multiplicities still summing to n).
+    On the exact backend tau is a Fraction whose multiplicity is verified
+    with tau itself: by the pivot pass at the eigh guess, by the integer
+    bracket, or by cayley_spectrum's character check. Pairs above tau are
+    floating eigh clusters, except that graph_spectrum and
+    integer_least_eigenvalue certify the integer ones by exact rank
+    (multiplicities still summing to n).
     """
 
     pairs: tuple
@@ -548,14 +549,28 @@ class LeastEigenspace:
     Exact backend: shifted is the ExactMatrix A - tau I, and basis its d
     primitive integer echelon kernel columns, built on first use and checked
     against the certified multiplicity d. Floating backend: a float shifted
-    matrix and the orthonormal n x d eigh basis. graph is None for the
-    eigenspace of a bare matrix.
+    matrix and the orthonormal n x d eigh basis. shifted is the one place
+    A - tau I is formed; every check and stress reads it from here. Two
+    eigenspaces are equal when they certify the same graph object with the
+    same tau, multiplicity and backend, whatever their bases.
     """
 
     def __init__(self, graph, spectrum, basis=None):
         self.graph, self.spectrum = graph, spectrum
         if basis is not None:  # eigh's floating basis, or the census's characters
             self.basis = basis
+
+    def _key(self):
+        s = self.spectrum
+        return self.graph, s.tau, s.tau_multiplicity, s.backend
+
+    def __eq__(self, other):
+        if not isinstance(other, LeastEigenspace):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def is_exact(self) -> bool:
         return self.spectrum.backend == "exact"
@@ -588,18 +603,12 @@ def _eigh_eigenspace(graph, arr, tol):
     return vals, LeastEigenspace(graph, spectrum, vecs[:, :d])
 
 
-def floating_least_eigenspace(a, tol: float = DEFAULT_TOL) -> LeastEigenspace:
-    """Floating spectrum with an orthonormal basis of the least eigencluster."""
-    graph = a if isinstance(a, Graph) else None
-    if graph is not None:
-        a = adjacency_matrix(a)
-    if isinstance(a, ExactMatrix):
-        arr = a.to_float()
-    else:
-        arr = np.asarray(a, dtype=float)
-    if arr.size and not np.allclose(arr, arr.T, atol=1e-12):
-        raise ValueError("floating eigenspace needs a symmetric matrix")
-    return _eigh_eigenspace(graph, arr, tol)[1]
+def floating_least_eigenspace(g: Graph, tol: float = DEFAULT_TOL) -> LeastEigenspace:
+    """A graph's floating spectrum with an orthonormal basis of the least
+    eigencluster; TypeError for anything but a Graph."""
+    if not isinstance(g, Graph):
+        raise TypeError("floating eigenspace needs a Graph")
+    return _eigh_eigenspace(g, adjacency_matrix(g).to_float(), tol)[1]
 
 
 def least_eigenspace(

@@ -23,8 +23,8 @@ from .errors import InternalCheckError, UnsupportedInputError
 from .exact import (
     DEFAULT_TOL,
     ExactMatrix,
+    LeastEigenspace,
     _eigenspace_of,
-    adjacency_matrix,
     is_psd_exact,
     least_eigenspace,
     projector_onto_nullspace,
@@ -53,17 +53,16 @@ class Framework:
 
     gram is the source of truth. points, when present, is a rank
     factorization with gram = points @ points.T (checked at construction);
-    it is dropped by operations that cannot maintain it. tau and
-    tau_multiplicity record the spectral data of the construction when there
-    is one. d is the rank of the Gram matrix.
+    it is dropped by operations that cannot maintain it. eigenspace is the
+    certified LeastEigenspace of the graph that the framework was built
+    from, when there is one; tau and tau_multiplicity are read from it. d is
+    the rank of the Gram matrix, and backend follows the Gram matrix.
     """
 
     graph: Graph
     gram: object  # ExactMatrix | np.ndarray
-    backend: str
     points: object = None
-    tau: object = None
-    tau_multiplicity: int | None = None
+    eigenspace: LeastEigenspace | None = None
     d: int | None = None
 
     def __post_init__(self):
@@ -86,6 +85,9 @@ class Framework:
                 pp = np.asarray(self.points) @ np.asarray(self.points).T
                 if not np.allclose(pp, self.gram, atol=FACTOR_TOL):
                     raise InternalCheckError("points do not factor the gram matrix")
+        les = self.eigenspace
+        if les is not None and (les.graph != self.graph or les.is_exact() != exact):
+            raise ValueError("eigenspace belongs to another graph or backend")
         if self.d is None:
             object.__setattr__(self, "d", _gram_rank(self.gram, self.points))
 
@@ -95,6 +97,18 @@ class Framework:
 
     def is_exact(self) -> bool:
         return isinstance(self.gram, ExactMatrix)
+
+    @property
+    def backend(self) -> str:
+        return "exact" if self.is_exact() else "floating"
+
+    @property
+    def tau(self):
+        return None if self.eigenspace is None else self.eigenspace.spectrum.tau
+
+    @property
+    def tau_multiplicity(self) -> int | None:
+        return None if self.eigenspace is None else self.eigenspace.spectrum.tau_multiplicity
 
     def entry(self, i, j):
         return self.gram[i, j] if self.is_exact() else float(np.asarray(self.gram)[i, j])
@@ -110,9 +124,7 @@ class Framework:
             if float(factor) <= 0:
                 raise ValueError("scale factor must be positive")
             gram = np.asarray(self.gram) * float(factor)
-        return Framework(
-            self.graph, gram, self.backend, None, self.tau, self.tau_multiplicity, self.d
-        )
+        return Framework(self.graph, gram, None, self.eigenspace, self.d)
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,20 +160,14 @@ def least_eigenvalue_framework(g, backend: str = "auto", tol: float = DEFAULT_TO
     else:
         points = les.basis
         gram = points @ points.T
-    s = les.spectrum
-    return Framework(
-        les.graph, gram, s.backend, points, s.tau, s.tau_multiplicity, s.tau_multiplicity
-    )
+    return Framework(les.graph, gram, points, les, les.spectrum.tau_multiplicity)
 
 
 def _incidence_framework(g: Graph, p: ExactMatrix) -> Framework:
     for i in range(p.nrows):
         if sum(p.row(i)) != 0:
             raise InternalCheckError("incidence framework rows must sum to zero")
-    spectrum = least_eigenspace(g, "exact").spectrum
-    return Framework(
-        g, p @ p.transpose(), "exact", p, spectrum.tau, spectrum.tau_multiplicity, rank_exact(p)
-    )
+    return Framework(g, p @ p.transpose(), p, least_eigenspace(g, "exact"), rank_exact(p))
 
 
 def kneser_framework(n: int, r: int) -> Framework:
@@ -264,8 +270,11 @@ def canonical_stress(g: Graph, framework: Framework | None = None) -> StressMatr
     framework: subtracting the least eigenvalue from the diagonal gives a
     PSD matrix supported on edges whose kernel is exactly the eigenspace.
 
-    Requires an integral least eigenvalue and a cable-free graph; all five
-    conditions are verified before returning.
+    The stress is the framework's certified A - tau I
+    (LeastEigenspace.shifted). Requires an integral least eigenvalue and a
+    cable-free graph, and a framework that carries its eigenspace
+    (ValueError otherwise); all five conditions are verified before
+    returning.
     """
     if g.has_cables():
         raise UnsupportedInputError("canonical stress is undefined with cable edges")
@@ -273,8 +282,9 @@ def canonical_stress(g: Graph, framework: Framework | None = None) -> StressMatr
         framework = least_eigenvalue_framework(g, backend="exact")
     if not framework.is_exact():
         raise UnsupportedInputError("canonical stress needs the exact backend")
-    z = adjacency_matrix(g) - ExactMatrix.identity(g.n) * framework.tau
-    return StressMatrix(z, framework).verify()
+    if framework.eigenspace is None:
+        raise ValueError("framework carries no eigenspace")
+    return StressMatrix(framework.eigenspace.shifted, framework).verify()
 
 
 def _comparable(p: Framework, q: Framework):

@@ -25,7 +25,11 @@ CABLE = "cable"
 STRUT = "strut"
 _LABELS = (BAR, CABLE, STRUT)
 
-VERTEX_CAP = 10**6
+SYSTEM_BYTE_CAP = 1 << 30  # largest matrix or linear system allocated, at 8 bytes a cell
+# graph6 packs the n(n - 1)/2 upper-triangle bits six to a character, about
+# n^2/12 cells; at 8 bytes a cell they stay within SYSTEM_BYTE_CAP up to
+# isqrt(12 * 2^30 / 8) = 40132 vertices
+VERTEX_CAP = math.isqrt(12 * SYSTEM_BYTE_CAP // 8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,7 +350,7 @@ def q_kneser_vertices(q, n, r):
 
 def cayley_z2(spec: CayleySpec) -> Graph:
     """Cayley graph of Z_2^n with the given connection set."""
-    if spec.n > 19:
+    if spec.n >= VERTEX_CAP.bit_length():  # 2^n > VERTEX_CAP
         raise ResourceLimitError(f"2^{spec.n} vertices exceeds the cap of {VERTEX_CAP}")
     n_verts = 1 << spec.n
     nbr = [0] * n_verts

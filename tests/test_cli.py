@@ -247,7 +247,7 @@ def test_system_over_the_byte_budget_is_refused_before_it_is_built(monkeypatch, 
 def test_an_adjacency_matrix_over_the_byte_budget_is_refused_before_it_is_built(
     monkeypatch, capsys, command
 ):
-    # 8 * 12000^2 bytes is over the 2^30-byte budget; the vertex cap is 10^6
+    # 8 * 12000^2 bytes is over the 2^30-byte budget; the vertex cap is 40132
     def never(self):
         raise AssertionError("the adjacency rows were built")
 
@@ -315,11 +315,10 @@ def _shape(m):
     return (len(m), len(m[0]) if len(m) else 0)
 
 
-@pytest.mark.parametrize("spec,n", [("kneser:6,2", 15), ("cycle:9", 9)])
-@pytest.mark.parametrize("command", ["check-uc", "vc", "dominated"])
-def test_each_command_certifies_its_input_eigenspace_once(monkeypatch, capsys, command, spec, n):
-    calls = Counter()
-    for name in ("integer_least_eigenvalue", "floating_least_eigenspace", "nullspace"):
+def _count_calls(monkeypatch, calls, names):
+    """Count calls of the named exact functions, by name and argument shape,
+    wherever an eigenframe module imported them."""
+    for name in names:
         real = getattr(exact, name)
 
         def counted(m, *args, _name=name, _real=real, **kwargs):
@@ -331,6 +330,14 @@ def test_each_command_certifies_its_input_eigenspace_once(monkeypatch, capsys, c
                 for attr, value in list(vars(mod).items()):
                     if value is real:
                         monkeypatch.setattr(mod, attr, counted)
+
+
+@pytest.mark.parametrize("spec,n", [("kneser:6,2", 15), ("cycle:9", 9)])
+@pytest.mark.parametrize("command", ["check-uc", "vc", "dominated"])
+def test_each_command_certifies_its_input_eigenspace_once(monkeypatch, capsys, command, spec, n):
+    calls = Counter()
+    _count_calls(monkeypatch, calls,
+                 ("integer_least_eigenvalue", "floating_least_eigenspace", "nullspace"))
     # one eigh call from the exact module serves the guess of tau and the
     # floating basis
     for name in ("eigh", "eigvalsh"):
@@ -346,6 +353,37 @@ def test_each_command_certifies_its_input_eigenspace_once(monkeypatch, capsys, c
     for name in ("integer_least_eigenvalue", "floating_least_eigenspace", "nullspace",
                  "eigensolver"):
         assert calls[name, (n, n)] <= 1, (name, calls)
+
+
+@pytest.mark.parametrize("command,adjacency_cap", [("dominated", 2), ("vc", 3)])
+def test_commands_read_a_and_its_shift_from_the_one_eigenspace(
+    monkeypatch, capsys, command, adjacency_cap
+):
+    # T(6), the complement of K(6,2), with a 5-dimensional witness space.
+    # A is built to certify tau and once more for A - tau I, which every
+    # witness check reads from the eigenspace (vc builds it once more for the
+    # 1-walk-regular test). Each dominated framework takes its rank from the
+    # pivot pass that proves it PSD, so no framework runs an exact rank.
+    calls = Counter()
+    _count_calls(monkeypatch, calls, ("adjacency_matrix", "rank_exact"))
+    code, out, _ = run(capsys, command, "--graph6", emit_graph6(complement(kneser(6, 2))),
+                       "--backend", "exact")
+    assert code == 0 and json.loads(out)["x_dim"] == 5
+    counts = Counter()
+    for (name, _), k in calls.items():
+        counts[name] += k
+    assert counts["adjacency_matrix"] <= adjacency_cap, calls
+    assert counts["rank_exact"] == 0, calls
+
+
+def test_gen_refuses_a_graph6_list_over_the_byte_budget(capsys):
+    # about n^2 / 12 graph6 cells at 8 bytes each: 2.7e10 bytes for 200000
+    # vertices, refused before the graph is built
+    code, out, err = run(capsys, "gen", "--gen", "cycle:200000")
+    assert code == 2 and out == ""
+    assert "200000 vertices exceeds the cap" in err
+    assert run(capsys, "gen", "--cayley", "20:1")[0] == 2
+    assert run(capsys, "gen", "--gen", "cycle:5") == (0, "Dhc\n", "")
 
 
 def _exact_report_argvs():

@@ -419,10 +419,18 @@ def test_least_eigenspace_agrees_with_the_bracket_and_the_floating_route():
 
 
 def test_floating_eigenspace_orthonormal():
-    les = floating_least_eigenspace(adjacency_matrix(kneser(5, 2)))
+    les = floating_least_eigenspace(kneser(5, 2))
     b = les.basis
     assert b.shape == (10, 4)
     assert np.allclose(b.T @ b, np.eye(4), atol=1e-9)
+
+
+def test_floating_eigenspace_needs_a_graph():
+    # an eigenspace of a bare matrix would have no graph to form A - tau I from
+    a = adjacency_matrix(kneser(5, 2))
+    for bare in (a, a.to_float()):
+        with pytest.raises(TypeError):
+            floating_least_eigenspace(bare)
 
 
 def test_gf2_rank_and_span():

@@ -1,5 +1,6 @@
 """Least-eigenvalue frameworks, named constructions, stress matrices."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,15 @@ import pytest
 
 from corpus import connected_graphs
 from eigenframe.errors import InternalCheckError, UnsupportedInputError
-from eigenframe.exact import ExactMatrix, adjacency_matrix, graph_spectrum, rank_exact
+from eigenframe.completability import XSpaceBasis, dominated_frameworks, xspace
+from eigenframe.exact import (
+    ExactMatrix,
+    LeastEigenspace,
+    adjacency_matrix,
+    floating_least_eigenspace,
+    graph_spectrum,
+    rank_exact,
+)
 from eigenframe.frameworks import (
     Framework,
     StressMatrix,
@@ -121,10 +130,10 @@ def test_rescaled():
 
 def test_framework_validation():
     with pytest.raises(ValueError):
-        Framework(K4, ExactMatrix([[1, 2], [2, 1]]), "exact")
+        Framework(K4, ExactMatrix([[1, 2], [2, 1]]))
     bad_points = ExactMatrix([[1], [0], [0], [0]])
     with pytest.raises(InternalCheckError):
-        Framework(K4, ExactMatrix.identity(4), "exact", points=bad_points)
+        Framework(K4, ExactMatrix.identity(4), points=bad_points)
 
 
 def test_canonical_stress_triangle():
@@ -165,10 +174,45 @@ def test_dominates_and_congruent():
     rows = [[fw.gram[i, j] for j in range(4)] for i in range(4)]
     rows[0][1] -= 1
     rows[1][0] -= 1
-    other = Framework(K4, ExactMatrix(rows), "exact")
+    other = Framework(K4, ExactMatrix(rows))
     assert dominates(fw, other)
     assert not dominates(other, fw)
     assert not congruent(fw, other)
     # a diagonal change breaks comparability in both directions
-    scaled = Framework(K4, fw.gram * Fraction(1, 2), "exact")
+    scaled = Framework(K4, fw.gram * Fraction(1, 2))
     assert not dominates(fw, scaled) and not dominates(scaled, fw)
+
+
+def test_results_hold_no_copy_of_their_eigenspace():
+    # tau, its multiplicity and the backend are read from the eigenspace
+    assert [f.name for f in dataclasses.fields(Framework)] == [
+        "graph", "gram", "points", "eigenspace", "d"]
+    assert [f.name for f in dataclasses.fields(XSpaceBasis)] == ["eigenspace", "basis"]
+    fw = least_eigenvalue_framework(K4, backend="exact")
+    xs = xspace(fw.eigenspace)
+    assert xs.eigenspace is fw.eigenspace and fw.rescaled(2).eigenspace is fw.eigenspace
+    assert (fw.backend, fw.tau, fw.tau_multiplicity) == ("exact", -1, 3)
+    assert (xs.graph, xs.backend, xs.tau, xs.tau_multiplicity) == (K4, "exact", -1, 3)
+    # equality compares the graph, tau, multiplicity and backend the
+    # eigenspace certifies, not its basis
+    same = LeastEigenspace(K4, fw.eigenspace.spectrum)
+    assert fw == dataclasses.replace(fw, eigenspace=same)
+    assert fw != dataclasses.replace(fw, eigenspace=None)
+    assert xs == XSpaceBasis(same, xs.basis) == xspace(K4, "exact")
+    k5 = from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    assert xs.basis == xspace(k5, "exact").basis == ()
+    assert xs != xspace(k5, "exact") and xs != xspace(K4, "floating")
+
+
+def test_a_framework_needs_its_own_eigenspace_for_stress_and_domination():
+    fw = least_eigenvalue_framework(K4, backend="exact")
+    bare = Framework(K4, fw.gram, fw.points, d=fw.d)
+    assert bare.backend == "exact" and bare.tau is None
+    with pytest.raises(ValueError):
+        canonical_stress(K4, bare)
+    with pytest.raises(ValueError):
+        dominated_frameworks(bare, ExactMatrix.zeros(4))
+    with pytest.raises(ValueError):
+        Framework(K4, fw.gram, eigenspace=floating_least_eigenspace(K4))
+    with pytest.raises(ValueError):
+        Framework(K4, fw.gram, eigenspace=least_eigenvalue_framework(cycle(4)).eigenspace)

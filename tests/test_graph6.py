@@ -68,7 +68,7 @@ def test_padding_bits_checked():
 
 
 def test_vertex_cap():
-    n = 2_000_000  # above the million-vertex cap
+    n = 2_000_000  # above the vertex cap
     digits = [((n >> (6 * k)) & 63) + 63 for k in range(5, -1, -1)]
     with pytest.raises(ResourceLimitError):
         parse_graph6(bytes([126, 126] + digits))

@@ -310,6 +310,18 @@ def test_dominated_framework_default_scale():
     assert dom.gram[0, 0] == Fraction(1, 2) and dom.gram[0, 1] == Fraction(-1, 2)
 
 
+def test_gershgorin_scale_matches_the_fraction_formula():
+    rng = random.Random(14)
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-30, 30), rng.randint(1, 40)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if rng.random() < 0.1:
+            rows = [[0] * ncols for _ in range(nrows)]
+        s = max(sum(abs(Fraction(v)) for v in row) for row in rows)
+        assert gershgorin_scale(ExactMatrix(rows)) == (None if s == 0 else Fraction(1) / s)
+
+
 def test_dominated_framework_smaller_scale_keeps_rank():
     fw = least_eigenvalue_framework(TWO_K2, backend="exact")
     x = xspace(TWO_K2).basis[0]
