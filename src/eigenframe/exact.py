@@ -167,11 +167,26 @@ class ExactMatrix:
         return [Fraction(x, self.den) for row in self.num for x in row]
 
 
+def _refuse_over_budget(n: int):
+    """ResourceLimitError when an n x n matrix at 8 bytes a cell exceeds SYSTEM_BYTE_CAP."""
+    if 8 * n * n > SYSTEM_BYTE_CAP:
+        raise ResourceLimitError(f"{n} x {n} matrix exceeds the {SYSTEM_BYTE_CAP}-byte budget")
+
+
 def adjacency_matrix(g: Graph) -> ExactMatrix:
     """Exact adjacency matrix; ResourceLimitError before it is built over SYSTEM_BYTE_CAP."""
-    if 8 * g.n * g.n > SYSTEM_BYTE_CAP:
-        raise ResourceLimitError(f"{g.n} x {g.n} matrix exceeds the {SYSTEM_BYTE_CAP}-byte budget")
+    _refuse_over_budget(g.n)
     return ExactMatrix._from_ints(g.adjacency_rows())
+
+
+def _adjacency_int64(g: Graph):
+    """The adjacency matrix as an int64 array, unpacked from the neighbour
+    bitmasks; refused over SYSTEM_BYTE_CAP like adjacency_matrix."""
+    _refuse_over_budget(g.n)
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in g.nbr), dtype=np.uint8)
+    bits = np.unpackbits(packed, bitorder="little").reshape(g.n, 8 * width)
+    return bits[:, : g.n].astype(np.int64)
 
 
 # -- fraction-free elimination -----------------------------------------------
@@ -513,33 +528,42 @@ class CayleySpectrum:
 
     graph: Graph  # cayley_z2 of the connection set
     spectrum: Spectrum
-    tau_characters: tuple  # the +-1 character vectors whose eigenvalue is tau
+    tau_elements: tuple  # ascending group elements u whose character has eigenvalue tau
+
+
+def characters(n: int):
+    """The +-1 character table H of Z_2^n as int64: H[x, v] = chi_v(x) =
+    (-1)^popcount(x & v)."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    parity = np.zeros_like(idx)
+    for bit in range(n):
+        parity ^= (idx >> bit) & 1
+    return 1 - 2 * parity[idx[:, None] & idx]
 
 
 def cayley_spectrum(spec: CayleySpec) -> CayleySpectrum:
     """Exact spectrum by character sums, proved on the graph cayley_z2 builds.
 
     The character chi_v(x) = (-1)^popcount(x & v) has eigenvalue lambda_v =
-    sum over c in C of chi_v(c), and A chi_v = lambda_v chi_v is checked in
-    integers for every v (InternalCheckError if not). The characters satisfy
-    H^T H = 2^n I, so they are 2^n independent eigenvectors: the lambda_v are
-    the whole spectrum, tau the least, and the tau characters a basis of
-    ker(A - tau I), their number its dimension d.
+    sum over c in C of chi_v(c). One int64 product checks A H = H diag(lambda)
+    for the whole character table H (InternalCheckError if any column fails);
+    no entry exceeds 2^n in absolute value, so the product is exact.
+    The characters satisfy H^T H = 2^n I, so they are 2^n independent
+    eigenvectors: the lambda_v are the whole spectrum, tau the least, and the
+    tau characters a basis of ker(A - tau I), their number its dimension d.
     """
     g = cayley_z2(spec)
-    eig = {}
-    for v in range(g.n):
-        chi = tuple(-1 if (x & v).bit_count() & 1 else 1 for x in range(g.n))
-        val = sum(chi[c] for c in spec.connection_set)
-        plus = sum(1 << x for x in range(g.n) if chi[x] == 1)  # P: where chi = +1
-        image = (2 * (m & plus).bit_count() - m.bit_count() for m in g.nbr)  # A chi, by P
-        if any(a != val * c for a, c in zip(image, chi)):
-            raise InternalCheckError(f"character {v} is not an eigenvector of the graph")
-        eig.setdefault(val, []).append(chi)
-    pairs = tuple((Fraction(v), len(eig[v])) for v in sorted(eig))
-    tau = min(eig)
-    spectrum = Spectrum(pairs, Fraction(tau), len(eig[tau]), "exact")
-    return CayleySpectrum(g, spectrum, tuple(eig[tau]))
+    a = _adjacency_int64(g)
+    h = characters(spec.n)
+    lam = h[list(spec.connection_set)].sum(axis=0)
+    bad = np.flatnonzero((a @ h != h * lam).any(axis=0))
+    if bad.size:
+        raise InternalCheckError(f"character {bad[0]} is not an eigenvector of the graph")
+    values, counts = np.unique(lam, return_counts=True)
+    pairs = tuple((Fraction(int(v)), int(m)) for v, m in zip(values, counts))
+    tau, d = pairs[0]
+    spectrum = Spectrum(pairs, tau, d, "exact")
+    return CayleySpectrum(g, spectrum, tuple(np.flatnonzero(lam == values[0]).tolist()))
 
 
 class LeastEigenspace:
@@ -557,7 +581,7 @@ class LeastEigenspace:
 
     def __init__(self, graph, spectrum, basis=None):
         self.graph, self.spectrum = graph, spectrum
-        if basis is not None:  # eigh's floating basis, or the census's characters
+        if basis is not None:  # eigh's floating basis
             self.basis = basis
 
     def _key(self):

@@ -291,20 +291,21 @@ def _colex_subsets(n, r):
 def kneser(n, r) -> Graph:
     """Kneser graph: r-subsets of an n-set, adjacent when disjoint.
 
-    Vertices come in colex order of the subsets.
+    Vertices come in colex order of the subsets. The neighbours of a subset
+    are the r-subsets of its complement, so the build makes N * C(n - r, r)
+    lookups rather than N^2 / 2 pair tests.
     """
     if r < 1 or n < r:
         raise ValueError("need 1 <= r <= n")
     if math.comb(n, r) > VERTEX_CAP:
         raise ResourceLimitError(f"{math.comb(n, r)} vertices exceeds the cap of {VERTEX_CAP}")
-    verts = [frozenset(s) for s in _colex_subsets(n, r)]
-    edges = [
-        (a, b)
-        for a in range(len(verts))
-        for b in range(a + 1, len(verts))
-        if not (verts[a] & verts[b])
-    ]
-    return from_edges(len(verts), edges)
+    verts = _colex_subsets(n, r)
+    index = {sum(1 << i for i in s): k for k, s in enumerate(verts)}
+    nbr = []
+    for s in verts:
+        rest = [i for i in range(n) if i not in s]
+        nbr.append(sum(1 << index[sum(1 << i for i in t)] for t in itertools.combinations(rest, r)))
+    return Graph(len(verts), tuple(nbr))
 
 
 def kneser_vertices(n, r):
@@ -324,15 +325,17 @@ def _is_prime(q):
 def q_kneser(q, n, r) -> Graph:
     """q-Kneser graph: r-subspaces of F_q^n, adjacent on trivial intersection.
 
-    Vertices are sorted lex by their reduced-echelon basis matrices.
+    Vertices are sorted lex by their reduced-echelon basis matrices. The
+    pair loop makes N^2 / 2 rank tests, so a graph whose adjacency matrix
+    adjacency_matrix would refuse is refused before it.
     """
     if not _is_prime(q):
         raise UnsupportedInputError(f"q must be prime, got {q}")
     if r < 1 or n < r:
         raise ValueError("need 1 <= r <= n")
     count = gaussian_binomial(n, r, q)
-    if count > VERTEX_CAP:
-        raise ResourceLimitError(f"{count} vertices exceeds the cap of {VERTEX_CAP}")
+    if 8 * count * count > SYSTEM_BYTE_CAP:
+        raise ResourceLimitError(f"{count} x {count} matrix exceeds the {SYSTEM_BYTE_CAP}-byte budget")
     verts = sorted(subspaces_mod_q(q, n, r))
     edges = []
     for a in range(len(verts)):

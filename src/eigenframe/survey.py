@@ -13,6 +13,12 @@ extension is kept only if a depth-first search fails to find a linear map
 beating it. The search grows a partial invertible map one prefix value at a
 time and wins as soon as any completion is forced below the candidate, so
 it never enumerates the full group.
+
+Verdicts run on the characters of Z_2^n, which diagonalise every Cayley
+graph of the group: cayley_spectrum proves the spectrum on the built graph,
+and the witness-space dimension is the rank deficiency of the R-system on
+the tau characters, which splits into independent blocks, one for each
+w = u ^ v (_x_dim_by_blocks). No linear system over the vertices is built.
 """
 
 from __future__ import annotations
@@ -23,9 +29,8 @@ import os
 from dataclasses import dataclass
 from multiprocessing import get_context
 
-from .completability import xspace
 from .errors import UnsupportedInputError
-from .exact import LeastEigenspace, cayley_spectrum
+from .exact import cayley_spectrum, characters, rank_exact
 from .graphs import CayleySpec
 from .modular import gf2_rank
 
@@ -281,24 +286,58 @@ class SurveyReport:
         return {"n": self.n, "connected": self.total_connected, "uc": self.total_uc}
 
 
+def _x_dim_by_blocks(spec: CayleySpec, tau_elements) -> int:
+    """Dimension of the R-space on the tau characters, one w-block at a time.
+
+    With U the tau elements and B = (chi_u : u in U), the census eigenspace
+    basis, X = B R B^T for symmetric R. Every closed pair of the Cayley
+    graph (a vertex with itself, or an edge) is (i, i ^ c) with c in C_0, the
+    connection set and 0. As chi_u(i) chi_v(i ^ c) = chi_{u^v}(i) chi_v(c),
+
+        X_{i,i^c} = sum_w (sum_{u^v=w} R_uv chi_v(c)) chi_w(i),
+
+    the outer sum over w in Z_2^n and the inner over ordered pairs. The
+    characters are independent (H^T H = 2^n I), so X vanishes on the closed
+    pairs exactly when every coefficient does: R_uv (chi_u(c) + chi_v(c))
+    summed over u <= v with u ^ v = w, for each w and c, the diagonal pairs
+    of w = 0 counted once. Block w thus has one column per such pair and one
+    row per c, and no column lies in two blocks, so the R-system's rank is
+    the sum of the block ranks. A row with chi_w(c) = -1 is zero, since
+    chi_v(c) = chi_u(c) chi_w(c); the w = 0 entries come doubled, which
+    leaves the rank unchanged. Each rank is exact, so the result is a proof.
+    """
+    h = characters(spec.n).tolist()
+    closed = [h[c] for c in (0, *spec.connection_set)]  # row c: chi_v(c) at v
+    blocks = {}
+    for i, u in enumerate(tau_elements):
+        for v in tau_elements[i:]:
+            blocks.setdefault(u ^ v, []).append((u, v))
+    rank = 0
+    for w, pairs in blocks.items():
+        rank += rank_exact([[hc[u] + hc[v] for u, v in pairs] for hc in closed if hc[w] == 1])
+    d = len(tau_elements)
+    return d * (d + 1) // 2 - rank
+
+
 def survey_one(n: int, rep: tuple) -> SurveyRecord:
     """Spectrum and completability verdict for one representative.
 
-    The exact basis is the tau characters, which cayley_spectrum proves span
-    ker(A - tau I). x_dim does not depend on the basis: BT maps R to T R T^T,
-    a bijection that keeps the closed-pair equations. phi_inverse and the
-    reported witnesses need the echelon basis, so this eigenspace stays here."""
+    cayley_spectrum proves the spectrum on the built graph and that the tau
+    characters span ker(A - tau I); x_dim, the dimension of the witness
+    space, is then decided on that basis by _x_dim_by_blocks, with no linear
+    system over the vertices. x_dim does not depend on the basis: B T maps R
+    to T R T^T, a bijection that keeps the closed-pair equations."""
     spec = CayleySpec(n, frozenset(rep))
     cs = cayley_spectrum(spec)
-    xs = xspace(LeastEigenspace(cs.graph, cs.spectrum, cs.tau_characters))
+    x_dim = _x_dim_by_blocks(spec, cs.tau_elements)
     return SurveyRecord(
         n=n,
         connection_set=tuple(rep),
         connected=spec.spans(),
         tau=int(cs.spectrum.tau),
         tau_multiplicity=cs.spectrum.tau_multiplicity,
-        x_dim=xs.dim,
-        uc=xs.dim == 0,
+        x_dim=x_dim,
+        uc=x_dim == 0,
     )
 
 

@@ -4,13 +4,14 @@ import dataclasses
 import hashlib
 import json
 import sys
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from corpus import PERFBENCH, atlas_graphs, benchmark_ops
-from eigenframe import cli, completability, exact
+from eigenframe import cli, completability, exact, graphs
 from eigenframe.errors import InternalCheckError, UnsupportedInputError
 from eigenframe.graphs import Graph, complement, cycle, emit_graph6, kneser, parse_graph6
 from eigenframe.serialize import number_token
@@ -255,6 +256,26 @@ def test_an_adjacency_matrix_over_the_byte_budget_is_refused_before_it_is_built(
     code, out, err = run(capsys, command, "--gen", "cycle:12000")
     assert code == 2 and out == ""
     assert "12000 x 12000 matrix exceeds the 1073741824-byte budget" in err
+
+
+def test_kneser_graphs_over_the_byte_budget_are_refused_in_seconds(monkeypatch, capsys):
+    # K(17, 8) has 24310 vertices, under the vertex cap: built from each
+    # subset's complement, not from N^2/2 pair tests, it reaches the
+    # adjacency_matrix refusal at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-uc", "--gen", "kneser:17,8")
+    assert code == 2 and out == ""
+    assert "24310 x 24310 matrix exceeds the 1073741824-byte budget" in err
+    assert time.perf_counter() - start < 30
+    # the q-Kneser graph on the 11811 3-subspaces of F_2^7 is refused before
+    # its pair loop
+    def never(*args):
+        raise AssertionError("the q-Kneser pair loop ran")
+
+    monkeypatch.setattr(graphs, "rank_mod_q", never)
+    code, out, err = run(capsys, "check-uc", "--gen", "qkneser:2,7,3")
+    assert code == 2 and out == ""
+    assert "11811 x 11811 matrix exceeds the 1073741824-byte budget" in err
 
 
 def test_the_byte_budget_holds_for_the_system_a_command_builds(monkeypatch, capsys):

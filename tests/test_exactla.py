@@ -313,7 +313,8 @@ def test_cayley_spectrum_against_dense_route():
             g = cayley_z2(spec)
             assert cs.graph == g
             a = adjacency_matrix(g)
-            v = ExactMatrix.column_stack(cs.tau_characters)
+            chars = [[(-1) ** (x & u).bit_count() for x in range(g.n)] for u in cs.tau_elements]
+            v = ExactMatrix.column_stack(chars)
             assert a @ v == v * cs.spectrum.tau
 
 

@@ -1,8 +1,9 @@
 """Orbit enumeration of connection sets and the hypercube Cayley census.
 
-Two independent oracles guard the canonical-form machinery, neither sharing
-code with it: a full group sweep (every invertible GF(2) matrix, n = 3) and
-a generator BFS that partitions all subsets into orbits (n = 3 and 4).
+Three independent oracles guard the canonical-form machinery, none sharing
+code with it: a full group sweep (every invertible GF(2) matrix, n = 3), a
+generator BFS that partitions all subsets into orbits (n = 3 and 4), and an
+orbit-stabiliser count over the whole group (n <= 4).
 """
 
 import itertools
@@ -13,7 +14,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from eigenframe import exact, survey
+from eigenframe import completability, exact, modular, survey
 from eigenframe.completability import xspace
 from eigenframe.errors import InternalCheckError, UnsupportedInputError
 from eigenframe.graphs import CayleySpec, cayley_z2, from_edges
@@ -102,6 +103,25 @@ def test_generator_bfs_partition(n):
     assert enumerate_orbits(n, spanning_only=False) == oracle
     spanning = sorted(r for r in oracle if gf2_rank(r) == n)
     assert enumerate_orbits(n) == spanning
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_sizes_add_up_to_every_subset(n):
+    # orbit-stabiliser completeness: |GL(n,2)| / |Stab(S)| summed over the
+    # representatives and the empty set counts all 2^(2^n - 1) subsets of the
+    # nonzero vectors, stabilisers by brute force over the whole group
+    cols = np.array(_gl_matrices(n), dtype=np.int64)
+    images = np.zeros((len(cols), 1 << n), dtype=np.int64)  # images[g, x] = g(x)
+    for x in range(1, 1 << n):
+        images[:, x] = images[:, x & (x - 1)] ^ cols[:, (x & -x).bit_length() - 1]
+    total = 1  # the empty set, fixed by every map
+    for rep in enumerate_orbits(n, spanning_only=False):
+        mask = sum(1 << v for v in rep)
+        image_masks = np.bitwise_or.reduce(1 << images[:, list(rep)], axis=1)
+        stabiliser = int(np.count_nonzero(image_masks == mask))
+        assert len(cols) % stabiliser == 0
+        total += len(cols) // stabiliser
+    assert total == 2 ** ((1 << n) - 1)
 
 
 def test_orbit_counts():
@@ -224,12 +244,26 @@ def test_survey_x_dim_agrees_with_the_echelon_basis_route():
     assert len(dims) == 59 and sum(d > 0 for d in dims) == 16 and dims[-1] == 2
 
 
+def test_block_x_dim_agrees_with_xspace_on_random_z2_5_sets():
+    rng = random.Random(2)
+    sets = [tuple(sorted(rng.sample(range(1, 32), rng.randint(3, 10)))) for _ in range(29)]
+    sets.append((4, 5, 6, 7, 10, 13, 17, 22))
+    dims = []
+    for conn in sets:
+        dims.append(survey_one(5, conn).x_dim)
+        assert dims[-1] == xspace(cayley_z2(CayleySpec(5, conn))).dim, conn
+    assert sum(d > 0 for d in dims) == 10 and max(dims) >= 10 and dims[-1] == 2
+
+
 def test_survey_one_makes_no_pivot_pass_elimination_or_eigensolver_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("survey_one left the character route")
 
-    for name in ("psd_rank_pivot", "nullspace"):
+    for name in ("psd_rank_pivot", "nullspace", "nullspace_fast"):
         monkeypatch.setattr(exact, name, refuse)
+    for name in ("xspace", "rank_mod_p", "nullspace_fast"):
+        monkeypatch.setattr(completability, name, refuse)
+    monkeypatch.setattr(modular, "rank_mod_p", refuse)
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
     assert run_survey(4).summary() == {"n": 4, "connected": 36, "uc": 34}

@@ -52,7 +52,6 @@ from eigenframe.graphs import (
     q_kneser,
 )
 from eigenframe.serialize import number_token
-from eigenframe.survey import survey_one
 from oracles import dense_xspace_dim, x_system_svd
 
 TWO_K2 = from_edges(4, [(0, 1), (2, 3)])
@@ -581,7 +580,7 @@ def test_small_cayley_eigenspace_takes_the_modular_full_rank_route(monkeypatch):
 
     monkeypatch.setattr(completability, "rank_mod_p", recording_rank)
     monkeypatch.setattr(completability, "nullspace_fast", no_kernel_solve)
-    assert survey_one(5, conn).x_dim == 0
+    assert xspace(cayley_z2(CayleySpec(5, conn))).dim == 0
     assert widths == [3]  # the upper triangle of a 2 x 2 matrix R
 
 
