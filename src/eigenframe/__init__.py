@@ -51,7 +51,6 @@ from .exact import (
     charpoly,
     floating_least_eigenspace,
     graph_spectrum,
-    integer_least_eigenvalue,
     is_psd_exact,
     least_eigenspace,
     nullspace,

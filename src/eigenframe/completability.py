@@ -500,12 +500,11 @@ def clique_condition(g, clique, backend: str = "auto", tol: float = DEFAULT_TOL)
 def clique_condition_any(g, backend: str = "auto", tol: float = DEFAULT_TOL):
     """First maximal clique (largest, then lexicographic) whose complement
     passes the invertibility test on the one A - tau I, or (False, None).
-    The search stops at the first clique of fewer than d vertices."""
+    Only cliques of at least d vertices are searched, as a smaller one never
+    passes (see clique_condition)."""
     les = _eigenspace_of(g, backend, tol)
     d = les.spectrum.tau_multiplicity
-    for clique in sorted(maximal_cliques(les.graph), key=lambda c: (-len(c), c)):
-        if len(clique) < d:
-            break
+    for clique in sorted(maximal_cliques(les.graph, d), key=lambda c: (-len(c), c)):
         if clique_condition(les, clique):
             return True, tuple(clique)
     return False, None

@@ -19,9 +19,11 @@ that decides PD / PSD-deficient / indefinite and reports the rank. Least
 eigenvalues of adjacency matrices are certified with it: an integer k is the
 least eigenvalue iff A - kI is singular and positive semidefinite. Floating
 point only proposes k, the integer nearest the least eigh value, and one pass
-at k proves tau and its multiplicity. When that pass refutes the guess, or
-the exact backend must prove that tau is not an integer, a binary search over
-the integer range settles integrality without trusting floating point at all.
+at k proves tau and gives the echelon basis of ker(A - tau I), read off the
+rows the pass left and checked against A - tau I: A - tau I is eliminated
+once. When that pass refutes the guess, or the exact backend must prove that
+tau is not an integer, a binary search over the integer range settles
+integrality without trusting floating point at all, its hit likewise.
 """
 
 from __future__ import annotations
@@ -231,15 +233,17 @@ def rank_exact(m) -> int:
 
 
 def _back_substitute(rows, pivots, free_col, ncols):
-    """Integer kernel vector of the echelon rows: D at free_col, 0 at the
-    other free columns, where D is the last pivot (1 if there is none).
+    """Integer kernel vector of rows eliminated by _bareiss_echelon or, on a
+    PSD matrix, _psd_pivot: D at free_col, 0 at the other free columns, where
+    D is the last pivot, read from its own row (1 if there is none).
 
-    D is the determinant of the pivot minor, so by Cramer's rule this is D
-    times the rational kernel vector with 1 at free_col; it is integral and
-    every division below is exact. Columns past free_col stay 0.
+    Each pivot row holds its Bareiss minors on every later column and D is
+    the determinant of the pivot minor, so by Cramer's rule this is D times
+    the rational kernel vector with 1 at free_col; it is integral and every
+    division below is exact. Columns past free_col stay 0.
     """
     y = [0] * ncols
-    y[free_col] = rows[len(pivots) - 1][pivots[-1][1]] if pivots else 1
+    y[free_col] = rows[pivots[-1][0]][pivots[-1][1]] if pivots else 1
     for r, c in reversed(pivots):
         if c < free_col:
             row = rows[r]
@@ -247,10 +251,9 @@ def _back_substitute(rows, pivots, free_col, ncols):
     return y
 
 
-def _kernel_basis(rows, ncols):
-    """Echelon kernel basis of integer rows, which are eliminated in place:
+def _kernel_basis(rows, pivots, ncols):
+    """Echelon kernel basis of integer rows already eliminated to pivots:
     one primitive integer vector per free column, positive there."""
-    pivots = _bareiss_echelon(rows)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for f in range(ncols):
@@ -273,7 +276,8 @@ def nullspace(m):
     returned.
     """
     rows = _mutable_rows(m)
-    basis = _kernel_basis([row[:] for row in rows], len(rows[0]) if rows else 0)
+    work = [row[:] for row in rows]
+    basis = _kernel_basis(work, _bareiss_echelon(work), len(rows[0]) if rows else 0)
     if not all(_annihilates(rows, vec) for vec in basis):
         raise InternalCheckError("kernel vector fails exact verification")
     return basis
@@ -291,7 +295,8 @@ def nullspace_fast(int_rows, pivot_rows):
     """
     if not int_rows:
         return ()
-    basis = _kernel_basis([list(int_rows[r]) for r in pivot_rows], len(int_rows[0]))
+    work = [list(int_rows[r]) for r in pivot_rows]
+    basis = _kernel_basis(work, _bareiss_echelon(work), len(int_rows[0]))
     if all(_annihilates(int_rows, vec) for vec in basis):
         return basis
     return nullspace(int_rows)
@@ -376,27 +381,36 @@ def is_psd_exact(m: ExactMatrix) -> bool:
 
 
 def psd_rank_pivot(m) -> tuple:
-    """(status, rank) by symmetric fraction-free pivoting.
-
+    """(status, rank) of a symmetric matrix by the symmetric pivot pass:
     status is one of "pd", "psd" (singular PSD), "indefinite"; rank is valid
-    whenever the matrix is PSD. Pivots are taken on positive diagonal entries,
-    so scaled Schur diagonals keep the true signs.
+    whenever the matrix is PSD."""
+    status, pivots = _psd_pivot(_mutable_rows(m))
+    return status, None if status == "indefinite" else len(pivots)
+
+
+def _psd_pivot(a) -> tuple:
+    """(status, pivots) of symmetric integer rows a, eliminated in place by
+    symmetric fraction-free pivoting; pivots are (i, i) pairs in order.
+
+    Pivots are taken on positive diagonal entries, so scaled Schur diagonals
+    keep the true signs. On a PSD matrix a zero Schur diagonal means a zero
+    row, which stays zero, so the pivots rise along exactly the row echelon
+    pivot columns and _back_substitute reads the kernel off a.
     """
-    a = _mutable_rows(m)
     n = len(a)
     act = list(range(n))
     prev = 1
-    rank = 0
+    pivots = []
     while act:
         if any(a[i][i] < 0 for i in act):
-            return "indefinite", None
+            return "indefinite", pivots
         piv = next((i for i in act if a[i][i] > 0), None)
         if piv is None:
             if any(a[i][j] for i in act for j in act):
-                return "indefinite", None
-            return ("pd" if rank == n else "psd"), rank
+                return "indefinite", pivots
+            return "psd", pivots
         act.remove(piv)
-        rank += 1
+        pivots.append((piv, piv))
         d = a[piv][piv]
         ap = a[piv]
         for i in act:
@@ -405,7 +419,7 @@ def psd_rank_pivot(m) -> tuple:
             for j in act:
                 ai[j] = (d * ai[j] - f * ap[j]) // prev
         prev = d
-    return "pd", rank
+    return "pd", pivots
 
 
 # -- spectra -------------------------------------------------------------------
@@ -418,9 +432,8 @@ class Spectrum:
     On the exact backend tau is a Fraction whose multiplicity is verified
     with tau itself: by the pivot pass at the eigh guess, by the integer
     bracket, or by cayley_spectrum's character check. Pairs above tau are
-    floating eigh clusters, except that graph_spectrum and
-    integer_least_eigenvalue certify the integer ones by exact rank
-    (multiplicities still summing to n).
+    floating eigh clusters, except that graph_spectrum certifies the integer
+    ones by exact rank (multiplicities still summing to n).
     """
 
     pairs: tuple
@@ -443,16 +456,6 @@ class Spectrum:
         return sum(m for _, m in self.pairs)
 
 
-def _validate_adjacency(m: ExactMatrix):
-    if not m.is_symmetric():
-        raise ValueError("adjacency matrix must be symmetric")
-    for i, row in enumerate(m.num):
-        if row[i] != 0:
-            raise ValueError("adjacency matrix must have a zero diagonal")
-        if any(x != 0 and x != m.den for x in row):
-            raise ValueError("adjacency entries must be 0 or 1")
-
-
 def _cluster(values, tol):
     groups = []
     for v in values:
@@ -463,24 +466,9 @@ def _cluster(values, tol):
     return [(sum(g) / len(g), len(g)) for g in groups]
 
 
-def integer_least_eigenvalue(a: ExactMatrix, tol: float = DEFAULT_TOL):
-    """Exact spectrum when the least adjacency eigenvalue is an integer, else
-    None: the integer bracket, then every integer eigenvalue above tau
-    certified by an exact rank. least_eigenspace runs the bracket only as the
-    fallback of its eigh guess; this is the full-spectrum route.
-    """
-    if isinstance(a, Graph):
-        a = adjacency_matrix(a)
-    _validate_adjacency(a)
-    if a.nrows == 0:
-        raise ValueError("empty matrix has no spectrum")
-    found = _integer_bracket(a.num)  # 0/1 entries, so the denominator is 1
-    return None if found is None else _exact_spectrum(a.num, Fraction(found[0]), found[1], tol)
-
-
 def _integer_bracket(rows):
-    """(tau, multiplicity) when the least eigenvalue of the adjacency rows is
-    an integer, else None.
+    """(tau, basis) when the least eigenvalue of the adjacency rows is an
+    integer, with basis the echelon basis of ker(A - tau I), else None.
 
     Binary search over integers: A - kI is positive definite below the least
     eigenvalue, singular PSD exactly at it, and indefinite above it, so the
@@ -491,9 +479,9 @@ def _integer_bracket(rows):
     lo, hi = -max(sum(row) for row in rows) - 1, 1
     while hi - lo > 1:
         mid = (hi + lo) // 2
-        st, rank = psd_rank_pivot(_shift_diagonal(rows, mid))
+        st, basis = _least_kernel(rows, mid)
         if st == "psd":
-            return mid, len(rows) - rank
+            return mid, basis
         if st == "pd":
             lo = mid
         else:
@@ -504,6 +492,21 @@ def _integer_bracket(rows):
 def _shift_diagonal(rows, k):
     """Integer rows of A - kI."""
     return [[x - k if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def _least_kernel(rows, k):
+    """(status, basis) of A - kI by one _psd_pivot pass; when k is the least
+    eigenvalue ("psd"), the echelon basis of ker(A - kI) read off that pass
+    and checked against A - kI, else ()."""
+    shifted = _shift_diagonal(rows, k)
+    work = [row[:] for row in shifted]
+    status, pivots = _psd_pivot(work)
+    if status != "psd":
+        return status, ()
+    basis = _kernel_basis(work, pivots, len(rows))
+    if not all(_annihilates(shifted, vec) for vec in basis):
+        raise InternalCheckError("eigenspace vector fails exact verification")
+    return status, basis
 
 
 def _exact_spectrum(rows, tau, tau_mult, tol):
@@ -571,18 +574,16 @@ class LeastEigenspace:
     least_eigenspace and passed to every check that reads it.
 
     Exact backend: shifted is the ExactMatrix A - tau I, and basis its d
-    primitive integer echelon kernel columns, built on first use and checked
-    against the certified multiplicity d. Floating backend: a float shifted
-    matrix and the orthonormal n x d eigh basis. shifted is the one place
-    A - tau I is formed; every check and stress reads it from here. Two
+    primitive integer echelon kernel columns, built by the pivot pass that
+    certified tau and checked against A - tau I. Floating backend: a float
+    shifted matrix and the orthonormal n x d eigh basis. shifted is the one
+    place A - tau I is formed; every check and stress reads it from here. Two
     eigenspaces are equal when they certify the same graph object with the
     same tau, multiplicity and backend, whatever their bases.
     """
 
-    def __init__(self, graph, spectrum, basis=None):
-        self.graph, self.spectrum = graph, spectrum
-        if basis is not None:  # eigh's floating basis
-            self.basis = basis
+    def __init__(self, graph, spectrum, basis):
+        self.graph, self.spectrum, self.basis = graph, spectrum, basis
 
     def _key(self):
         s = self.spectrum
@@ -605,13 +606,6 @@ class LeastEigenspace:
         if self.is_exact():
             return a - ExactMatrix.identity(a.nrows) * self.spectrum.tau
         return a.to_float() - float(self.spectrum.tau) * np.eye(a.nrows)
-
-    @functools.cached_property
-    def basis(self):
-        basis = nullspace(self.shifted)
-        if len(basis) != self.spectrum.tau_multiplicity:
-            raise InternalCheckError("eigenspace basis does not match the certified multiplicity")
-        return basis
 
 
 def _eigh_eigenspace(graph, arr, tol):
@@ -658,8 +652,8 @@ def least_eigenspace(
     rows, lam = a.num, float(vals[0])
     k = round(lam)
     if abs(lam - k) <= 1e-6:
-        status, rank = psd_rank_pivot(_shift_diagonal(rows, k))
-        found = (k, g.n - rank) if status == "psd" else _integer_bracket(rows)
+        status, basis = _least_kernel(rows, k)
+        found = (k, basis) if status == "psd" else _integer_bracket(rows)
     else:
         found = None if backend == "auto" else _integer_bracket(rows)
     if found is None:
@@ -668,9 +662,10 @@ def least_eigenspace(
                 "exact backend unavailable: least eigenvalue is not an integer"
             )
         return floating
-    tau, d = Fraction(found[0]), found[1]
+    tau, basis = Fraction(found[0]), found[1]
+    d = len(basis)
     pairs = ((tau, d), *_cluster(list(vals[d:]), tol))
-    return LeastEigenspace(g, Spectrum(pairs, tau, d, "exact"))
+    return LeastEigenspace(g, Spectrum(pairs, tau, d, "exact"), basis)
 
 
 def _eigenspace_of(g, backend: str, tol: float) -> LeastEigenspace:
@@ -680,9 +675,9 @@ def _eigenspace_of(g, backend: str, tol: float) -> LeastEigenspace:
 
 def graph_spectrum(g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL) -> Spectrum:
     """Spectrum of a graph, exact when the least eigenvalue is integral (the
-    backends as in least_eigenspace); no eigenspace basis is built. The full
-    spectrum is what its callers read, so unlike least_eigenspace an exact
-    spectrum here also certifies every integer eigenvalue above tau."""
+    backends as in least_eigenspace). The full spectrum is what its callers
+    read, so unlike least_eigenspace an exact spectrum here also certifies
+    every integer eigenvalue above tau."""
     s = least_eigenspace(g, backend, tol).spectrum
     if s.backend == "floating":
         return s

@@ -411,11 +411,13 @@ def is_split(g: Graph):
     return True, (clique, indep)
 
 
-def maximal_cliques(g: Graph):
-    """All maximal cliques as vertex lists (Bron-Kerbosch with pivoting).
+def maximal_cliques(g: Graph, min_size: int = 0):
+    """All maximal cliques of at least min_size vertices as vertex lists
+    (Bron-Kerbosch with pivoting).
 
     The search keeps [r, p, x, candidates] frames on an explicit stack and
-    emits cliques in depth-first order. It is not a recursive closure: a
+    emits cliques in depth-first order, dropping a frame whose r | p holds
+    fewer than min_size vertices. It is not a recursive closure: a
     closure that calls itself sits in a reference cycle, which every call
     would leave behind for the cyclic collector.
     """
@@ -425,6 +427,9 @@ def maximal_cliques(g: Graph):
         frame = stack[-1]
         r, p, x, cand = frame
         if cand is None:
+            if (r | p).bit_count() < min_size:
+                stack.pop()
+                continue
             if not p and not x:
                 out.append([v for v in range(g.n) if r >> v & 1])
                 stack.pop()

@@ -21,7 +21,6 @@ from eigenframe.exact import (
     charpoly,
     floating_least_eigenspace,
     graph_spectrum,
-    integer_least_eigenvalue,
     invert,
     is_psd_exact,
     least_eigenspace,
@@ -31,8 +30,16 @@ from eigenframe.exact import (
     psd_rank_pivot,
     rank_exact,
 )
-from eigenframe.errors import UnsupportedInputError
-from eigenframe.graphs import CayleySpec, cayley_z2, complement, cycle, from_edges, kneser
+from eigenframe.errors import InternalCheckError, UnsupportedInputError
+from eigenframe.graphs import (
+    CayleySpec,
+    cayley_z2,
+    complement,
+    cycle,
+    from_edges,
+    kneser,
+    q_kneser,
+)
 from eigenframe.modular import (
     gaussian_binomial,
     gf2_rank,
@@ -268,18 +275,20 @@ def test_psd_certificates_against_numpy():
 
 
 def test_integer_least_eigenvalue_on_corpus():
+    # the integer bracket, which trusts no floating point, against eigvalsh
     for g, _ in connected_graphs(max_n=6, min_n=2):
-        spec = integer_least_eigenvalue(adjacency_matrix(g))
-        float_min = float(np.linalg.eigvalsh(adjacency_matrix(g).to_float()).min())
-        if spec is None:
+        a = adjacency_matrix(g)
+        found = exact_mod._integer_bracket(a.num)
+        vals = sorted(np.linalg.eigvalsh(a.to_float()))
+        float_min = float(vals[0])
+        if found is None:
             assert abs(float_min - round(float_min)) > 1e-9
         else:
-            assert isinstance(spec.tau, Fraction) and spec.tau.denominator == 1
-            assert abs(float(spec.tau) - float_min) < 1e-9
-            assert spec.n == g.n
-            vals = sorted(np.linalg.eigvalsh(adjacency_matrix(g).to_float()))
+            tau, basis = found
+            assert type(tau) is int and abs(tau - float_min) < 1e-9
             # exact multiplicity must match the floating cluster at tau
-            assert spec.tau_multiplicity == sum(1 for v in vals if abs(v - float_min) < 1e-7)
+            assert len(basis) == sum(1 for v in vals if abs(v - float_min) < 1e-7)
+            assert a @ ExactMatrix.column_stack(basis) == ExactMatrix.column_stack(basis) * tau
 
 
 def test_graph_spectrum_backends():
@@ -319,15 +328,10 @@ def test_cayley_spectrum_against_dense_route():
 
 
 def _count_pivot_passes(monkeypatch):
-    """Sizes of the psd_rank_pivot passes and of the integer bracket searches
-    made from here on, with integer_least_eigenvalue made to fail."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("integer_least_eigenvalue ran")
-
-    monkeypatch.setattr(exact_mod, "integer_least_eigenvalue", refuse)
+    """Sizes of the symmetric pivot passes (_psd_pivot) and of the integer
+    bracket searches made from here on."""
     sizes, brackets = [], []
-    real_pivot, real_bracket = exact_mod.psd_rank_pivot, exact_mod._integer_bracket
+    real_pivot, real_bracket = exact_mod._psd_pivot, exact_mod._integer_bracket
 
     def counted_pivot(m):
         sizes.append(len(m))
@@ -337,7 +341,7 @@ def _count_pivot_passes(monkeypatch):
         brackets.append(len(rows))
         return real_bracket(rows)
 
-    monkeypatch.setattr(exact_mod, "psd_rank_pivot", counted_pivot)
+    monkeypatch.setattr(exact_mod, "_psd_pivot", counted_pivot)
     monkeypatch.setattr(exact_mod, "_integer_bracket", counted_bracket)
     return sizes, brackets
 
@@ -379,7 +383,7 @@ def test_least_eigenspace_verifies_its_eigh_guess_in_few_passes(
 
 def test_a_refuted_eigh_guess_falls_back_to_the_bracket(monkeypatch):
     petersen = kneser(5, 2)
-    expected = least_eigenspace(petersen).spectrum
+    expected = least_eigenspace(petersen)
     _, brackets = _count_pivot_passes(monkeypatch)
     # C5's least eigh value -1.618 is far from every integer, so the exact
     # backend runs the integer search and refuses
@@ -394,22 +398,27 @@ def test_a_refuted_eigh_guess_falls_back_to_the_bracket(monkeypatch):
         return np.concatenate([[vals[0] - 1], vals[1:]]), vecs
 
     monkeypatch.setattr(np.linalg, "eigh", lying_eigh)
-    # -3 is guessed, A + 3I is positive definite, the bracket finds -2
+    # -3 is guessed, A + 3I is positive definite, the bracket finds -2 and
+    # reads the same basis off its own probe
     brackets.clear()
-    assert least_eigenspace(petersen).spectrum == expected
+    les = least_eigenspace(petersen)
+    assert les.spectrum == expected.spectrum
+    assert les.basis == expected.basis == nullspace(les.shifted)
     assert brackets == [10]
 
 
 def test_least_eigenspace_agrees_with_the_bracket_and_the_floating_route():
-    # the bracket (integer_least_eigenvalue) certifies without any eigh guess
+    # the integer bracket certifies without any eigh guess, and its hit
+    # gives the same basis as the pass at the guess
     for g, _ in atlas_graphs():
-        les, bracket = least_eigenspace(g), integer_least_eigenvalue(g)
-        if bracket is None:
-            bracket = floating_least_eigenspace(g).spectrum
+        les, found = least_eigenspace(g), exact_mod._integer_bracket(adjacency_matrix(g).num)
         s = les.spectrum
-        assert (s.backend, s.tau, s.tau_multiplicity) == (
-            bracket.backend, bracket.tau, bracket.tau_multiplicity
-        )
+        if found is None:
+            f = floating_least_eigenspace(g).spectrum
+            assert (s.backend, s.tau, s.tau_multiplicity) == ("floating", f.tau, f.tau_multiplicity)
+        else:
+            assert (s.backend, s.tau, s.tau_multiplicity) == ("exact", found[0], len(found[1]))
+            assert les.basis == found[1]
     # the auto floating route is floating_least_eigenspace, bit for bit
     graphs = _floating_benchmark_graphs()
     assert len(graphs) == 14
@@ -417,6 +426,34 @@ def test_least_eigenspace_agrees_with_the_bracket_and_the_floating_route():
         les, floating = least_eigenspace(g), floating_least_eigenspace(g)
         assert les.spectrum == floating.spectrum
         assert np.array_equal(les.basis, floating.basis)
+
+
+def _integer_tau_graphs():
+    graphs = [g for g, _ in atlas_graphs() if graph_spectrum(g).backend == "exact"]
+    return graphs + [kneser(7, 2), kneser(8, 3), q_kneser(2, 4, 2)]
+
+
+def test_the_pass_that_proves_tau_gives_the_bareiss_basis():
+    # Bareiss (nullspace, with row swaps) is the reference: on a PSD matrix
+    # the symmetric pass pivots on the same columns, so the primitive
+    # echelon bases agree vector for vector
+    graphs = _integer_tau_graphs()
+    assert len(graphs) == 231
+    for g in graphs:
+        les = least_eigenspace(g)
+        assert les.is_exact() and len(les.basis) == les.spectrum.tau_multiplicity
+        assert les.basis == nullspace(les.shifted), g.nbr
+
+
+def test_a_wrong_eigenspace_vector_is_refused(monkeypatch):
+    # the basis the pass reads off is checked against A - tau I, so a wrong
+    # back substitution cannot reach a certificate
+    def wrong(rows, pivots, free_col, ncols):
+        return [1] * ncols
+
+    monkeypatch.setattr(exact_mod, "_back_substitute", wrong)
+    with pytest.raises(InternalCheckError):
+        least_eigenspace(kneser(5, 2))
 
 
 def test_floating_eigenspace_orthonormal():

@@ -195,7 +195,7 @@ def test_results_hold_no_copy_of_their_eigenspace():
     assert (xs.graph, xs.backend, xs.tau, xs.tau_multiplicity) == (K4, "exact", -1, 3)
     # equality compares the graph, tau, multiplicity and backend the
     # eigenspace certifies, not its basis
-    same = LeastEigenspace(K4, fw.eigenspace.spectrum)
+    same = LeastEigenspace(K4, fw.eigenspace.spectrum, fw.eigenspace.basis[::-1])
     assert fw == dataclasses.replace(fw, eigenspace=same)
     assert fw != dataclasses.replace(fw, eigenspace=None)
     assert xs == XSpaceBasis(same, xs.basis) == xspace(K4, "exact")

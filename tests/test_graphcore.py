@@ -172,6 +172,17 @@ def test_maximal_cliques_against_networkx():
         assert ours == theirs
 
 
+def test_maximal_cliques_floor_against_networkx():
+    for g, nxg in atlas_graphs():
+        nodes = sorted(nxg.nodes())
+        theirs = [frozenset(nodes.index(v) for v in c) for c in nx.find_cliques(nxg)] \
+            if nodes else []
+        for k in range(g.n + 2):
+            ours = maximal_cliques(g, k)
+            assert {frozenset(c) for c in ours} == {c for c in theirs if len(c) >= k}
+            assert len(ours) == len({frozenset(c) for c in ours})
+
+
 def test_maximal_cliques_order_is_depth_first():
     # the order of the recursive Bron-Kerbosch search: pivot on the most
     # candidate neighbours, branch on the lowest candidate vertex first

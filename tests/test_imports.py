@@ -1,4 +1,5 @@
-"""No imported-but-unused names in the package or the tests.
+"""No imported-but-unused names in the package or the tests, and no
+private module-level helper that the package never refers to.
 
 Written with the standard-library ast module, as no linter is a dependency.
 The package's __init__.py re-exports its imports and is exempt, as are
@@ -45,3 +46,58 @@ def test_the_check_sees_each_kind_of_import():
         "print(os.sep, least(2, 3))\n"
     )
     assert _unused_imports(source) == ["gcd", "np"]
+
+
+def _defined_names(node):
+    """Names a module-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _dead_private_helpers(sources):
+    """module:name for each module-level _name (not a dunder) defined in
+    sources, a {module: source} dict, that no statement but its own
+    definition refers to, by name, attribute or import."""
+    defined, used = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = _defined_names(node)
+            defined.update((name, module) for name in own
+                           if name.startswith("_") and not name.startswith("__"))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    refs = {sub.id}
+                elif isinstance(sub, ast.Attribute):
+                    refs = {sub.attr}
+                elif isinstance(sub, ast.ImportFrom):
+                    refs = {a.name for a in sub.names}
+                else:
+                    continue
+                used |= refs - own
+    return sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+
+
+def test_no_dead_private_helpers():
+    package = ROOT / "src" / "eigenframe"
+    sources = {p.stem: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert _dead_private_helpers(sources) == []
+
+
+def test_the_check_sees_each_kind_of_private_helper():
+    sources = {
+        "a": (
+            "def _called():\n    pass\n"
+            "def _dead():\n    pass\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "_TABLE = {}\n"
+            "_UNREAD: int = 0\n"
+            "class _Hidden:\n    pass\n"
+            "def __getattr__(name):\n    pass\n"
+            "def public():\n    return _called()\n"
+        ),
+        "b": "from .a import _TABLE\nfrom . import a\nprint(a._Hidden, _TABLE)\n",
+    }
+    assert _dead_private_helpers(sources) == ["a:_UNREAD", "a:_dead", "a:_recursive"]

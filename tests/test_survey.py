@@ -259,7 +259,7 @@ def test_survey_one_makes_no_pivot_pass_elimination_or_eigensolver_call(monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("survey_one left the character route")
 
-    for name in ("psd_rank_pivot", "nullspace", "nullspace_fast"):
+    for name in ("_psd_pivot", "psd_rank_pivot", "nullspace", "nullspace_fast"):
         monkeypatch.setattr(exact, name, refuse)
     for name in ("xspace", "rank_mod_p", "nullspace_fast"):
         monkeypatch.setattr(completability, name, refuse)

@@ -416,9 +416,8 @@ def test_neighborhood_condition_certifies_no_punctured_spectrum(monkeypatch, g):
         raise AssertionError("a punctured graph's spectrum was certified")
 
     # least_eigenspace guesses tau with _eigh_eigenspace and falls back to
-    # _integer_bracket; the older routes are refused too
-    for name in ("_eigh_eigenspace", "_integer_bracket",
-                 "integer_least_eigenvalue", "floating_least_eigenspace"):
+    # _integer_bracket; the floating route is refused too
+    for name in ("_eigh_eigenspace", "_integer_bracket", "floating_least_eigenspace"):
         monkeypatch.setattr(exact, name, refuse)
     assert neighborhood_condition(les) == expected
 
@@ -470,11 +469,18 @@ def test_clique_search_stops_below_the_multiplicity(monkeypatch):
     les = least_eigenspace(kneser(7, 2))
     assert les.spectrum.tau_multiplicity == 6
     assert sorted(map(len, maximal_cliques(les.graph))) == [3] * 105
-    calls = []
+    calls, listed = [], []
+
+    def floored_cliques(g, min_size=0):
+        listed.append((min_size, maximal_cliques(g, min_size)))
+        return listed[-1][1]
+
     monkeypatch.setattr(completability, "rank_exact", lambda rows: calls.append(rows))
     monkeypatch.setattr(completability, "clique_condition", lambda *a: calls.append(a))
+    monkeypatch.setattr(completability, "maximal_cliques", floored_cliques)
     assert clique_condition_any(les) == (False, None)
-    assert calls == []
+    # the search never lists a clique below the floor of d = 6 vertices
+    assert calls == [] and listed == [(6, [])]
 
 
 def test_conditions_imply_uc_on_corpus():
