@@ -534,14 +534,18 @@ class CayleySpectrum:
     tau_elements: tuple  # ascending group elements u whose character has eigenvalue tau
 
 
+@functools.lru_cache(maxsize=2)
 def characters(n: int):
     """The +-1 character table H of Z_2^n as int64: H[x, v] = chi_v(x) =
-    (-1)^popcount(x & v)."""
+    (-1)^popcount(x & v). Shared between calls, so it is read-only; the two
+    most recent tables are kept, since one holds 4^n cells."""
     idx = np.arange(1 << n, dtype=np.int64)
     parity = np.zeros_like(idx)
     for bit in range(n):
         parity ^= (idx >> bit) & 1
-    return 1 - 2 * parity[idx[:, None] & idx]
+    h = 1 - 2 * parity[idx[:, None] & idx]
+    h.flags.writeable = False
+    return h
 
 
 def cayley_spectrum(spec: CayleySpec) -> CayleySpectrum:

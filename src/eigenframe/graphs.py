@@ -43,15 +43,33 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if len(self.nbr) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        for i, mask in enumerate(self.nbr):
+        # every upper bit (i, j), i < j, needs its lower mirror (j, i); equal
+        # totals then leave no lower bit without its upper one
+        nbr = self.nbr
+        bits = upper = 0
+        for i, mask in enumerate(nbr):
             if mask >> self.n:
                 raise ValueError(f"neighbour mask of vertex {i} leaves the vertex range")
             if mask >> i & 1:
                 raise ValueError(f"loop at vertex {i}")
-        for i in range(self.n):
-            for j in self.neighbours(i):
-                if not self.nbr[j] >> i & 1:
-                    raise ValueError(f"adjacency not symmetric at ({min(i, j)}, {max(i, j)})")
+            bits += mask.bit_count()
+            m = mask >> (i + 1)
+            upper += m.bit_count()
+            while m:
+                low = m & -m
+                j = low.bit_length() + i
+                if not nbr[j] >> i & 1:
+                    raise ValueError(f"adjacency not symmetric at ({i}, {j})")
+                m ^= low
+        if bits != 2 * upper:  # some lower bit has no upper mirror: name it
+            for j, mask in enumerate(nbr):
+                m = mask & ((1 << j) - 1)
+                while m:
+                    low = m & -m
+                    i = low.bit_length() - 1
+                    if not nbr[i] >> j & 1:
+                        raise ValueError(f"adjacency not symmetric at ({i}, {j})")
+                    m ^= low
         if self.edge_labels is not None:
             edges = set(self.edges())
             if set(self.edge_labels) != edges:

@@ -14,6 +14,16 @@ beating it. The search grows a partial invertible map one prefix value at a
 time and wins as soon as any completion is forced below the candidate, so
 it never enumerates the full group.
 
+The searches run on integer state. A set of vectors is a bitmask (bit v for
+vector v), and a partial linear map is a tuple: its domain list, an image
+table indexed by vector, the domain and the image span as bitmasks, and the
+bitmask of the images of the set elements already in the domain
+(_extend_map). Each pruning test is then one or two integer operations, two
+equal-size sets compare lexicographically by which of them holds the least
+element of their symmetric difference (_precedes), an elementary map acts on
+a set as one delta swap, and the upward search reads each coset's candidate
+images from a per-n table (_search_tables).
+
 Verdicts run on the characters of Z_2^n, which diagonalise every Cayley
 graph of the group: cayley_spectrum proves the spectrum on the built graph,
 and the witness-space dimension is the rank deficiency of the R-system on
@@ -24,6 +34,7 @@ w = u ^ v (_x_dim_by_blocks). No linear system over the vertices is built.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 from dataclasses import dataclass
@@ -42,28 +53,83 @@ EQUIVALENCE_NOTE = (
 )
 
 
-def _extend_map(span_map: dict, u: int, value: int) -> dict:
-    """Extend a partial linear map by u -> value; domain and image double."""
-    new_map = dict(span_map)
-    new_map[u] = value
-    for v, img in span_map.items():
-        new_map[v ^ u] = img ^ value
-    return new_map
+def _empty_map(n: int) -> tuple:
+    """The partial linear map defined on {0} only (see _extend_map)."""
+    return [0], [0] * (1 << n), 1, 1, 0
 
 
-def _transvection_images(n: int, s: tuple):
-    """Sorted images of s under the elementary maps e_j -> e_j + e_i.
+def _extend_map(state: tuple, u: int, value: int, set_mask: int) -> tuple:
+    """Extend a partial linear map by u -> value; domain and image double.
+
+    state is (domain, table, dom_mask, img_mask, det_mask): the domain
+    elements in insertion order, 0 first; table[v], the image of each of
+    them; the domain and the image span as bitmasks (both hold 0); and the
+    images of the domain elements that lie in the set set_mask.
+    """
+    domain, table, dom_mask, img_mask, det_mask = state
+    table = table.copy()
+    added = []
+    for v in domain:
+        w = v ^ u
+        y = table[w] = table[v] ^ value
+        added.append(w)
+        dom_mask |= 1 << w
+        img_mask |= 1 << y
+        if set_mask >> w & 1:
+            det_mask |= 1 << y
+    return domain + added, table, dom_mask, img_mask, det_mask
+
+
+@functools.lru_cache(maxsize=MAX_DIMENSION)
+def _search_tables(n: int) -> tuple:
+    """Per-n bitmask tables of the canonicity searches, built on first use.
+
+    swaps lists (mask, 2^i) for each elementary map e_j -> e_j + e_i, i outer:
+    the map swaps each v in mask (bit j set, bit i clear) with v + 2^i.
+    above[bound][img] is the set of y with y ^ img > bound.
+    """
+    limit = 1 << n
+    swaps = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                mask = sum(1 << v for v in range(limit) if v >> j & 1 and not v >> i & 1)
+                swaps.append((mask, 1 << i))
+    above = [
+        [sum(1 << y for y in range(limit) if y ^ img > bound) for img in range(limit)]
+        for bound in range(limit)
+    ]
+    return swaps, above
+
+
+def _prefix_masks(s: tuple) -> list:
+    """prefix[p] is the bitmask of s[:p], for p = 0..len(s)."""
+    prefix = [0]
+    for v in s:
+        prefix.append(prefix[-1] | 1 << v)
+    return prefix
+
+
+def _precedes(a: int, b: int) -> bool:
+    """Does the sorted set a precede the equal-size sorted set b?
+
+    They first differ at the least element of a ^ b, which lies in exactly
+    one of them; the set holding it is the smaller.
+    """
+    x = a ^ b
+    return bool(a & x & -x)
+
+
+def _transvection_images(n: int, set_mask: int):
+    """Images of a set under the elementary maps e_j -> e_j + e_i.
 
     These generate the whole group, and a single application already beats
     most non-extremal sets, so both searches try them before any branching.
+    Each image is one delta swap of the bitmask.
     """
-    for i in range(n):
-        bit = 1 << i
-        for j in range(n):
-            if i == j:
-                continue
-            probe = 1 << j
-            yield tuple(sorted(v ^ bit if v & probe else v for v in s))
+    for mask, shift in _search_tables(n)[0]:
+        t = ((set_mask >> shift) ^ set_mask) & mask
+        yield set_mask ^ t ^ (t << shift)
 
 
 def _beaten_downward(n: int, s: tuple) -> bool:
@@ -79,89 +145,84 @@ def _beaten_downward(n: int, s: tuple) -> bool:
     group element and is compared outright.
     """
     m = len(s)
-    s_list = list(s)
-    s_set = set(s)
-    total = (1 << n) - 1
-    for image in _transvection_images(n, s):
-        if list(image) < s_list:
+    prefix = _prefix_masks(s)
+    s_mask = prefix[m]
+    size = 1 << n
+    for image in _transvection_images(n, s_mask):
+        if _precedes(image, s_mask):
             return True
 
-    def dfs(span_map: dict, p: int) -> bool:
+    def dfs(state: tuple, p: int) -> bool:
         if p == m:
             return False
-        if len(span_map) == total:
-            return sorted(span_map[x] for x in s_list) < s_list
+        domain, _, dom_mask, img_mask, det_mask = state
+        if len(domain) == size:
+            return _precedes(det_mask, s_mask)
         sp = s[p]
-        consumed = set(s[:p])
-        det_unconsumed = [
-            img for v, img in span_map.items() if v in s_set and img not in consumed
-        ]
-        if any(w < sp for w in det_unconsumed):
+        det_unconsumed = det_mask & ~prefix[p]
+        if det_unconsumed & ((1 << sp) - 1):
             return True
-        images = set(span_map.values())
-        images.add(0)
-        free = s_set.difference(span_map.keys())
-        if free:
-            below = sum(1 for w in images if 1 <= w < sp)
-            if below < sp - 1:
-                return True  # some value under sp lies outside the image span
-        if sp in det_unconsumed:
-            return dfs(span_map, p + 1)
-        if sp in images or not free:
+        free = s_mask & ~dom_mask
+        if free and (img_mask & ((1 << sp) - 2)).bit_count() < sp - 1:
+            return True  # some value under sp lies outside the image span
+        if det_unconsumed >> sp & 1:
+            return dfs(state, p + 1)
+        if img_mask >> sp & 1:
             return False
-        for u in sorted(free):
-            if dfs(_extend_map(span_map, u, sp), p + 1):
+        while free:  # ascending
+            low = free & -free
+            if dfs(_extend_map(state, low.bit_length() - 1, sp, s_mask), p + 1):
                 return True
+            free ^= low
         return False
 
-    return dfs({}, 0)
+    return dfs(_empty_map(n), 0)
 
 
-def _can_exceed(span_map: dict, d_set: set, bound: int, limit: int) -> bool:
+def _can_exceed(state: tuple, d_mask: int, bound: int, above: list) -> bool:
     """Can the map finish with every still-unassigned image above bound?
 
-    The unassigned elements of d_set split into cosets of the assigned
+    The unassigned elements of d_mask split into cosets of the assigned
     span; one image choice per coset forces the rest of it. Candidate
     values per coset are intersected as bitmasks up front ("value itself
     above bound and outside the image span, every forced mate above bound
-    too"), so an unplaceable coset fails before any branching. Branching
-    recurses on the most constrained coset; images already in the map are
-    the caller's responsibility.
+    too", each mate's mask read from above[bound]), so an unplaceable coset
+    fails before any branching. Branching recurses on the most constrained
+    coset; images already in the map are the caller's responsibility.
     """
-    free = d_set.difference(span_map.keys())
+    domain, table, dom_mask, img_mask, _ = state
+    free = d_mask & ~dom_mask
     if not free:
         return True
-    images = set(span_map.values())
-    images.add(0)
-    avail = 0
-    for v in range(bound + 1, limit):
-        if v not in images:
-            avail |= 1 << v
-    if bin(avail).count("1") < 1:
+    row = above[bound]
+    avail = row[0] & ~img_mask
+    if not avail:
         return False
     cosets = []
-    grouped = set()
-    for u in sorted(free):
-        if u in grouped:
+    grouped = 0
+    while free:  # ascending
+        low = free & -free
+        free ^= low
+        if grouped & low:
             continue
+        u = low.bit_length() - 1
         cand = avail
-        for v, img in span_map.items():
-            if (v ^ u) in d_set:
-                grouped.add(v ^ u)
-                mask = 0
-                for z in range(bound + 1, limit):
-                    mask |= 1 << (z ^ img)  # y with y ^ img above bound
-                cand &= mask
+        for v in domain:
+            w = v ^ u
+            if d_mask >> w & 1:
+                grouped |= 1 << w
+                cand &= row[table[v]]
                 if not cand:
                     return False
-        cosets.append((u, cand))
-    if len(cosets) > bin(avail).count("1"):
+        cosets.append((cand.bit_count(), u, cand))
+    if len(cosets) > avail.bit_count():
         return False
-    u, cand = min(cosets, key=lambda c: bin(c[1]).count("1"))
-    for shift in range(limit - 1, bound, -1):
-        if cand & (1 << shift):
-            if _can_exceed(_extend_map(span_map, u, shift), d_set, bound, limit):
-                return True
+    _, u, cand = min(cosets)  # the first coset with fewest candidates
+    while cand:  # descending
+        y = cand.bit_length() - 1
+        if _can_exceed(_extend_map(state, u, y, d_mask), d_mask, bound, above):
+            return True
+        cand ^= 1 << y
     return False
 
 
@@ -176,39 +237,38 @@ def _beaten_upward(n: int, d: tuple) -> bool:
     """
     m = len(d)
     limit = 1 << n
-    d_set = set(d)
-    d_list = list(d)
-    if d_list == list(range(limit - m, limit)):
+    prefix = _prefix_masks(d)
+    d_mask = prefix[m]
+    if d_mask >> (limit - m) == (1 << m) - 1:
         return False  # the m largest vectors: nothing sorts above this
-    for image in _transvection_images(n, d):
-        if list(image) > d_list:
+    for image in _transvection_images(n, d_mask):
+        if _precedes(d_mask, image):
             return True
+    above = _search_tables(n)[1]
 
-    def dfs(span_map: dict, p: int) -> bool:
+    def dfs(state: tuple, p: int) -> bool:
         if p == m:
             return False
+        _, _, dom_mask, img_mask, det_mask = state
         dp = d[p]
-        consumed = set(d[:p])
-        det_unconsumed = [
-            img for v, img in span_map.items() if v in d_set and img not in consumed
-        ]
-        if any(w < dp for w in det_unconsumed):
+        det_unconsumed = det_mask & ~prefix[p]
+        if det_unconsumed & ((1 << dp) - 1):
             return False  # forced at or below the prefix: cannot exceed
-        if dp in det_unconsumed:
-            return dfs(span_map, p + 1)
-        if limit - 1 - dp >= m - p and _can_exceed(span_map, d_set, dp, limit):
+        if det_unconsumed >> dp & 1:
+            return dfs(state, p + 1)
+        if limit - 1 - dp >= m - p and _can_exceed(state, d_mask, dp, above):
             return True
-        images = set(span_map.values())
-        images.add(0)
-        free = d_set.difference(span_map.keys())
-        if dp in images or not free:
+        if img_mask >> dp & 1:
             return False
-        for u in sorted(free):
-            if dfs(_extend_map(span_map, u, dp), p + 1):
+        free = d_mask & ~dom_mask
+        while free:  # ascending
+            low = free & -free
+            if dfs(_extend_map(state, low.bit_length() - 1, dp, d_mask), p + 1):
                 return True
+            free ^= low
         return False
 
-    return dfs({}, 0)
+    return dfs(_empty_map(n), 0)
 
 
 def _is_canonical(n: int, s: tuple) -> bool:
@@ -227,7 +287,8 @@ def _is_canonical(n: int, s: tuple) -> bool:
         return True  # the m smallest vectors: nothing sorts below this
     limit = 1 << n
     if m >= limit // 2:
-        complement = tuple(v for v in range(1, limit) if v not in set(s))
+        members = set(s)
+        complement = tuple(v for v in range(1, limit) if v not in members)
         return not _beaten_upward(n, complement)
     return not _beaten_downward(n, s)
 

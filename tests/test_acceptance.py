@@ -80,7 +80,7 @@ def test_criterion_1_census_through_n4(capsys):
 @pytest.mark.slow
 @pytest.mark.skipif(
     os.environ.get("EIGENFRAME_RUN_SLOW") != "1",
-    reason="full 5-generator census takes ~4 CPU minutes; set EIGENFRAME_RUN_SLOW=1",
+    reason="full 5-generator census takes ~2 CPU minutes; set EIGENFRAME_RUN_SLOW=1",
 )
 def test_criterion_1_census_n5(capsys):
     workers = min(8, os.cpu_count() or 1)

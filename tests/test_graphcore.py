@@ -51,8 +51,26 @@ def test_from_edges_rejects_bad_input():
         from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         from_edges(3, [(0, 3)])
-    with pytest.raises(ValueError):
-        Graph(2, (1, 2))  # asymmetric adjacency
+    with pytest.raises(ValueError, match="loop at vertex 0"):
+        Graph(2, (1, 2))
+
+
+@pytest.mark.parametrize("nbr", [(0b10, 0), (0, 0b01)], ids=["upper-only", "lower-only"])
+def test_asymmetric_adjacency_is_refused(nbr):
+    with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
+        Graph(2, nbr)
+
+
+def test_a_cleared_upper_bit_is_refused_in_a_larger_graph():
+    nbr = list(kneser(6, 2).nbr)
+    j = (nbr[0] & -nbr[0]).bit_length() - 1  # vertex 0's least neighbour
+    nbr[0] &= ~(1 << j)
+    with pytest.raises(ValueError, match=rf"not symmetric at \(0, {j}\)"):
+        Graph(len(nbr), tuple(nbr))
+    nbr = list(kneser(6, 2).nbr)
+    nbr[j] &= ~1  # the lower bit of the same pair
+    with pytest.raises(ValueError, match=rf"not symmetric at \(0, {j}\)"):
+        Graph(len(nbr), tuple(nbr))
 
 
 def test_cycle_shape():

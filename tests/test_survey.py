@@ -1,13 +1,15 @@
 """Orbit enumeration of connection sets and the hypercube Cayley census.
 
-Three independent oracles guard the canonical-form machinery, none sharing
-code with it: a full group sweep (every invertible GF(2) matrix, n = 3), a
-generator BFS that partitions all subsets into orbits (n = 3 and 4), and an
-orbit-stabiliser count over the whole group (n <= 4).
+Independent oracles guard the canonical-form machinery, none sharing code
+with it: a full group sweep (every invertible GF(2) matrix, n = 3), a
+generator BFS that partitions all subsets into orbits (n = 3 and 4), an
+orbit-stabiliser count over the whole group (n <= 4) and by a stabiliser
+search (n = 5, slow), and a sweep of GL(4,2) against each canonicity search.
 """
 
 import itertools
 import json
+import os
 import random
 
 import networkx as nx
@@ -44,6 +46,50 @@ def _apply(cols, v):
         if (v >> j) & 1:
             img ^= cols[j]
     return img
+
+
+def _gl_order(k):
+    order = 1
+    for i in range(k):
+        order *= (1 << k) - (1 << i)
+    return order
+
+
+def _stabiliser_order(n, s):
+    """|Stab(S)| in GL(n,2), by a DFS over the images of a basis drawn from S.
+
+    S and its complement in the nonzero vectors have the same stabiliser; T
+    is the smaller, W its span and k = dim W. A stabilising map permutes T,
+    so it restricts to an invertible map of W, fixed by the images in T of a
+    basis of W drawn from T; each such map extends to 2^(k(n-k)) |GL(n-k,2)|
+    invertible maps of GF(2)^n.
+    """
+    members = set(s)
+    complement = [v for v in range(1, 1 << n) if v not in members]
+    t = complement if len(complement) < len(members) else sorted(members)
+    t_set = set(t)
+    basis, span = [], {0}
+    for v in t:
+        if v not in span:
+            basis.append(v)
+            span |= {x ^ v for x in span}
+    k = len(basis)
+    # a map that permutes T keeps each x's number of a in T with x ^ a in T
+    degree = {x: sum(x ^ a in t_set for a in t) for x in t}
+
+    def count(phi, i):  # phi maps the span of basis[:i], T onto T and the rest off T
+        if i == k:
+            return 1
+        found = 0
+        for y in t:
+            if degree[y] != degree[basis[i]] or y in phi.values():
+                continue  # another T-degree, or dependent on the images so far
+            new = {x ^ basis[i]: img ^ y for x, img in phi.items()}
+            if all((x in t_set) == (img in t_set) for x, img in new.items()):
+                found += count(phi | new, i + 1)
+        return found
+
+    return count({0: 0}, 0) * 2 ** (k * (n - k)) * _gl_order(n - k)
 
 
 def _transvection_tables(n):
@@ -120,8 +166,54 @@ def test_orbit_sizes_add_up_to_every_subset(n):
         image_masks = np.bitwise_or.reduce(1 << images[:, list(rep)], axis=1)
         stabiliser = int(np.count_nonzero(image_masks == mask))
         assert len(cols) % stabiliser == 0
+        assert _stabiliser_order(n, rep) == stabiliser, rep
         total += len(cols) // stabiliser
     assert total == 2 ** ((1 << n) - 1)
+
+
+def test_canonicity_searches_agree_with_a_sweep_over_gl4():
+    # each search against every image of the set under GL(4,2): random
+    # subsets of every size, plus the orbit representatives (lex-least), their
+    # complements (lex-greatest) and a random image of each, where the
+    # searches have to go deep
+    n, limit = 4, 16
+    cols = np.array(_gl_matrices(n), dtype=np.int64)
+    images = np.zeros((len(cols), limit), dtype=np.int64)  # images[g, x] = g(x)
+    for x in range(1, limit):
+        images[:, x] = images[:, x & (x - 1)] ^ cols[:, (x & -x).bit_length() - 1]
+    rng = random.Random(4)
+    sets = [tuple(sorted(rng.sample(range(1, limit), m))) for m in range(1, limit) for _ in range(16)]
+    for rep in enumerate_orbits(n, spanning_only=False):
+        complement = tuple(v for v in range(1, limit) if v not in rep)
+        g = rng.randrange(len(cols))
+        sets += [rep, tuple(sorted(int(images[g, v]) for v in rep))]
+        if complement:
+            sets.append(complement)
+    assert len(sets) >= 300
+    for s in sets:
+        mask = sum(1 << v for v in s)
+        image_masks = np.bitwise_or.reduce(1 << images[:, list(s)], axis=1)
+        diff = image_masks ^ mask
+        first = diff & -diff  # the least element in exactly one of the two sets
+        below = bool(np.any(image_masks & first))
+        above = bool(np.any(mask & first))
+        assert survey._beaten_downward(n, s) == below, s
+        assert survey._beaten_upward(n, s) == above, s
+        assert survey._is_canonical(n, s) == (not below), s
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    os.environ.get("EIGENFRAME_RUN_SLOW") != "1",
+    reason="enumerating Z_2^5 takes about 2 CPU minutes; set EIGENFRAME_RUN_SLOW=1",
+)
+def test_n5_orbit_sizes_add_up_to_every_subset():
+    reps = enumerate_orbits(5, spanning_only=False)
+    assert len(reps) == 1371
+    total = 1 + sum(_gl_order(5) // _stabiliser_order(5, rep) for rep in reps)
+    assert total == 2 ** 31
+    records = [survey_one(5, rep) for rep in reps if gf2_rank(rep) == 5]
+    assert (len(records), sum(r.uc for r in records)) == (1326, 1293)
 
 
 def test_orbit_counts():
@@ -230,6 +322,15 @@ def test_a_graph_its_characters_do_not_fit_is_refused(monkeypatch, toggle):
     monkeypatch.setattr(exact, "cayley_z2", toggled)
     with pytest.raises(InternalCheckError):
         survey_one(3, (1, 2, 4))
+
+
+def test_the_character_table_is_built_once_per_n_and_read_only():
+    h = exact.characters(3)
+    assert exact.characters(3) is h
+    assert h.tolist() == [[(-1) ** (x & v).bit_count() for v in range(8)] for x in range(8)]
+    with pytest.raises(ValueError):
+        h[0, 0] = 5
+    assert h[0, 0] == 1
 
 
 def test_survey_x_dim_agrees_with_the_echelon_basis_route():
