@@ -46,5 +46,7 @@ print("witness dimension histogram:", dict(sorted(dims.items())))
 # CSV and JSON reports are deterministic; here are the first lines
 print("\n" + "\n".join(report_csv(run_survey(2)).splitlines()[:4]))
 
-# the n=5 census (1326 connected classes, 1293 completable) takes around
-# 15 minutes of CPU: run_survey(5, workers=8) if you have the cores
+# the n=5 census (1326 connected classes, 1293 completable) is run_survey(5):
+# about 72 s of CPU, almost all of it the serial orbit enumeration. Workers
+# share only the verdicts (about 1 s), so run_survey(5, workers=8) barely
+# helps

@@ -17,6 +17,7 @@ from eigenframe import (
     graph_spectrum,
     kneser,
     kneser_framework,
+    least_eigenspace,
     least_eigenvalue_framework,
 )
 from eigenframe.graphs import from_edges
@@ -24,7 +25,7 @@ from eigenframe.graphs import from_edges
 # the complete graph on four vertices: tau = -1 with multiplicity 3,
 # so the points live in 3 dimensions (a regular tetrahedron)
 k4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-fw = least_eigenvalue_framework(k4, backend="exact")
+fw = least_eigenvalue_framework(least_eigenspace(k4, "exact"))
 print("K4 spectrum:", graph_spectrum(k4).pairs)
 print("K4 framework dimension:", fw.d)
 print("Gram row 0:", [str(fw.gram[0, j]) for j in range(4)])
@@ -37,7 +38,7 @@ assert adjacency_matrix(k4) @ fw.points == fw.points * fw.tau
 
 # the Petersen graph, built as the disjointness graph of 2-element subsets
 pet = kneser(5, 2)
-fw_pet = least_eigenvalue_framework(pet, backend="exact")
+fw_pet = least_eigenvalue_framework(least_eigenspace(pet, "exact"))
 print("\nPetersen: tau =", fw_pet.tau, " multiplicity =", fw_pet.tau_multiplicity)
 print("diagonal entry:", fw_pet.gram[0, 0], " (equals multiplicity / vertices)")
 

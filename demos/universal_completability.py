@@ -14,6 +14,7 @@ fails, and walks the witness down to a genuinely different framework.
 from eigenframe import (
     dominated_frameworks,
     is_universally_completable,
+    least_eigenspace,
     least_eigenvalue_framework,
     neighborhood_condition,
     xspace,
@@ -26,12 +27,14 @@ from eigenframe.graphs import cycle, from_edges, kneser
 # reporting the singular-value margin of the complement-edge system whose
 # full rank it proves
 for n in (5, 7, 9, 11):
-    verdict = is_universally_completable(cycle(n), backend="floating")
+    verdict = is_universally_completable(least_eigenspace(cycle(n), "floating"))
     xs = verdict.witness
     print(f"C{n}: completable={verdict.uc}  margin={xs.sv_margin:.3g}")
 
-# the Petersen graph certifies exactly (integer eigenvalue, modular rank)
-pet = kneser(5, 2)
+# the Petersen graph certifies exactly (integer eigenvalue, modular rank).
+# Its least eigenspace is certified once; every check reads that one
+# eigenspace and follows its backend.
+pet = least_eigenspace(kneser(5, 2), "exact")
 print("\nPetersen:", is_universally_completable(pet).uc)
 
 # two sufficient conditions that skip the linear solve entirely
@@ -39,15 +42,15 @@ print("neighborhood condition:", neighborhood_condition(pet).holds)
 print("clique condition:", clique_condition_any(pet)[0])
 
 # the smallest failure: two disjoint edges. The witness space is a line.
-g = from_edges(4, [(0, 1), (2, 3)])
-xs = xspace(g)
+two_k2 = least_eigenspace(from_edges(4, [(0, 1), (2, 3)]), "exact")
+xs = xspace(two_k2)
 print("\ntwo disjoint edges: witness dimension =", xs.dim)
 x = xs.basis[0]
 print("witness matrix rows:", [[str(x[i, j]) for j in range(4)] for i in range(4)])
 
 # push the framework along the witness: same bars, different shape.
 # The safe step size comes from a Gershgorin bound.
-fw = least_eigenvalue_framework(g, backend="exact")
+fw = least_eigenvalue_framework(two_k2)
 c = gershgorin_scale(x)
 moved = dominated_frameworks(fw, x, c=c)
 print("step size:", c)

@@ -12,6 +12,7 @@ script shows both outcomes.
 from eigenframe import (
     is_one_walk_regular,
     is_uniquely_vector_colorable_1wr,
+    least_eigenspace,
     optimal_vector_coloring_1wr,
     validate_coloring,
 )
@@ -32,8 +33,9 @@ col = optimal_vector_coloring_1wr(cycle(6))
 print("\nC6: t =", col.t)
 print("verdict:", validate_coloring(cycle(6), col.gram, col.t).status)
 
-# uniqueness holds for the Petersen graph
-res = is_uniquely_vector_colorable_1wr(kneser(5, 2))
+# uniqueness holds for the Petersen graph, decided exactly on its certified
+# least eigenspace
+res = is_uniquely_vector_colorable_1wr(least_eigenspace(kneser(5, 2), "exact"))
 print("\nPetersen uniquely colorable:", res.uvc)
 
 # two disjoint triangles are walk-regular but each triangle can spin

@@ -49,7 +49,6 @@ from .exact import (
     adjacency_matrix,
     cayley_spectrum,
     charpoly,
-    floating_least_eigenspace,
     graph_spectrum,
     is_psd_exact,
     least_eigenspace,

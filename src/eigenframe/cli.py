@@ -229,7 +229,7 @@ def cmd_vc(args) -> int:
     docs, rows = [], []
     for label, g in _load_graphs(args):
         try:
-            result = is_uniquely_vector_colorable_1wr(g, args.backend, args.tol)
+            result = is_uniquely_vector_colorable_1wr(least_eigenspace(g, args.backend, args.tol))
         except ValueError as exc:
             raise UnsupportedInputError(str(exc)) from exc
         col = result.coloring

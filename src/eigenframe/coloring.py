@@ -183,17 +183,15 @@ def _require_1wr(g) -> None:
         raise ValueError(f"graph is not 1-walk-regular: {cert.describe_failure()}")
 
 
-def optimal_vector_coloring_1wr(
-    g, backend: str = "auto", tol: float = DEFAULT_TOL
-) -> VectorColoring:
+def optimal_vector_coloring_1wr(g) -> VectorColoring:
     """The least-eigenspace coloring of a 1-walk-regular graph, given as a
-    Graph or as its LeastEigenspace.
+    Graph, certified here, or as its LeastEigenspace.
 
     Gram matrix (n/d) times the eigenprojector; value t = 1 - r/tau with r
     the common degree. Strictness is rechecked rather than assumed.
     """
     _require_1wr(g)
-    return _eigenspace_coloring(_eigenspace_of(g, backend, tol))[0]
+    return _eigenspace_coloring(_eigenspace_of(g))[0]
 
 
 def _eigenspace_coloring(les):
@@ -230,20 +228,19 @@ class UVCResult:
         return self.witness_space.dim if self.witness_space is not None else None
 
 
-def is_uniquely_vector_colorable_1wr(
-    g, backend: str = "auto", tol: float = DEFAULT_TOL
-) -> UVCResult:
+def is_uniquely_vector_colorable_1wr(g) -> UVCResult:
     """Decide unique vector colorability of a 1-walk-regular graph, given as
-    a Graph or as its LeastEigenspace.
+    a Graph, certified here, or as its LeastEigenspace.
 
     Unique exactly when the graph is connected and the completability
     witness space is trivial. Negative verdicts come with a second optimal
     coloring whenever one can be built: the eigenspace coloring plus a
     scaled witness, which keeps the diagonal, the edge values, and hence the
-    value t.
+    value t. A floating witness is checked within the tolerance its
+    eigenspace was clustered with.
     """
     _require_1wr(g)
-    les = _eigenspace_of(g, backend, tol)
+    les = _eigenspace_of(g)
     g = les.graph
     coloring, fw = _eigenspace_coloring(les)
     if g.num_edges() == 0:
@@ -258,6 +255,7 @@ def is_uniquely_vector_colorable_1wr(
     reason = None if g.is_connected() else "disconnected, components move independently"
     alternate = None
     if xs.dim > 0:
+        tol = les.spectrum.tolerance or DEFAULT_TOL  # an exact witness reads no tolerance
         shifted = dominated_frameworks(fw, xs.basis[0], tol=tol)
         alternate = _scaled_coloring(shifted, fw.d, coloring.t)
         if fw.is_exact() and alternate.gram == coloring.gram:

@@ -27,10 +27,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InternalCheckError, ResourceLimitError, UnsupportedInputError
+from .errors import InternalCheckError, UnsupportedInputError
 from .exact import (
     DEFAULT_TOL,
-    SYSTEM_BYTE_CAP,
     ExactMatrix,
     LeastEigenspace,
     _eigenspace_of,
@@ -39,7 +38,7 @@ from .exact import (
     rank_exact,
 )
 from .frameworks import Framework, dominates
-from .graphs import Graph, maximal_cliques
+from .graphs import Graph, check_budget, maximal_cliques
 from .modular import rank_mod_p
 
 SV_THRESHOLD = 1e-7
@@ -86,8 +85,8 @@ class XSpaceBasis:
         """Floating path only (else None): the smallest-to-largest singular
         value ratio of the complement-edge system M on the eigenspace; None
         without complement pairs, 0.0 when dim > 0. Read on first use from
-        the Gram matrix M^T M (_complement_gram), after the SYSTEM_BYTE_CAP
-        check: sigma_max^2 is its largest eigenvalue, and sigma_min is
+        the Gram matrix M^T M (_complement_gram), after check_budget:
+        sigma_max^2 is its largest eigenvalue, and sigma_min is
         ||M v|| / ||v|| = ||(A - tau I) X||_F / ||v|| for v from one inverse
         iteration step, shifted |pairs| eps lambda_max below lambda_min. That
         keeps an SVD's relative error of about eps / margin, where
@@ -99,7 +98,7 @@ class XSpaceBasis:
         pairs = _complement_pairs(self.graph)
         if not pairs:
             return None
-        _check_budget(len(pairs), len(pairs))
+        check_budget(len(pairs) ** 2, f"a {len(pairs)} x {len(pairs)} system")
         shifted = self.eigenspace.shifted
         k, j = np.array(pairs).T
         gram = _complement_gram(shifted, k, j)
@@ -117,13 +116,6 @@ def _complement_pairs(g: Graph):
 
 def _closed_pairs(g: Graph):
     return [(i, i) for i in range(g.n)] + list(g.edges())
-
-
-def _check_budget(nrows, ncols):
-    if 8 * nrows * ncols > SYSTEM_BYTE_CAP:
-        raise ResourceLimitError(
-            f"a {nrows} x {ncols} system exceeds the {SYSTEM_BYTE_CAP}-byte budget"
-        )
 
 
 def _complement_gram(shifted, k, j):
@@ -154,7 +146,7 @@ def _rspace_rows(les):
         return [p[i][a] * p[j][c] + (p[i][c] * p[j][a] if a != c else 0) for a, c in tri]
 
     closed = _closed_pairs(les.graph)
-    _check_budget(len(closed), len(tri))
+    check_budget(len(closed) * len(tri), f"a {len(closed)} x {len(tri)} system")
     return [form(i, j) for i, j in closed], tri
 
 
@@ -216,26 +208,27 @@ def _rspace_kernel(les):
             for vec in nullspace_fast(rows, pivot_rows)]
 
 
-def xspace(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> XSpaceBasis:
+def xspace(g) -> XSpaceBasis:
     """Solve for all symmetric X with (A+I) o X = 0 and (A - tau I) X = 0.
 
-    g is a Graph, certified here, or its LeastEigenspace. Exact path: the
-    basis is the echelon basis over complement-edge unknowns, one matrix per
-    free complement pair: phi of each echelon kernel vector of the R-system,
-    divided to a primitive integer matrix and verified exactly. Column a of
-    B ends at its free vertex f_a, where row f_a of B is a positive multiple
-    of e_a, so X and R share their last nonzero entry and this is the
-    echelon basis of the complement-pair system. Floating path: the
+    g is a Graph, certified here, or its LeastEigenspace, whose backend
+    decides the path. Exact path: the basis is the echelon basis over
+    complement-edge unknowns, one matrix per free complement pair: phi of
+    each echelon kernel vector of the R-system, divided to a primitive
+    integer matrix and verified exactly. Column a of B ends at its free
+    vertex f_a, where row f_a of B is a positive multiple of e_a, so X and R
+    share their last nonzero entry and this is the echelon basis of the
+    complement-pair system. Floating path: the
     dimension is zero when the R-system on the orthonormal eigh basis bounds
     the complement-pair system's margin by ten times SV_THRESHOLD
     (_rspace_margin_bound), the answer that system's rank test would give.
     Otherwise the same SVD of the R-system decides: its singular values at
     most SV_THRESHOLD times the largest count the dimension, and phi of their
     right singular vectors, each scaled to unit norm over the complement
-    pairs, are the basis. A system over SYSTEM_BYTE_CAP bytes raises
-    ResourceLimitError before it is built.
+    pairs, are the basis. A system over the byte budget (check_budget)
+    raises ResourceLimitError before it is built.
     """
-    les = _eigenspace_of(g, backend, tol)
+    les = _eigenspace_of(g)
     pairs = _complement_pairs(les.graph)
     if not pairs:
         return XSpaceBasis(les, ())
@@ -265,7 +258,7 @@ class UCVerdict:
     witness: XSpaceBasis
 
 
-def is_universally_completable(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> UCVerdict:
+def is_universally_completable(g) -> UCVerdict:
     """Universal completability of the least-eigenvalue framework of a Graph
     or of its LeastEigenspace.
 
@@ -273,7 +266,7 @@ def is_universally_completable(g, backend: str = "auto", tol: float = DEFAULT_TO
     along as the certificate either way. Tensegrities with cables are out of
     scope (the canonical stress argument needs nonnegative edge weights).
     """
-    les = _eigenspace_of(g, backend, tol)
+    les = _eigenspace_of(g)
     if les.graph.has_cables():
         raise UnsupportedInputError("cable edges are not supported")
     xs = xspace(les)
@@ -295,9 +288,10 @@ def phi(r, g, tol: float = DEFAULT_TOL):
     of its LeastEigenspace.
 
     r must be a symmetric d x d matrix, an ExactMatrix on the exact path,
-    and X must vanish on the diagonal and on edges; ValueError otherwise.
+    and X must vanish on the diagonal and on edges, floating entries within
+    tol; ValueError otherwise.
     """
-    les = _eigenspace_of(g, "auto", tol)
+    les = _eigenspace_of(g)
     d = les.spectrum.tau_multiplicity
     if les.is_exact():
         if not isinstance(r, ExactMatrix) or r.shape != (d, d) or not r.is_symmetric():
@@ -324,7 +318,7 @@ def phi_inverse(x, g, tol: float = DEFAULT_TOL):
     orthonormal eigh basis; ValueError unless x is n x n and phi(R) is
     within tol * max(1, max |x_ij|) of x.
     """
-    les = _eigenspace_of(g, "auto", tol)
+    les = _eigenspace_of(g)
     n = les.graph.n
     if not les.is_exact():
         x = np.asarray(x, dtype=float)
@@ -451,19 +445,18 @@ def _nonsingular_off(les, removed) -> bool:
     return bool(np.linalg.svd(les.basis[rows], compute_uv=False)[-1] > NEIGHBORHOOD_MARGIN)
 
 
-def neighborhood_condition(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> ConditionReport:
+def neighborhood_condition(g) -> ConditionReport:
     """Punctured-neighborhood test: deleting any closed neighborhood N[v]
     must leave a graph whose least eigenvalue strictly exceeds tau.
 
-    g is a Graph or its LeastEigenspace; backend and tol only pick the
-    certification of a bare Graph. By interlacing that is nonsingularity of
-    A - tau I off N[v], so each vertex costs one rank test of the |N[v]|
-    rows of the eigenspace basis there (_nonsingular_off); an empty
-    punctured graph counts as eigenvalue zero, so passes exactly when
-    tau < 0. Holding implies universal completability; failing implies
-    nothing.
+    g is a Graph, certified here, or its LeastEigenspace. By interlacing
+    that is nonsingularity of A - tau I off N[v], so each vertex costs one
+    rank test of the |N[v]| rows of the eigenspace basis there
+    (_nonsingular_off); an empty punctured graph counts as eigenvalue zero,
+    so passes exactly when tau < 0. Holding implies universal
+    completability; failing implies nothing.
     """
-    les = _eigenspace_of(g, backend, tol)
+    les = _eigenspace_of(g)
     g = les.graph
     for v in range(g.n):
         closed = {v, *g.neighbours(v)}
@@ -473,18 +466,17 @@ def neighborhood_condition(g, backend: str = "auto", tol: float = DEFAULT_TOL) -
     return ConditionReport(True)
 
 
-def clique_condition(g, clique, backend: str = "auto", tol: float = DEFAULT_TOL) -> bool:
+def clique_condition(g, clique) -> bool:
     """Invertibility of the shifted adjacency matrix outside a clique.
 
-    g is a Graph or its LeastEigenspace; backend and tol only pick the
-    certification of a bare Graph. An invertible principal submatrix of
-    A - tau I on the clique's complement forces every completability
-    witness to vanish, so holding implies universal completability. It is
+    g is a Graph, certified here, or its LeastEigenspace. An invertible
+    principal submatrix of A - tau I on the clique's complement forces every
+    completability witness to vanish, so holding implies universal completability. It is
     invertible exactly when the clique's rows of the eigenspace basis have
     full rank d (see _nonsingular_off), so a clique of fewer than d vertices
     never passes. Vertices outside the graph raise ValueError.
     """
-    les = _eigenspace_of(g, backend, tol)
+    les = _eigenspace_of(g)
     g = les.graph
     clique = sorted(set(clique))
     for v in clique:
@@ -497,12 +489,13 @@ def clique_condition(g, clique, backend: str = "auto", tol: float = DEFAULT_TOL)
     return _nonsingular_off(les, set(clique))
 
 
-def clique_condition_any(g, backend: str = "auto", tol: float = DEFAULT_TOL):
+def clique_condition_any(g):
     """First maximal clique (largest, then lexicographic) whose complement
     passes the invertibility test on the one A - tau I, or (False, None).
     Only cliques of at least d vertices are searched, as a smaller one never
-    passes (see clique_condition)."""
-    les = _eigenspace_of(g, backend, tol)
+    passes (see clique_condition). g is a Graph, certified here, or its
+    LeastEigenspace."""
+    les = _eigenspace_of(g)
     d = les.spectrum.tau_multiplicity
     for clique in sorted(maximal_cliques(les.graph, d), key=lambda c: (-len(c), c)):
         if clique_condition(les, clique):

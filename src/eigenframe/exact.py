@@ -36,8 +36,8 @@ from operator import mul
 
 import numpy as np
 
-from .errors import InternalCheckError, NumericalError, ResourceLimitError, UnsupportedInputError
-from .graphs import SYSTEM_BYTE_CAP, CayleySpec, Graph, cayley_z2
+from .errors import InternalCheckError, NumericalError, UnsupportedInputError
+from .graphs import CayleySpec, Graph, cayley_z2, check_budget
 
 DEFAULT_TOL = 1e-8
 
@@ -169,22 +169,17 @@ class ExactMatrix:
         return [Fraction(x, self.den) for row in self.num for x in row]
 
 
-def _refuse_over_budget(n: int):
-    """ResourceLimitError when an n x n matrix at 8 bytes a cell exceeds SYSTEM_BYTE_CAP."""
-    if 8 * n * n > SYSTEM_BYTE_CAP:
-        raise ResourceLimitError(f"{n} x {n} matrix exceeds the {SYSTEM_BYTE_CAP}-byte budget")
-
-
 def adjacency_matrix(g: Graph) -> ExactMatrix:
-    """Exact adjacency matrix; ResourceLimitError before it is built over SYSTEM_BYTE_CAP."""
-    _refuse_over_budget(g.n)
+    """Exact adjacency matrix; ResourceLimitError before it is built over the
+    byte budget (check_budget)."""
+    check_budget(g.n * g.n, f"{g.n} x {g.n} matrix")
     return ExactMatrix._from_ints(g.adjacency_rows())
 
 
 def _adjacency_int64(g: Graph):
     """The adjacency matrix as an int64 array, unpacked from the neighbour
-    bitmasks; refused over SYSTEM_BYTE_CAP like adjacency_matrix."""
-    _refuse_over_budget(g.n)
+    bitmasks; refused over the byte budget like adjacency_matrix."""
+    check_budget(g.n * g.n, f"{g.n} x {g.n} matrix")
     width = (g.n + 7) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in g.nbr), dtype=np.uint8)
     bits = np.unpackbits(packed, bitorder="little").reshape(g.n, 8 * width)
@@ -509,22 +504,6 @@ def _least_kernel(rows, k):
     return status, basis
 
 
-def _exact_spectrum(rows, tau, tau_mult, tol):
-    n = len(rows)
-    vals = np.linalg.eigvalsh(np.array(rows, dtype=float))
-    rest = sorted(vals)[tau_mult:]
-    pairs = [(tau, tau_mult)]
-    for center, mult in _cluster(rest, tol):
-        k = round(center)
-        if abs(center - k) <= 1e-6 and k != tau:
-            exact_mult = n - rank_exact(_shift_diagonal(rows, k))
-            if exact_mult == mult:
-                pairs.append((Fraction(k), mult))
-                continue
-        pairs.append((center, mult))
-    return Spectrum(tuple(pairs), tau, tau_mult, "exact")
-
-
 @dataclass(frozen=True)
 class CayleySpectrum:
     """Character spectrum of a Cayley graph on Z_2^n, proved on graph."""
@@ -625,34 +604,33 @@ def _eigh_eigenspace(graph, arr, tol):
     return vals, LeastEigenspace(graph, spectrum, vecs[:, :d])
 
 
-def floating_least_eigenspace(g: Graph, tol: float = DEFAULT_TOL) -> LeastEigenspace:
-    """A graph's floating spectrum with an orthonormal basis of the least
-    eigencluster; TypeError for anything but a Graph."""
-    if not isinstance(g, Graph):
-        raise TypeError("floating eigenspace needs a Graph")
-    return _eigh_eigenspace(g, adjacency_matrix(g).to_float(), tol)[1]
-
-
 def least_eigenspace(
     g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL
 ) -> LeastEigenspace:
     """Certify a graph's least eigenvalue and return its eigenspace.
 
-    backend "exact" raises UnsupportedInputError unless the least eigenvalue
-    is an integer; "floating" never certifies; "auto" certifies an integer
-    one, else returns the floating eigenspace of the same eigh call that
-    guessed tau: auto trusts eigh to within 1e-6 when it routes an input to
-    floating, as a least value farther from every integer is not tested.
-    Only tau is certified; the pairs above it are eigh clusters.
+    This is the one place a backend is chosen: every check takes a Graph,
+    certified here with the defaults, or the LeastEigenspace this returns,
+    and follows its backend. backend "exact" raises UnsupportedInputError
+    unless the least eigenvalue is an integer; "floating" returns the
+    eigenspace of one eigh call, clustered within tol, and never certifies;
+    "auto" certifies an integer one, else returns the floating eigenspace of
+    the same eigh call that guessed tau: auto trusts eigh to within 1e-6
+    when it routes an input to floating, as a least value farther from
+    every integer is not tested. Only tau is certified; the pairs above it
+    are eigh clusters. TypeError for anything but a Graph: an eigenspace of
+    a bare matrix would have no graph to form A - tau I from.
     """
     if backend not in ("auto", "exact", "floating"):
         raise ValueError(f"unknown backend {backend!r}")
+    if not isinstance(g, Graph):
+        raise TypeError("least eigenspace needs a Graph")
     if g.n == 0:
         raise ValueError("empty graph has no spectrum")
-    if backend == "floating":
-        return floating_least_eigenspace(g, tol)
     a = adjacency_matrix(g)
     vals, floating = _eigh_eigenspace(g, a.to_float(), tol)
+    if backend == "floating":
+        return floating
     rows, lam = a.num, float(vals[0])
     k = round(lam)
     if abs(lam - k) <= 1e-6:
@@ -672,17 +650,28 @@ def least_eigenspace(
     return LeastEigenspace(g, Spectrum(pairs, tau, d, "exact"), basis)
 
 
-def _eigenspace_of(g, backend: str, tol: float) -> LeastEigenspace:
-    """A LeastEigenspace as given, or a graph's, certified here."""
-    return g if isinstance(g, LeastEigenspace) else least_eigenspace(g, backend, tol)
+def _eigenspace_of(g) -> LeastEigenspace:
+    """A LeastEigenspace as given, or a Graph's, certified by least_eigenspace
+    with its defaults."""
+    return g if isinstance(g, LeastEigenspace) else least_eigenspace(g)
 
 
 def graph_spectrum(g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL) -> Spectrum:
     """Spectrum of a graph, exact when the least eigenvalue is integral (the
     backends as in least_eigenspace). The full spectrum is what its callers
     read, so unlike least_eigenspace an exact spectrum here also certifies
-    every integer eigenvalue above tau."""
+    every integer eigenvalue above tau: an eigh cluster of least_eigenspace
+    within 1e-6 of an integer k becomes k when the exact corank of A - kI
+    equals its size."""
     s = least_eigenspace(g, backend, tol).spectrum
     if s.backend == "floating":
         return s
-    return _exact_spectrum(adjacency_matrix(g).num, s.tau, s.tau_multiplicity, tol)
+    rows = g.adjacency_rows()  # within budget: least_eigenspace built A
+    pairs = [s.pairs[0]]
+    for center, mult in s.pairs[1:]:
+        k = round(center)
+        if abs(center - k) <= 1e-6 and k != s.tau:
+            if g.n - rank_exact(_shift_diagonal(rows, k)) == mult:
+                center = Fraction(k)
+        pairs.append((center, mult))
+    return Spectrum(tuple(pairs), s.tau, s.tau_multiplicity, "exact")

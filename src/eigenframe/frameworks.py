@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import InternalCheckError, UnsupportedInputError
 from .exact import (
-    DEFAULT_TOL,
     ExactMatrix,
     LeastEigenspace,
     _eigenspace_of,
@@ -145,16 +144,16 @@ def _gram_rank(gram, points) -> int:
     return int(np.linalg.matrix_rank(np.asarray(gram)))
 
 
-def least_eigenvalue_framework(g, backend: str = "auto", tol: float = DEFAULT_TOL) -> Framework:
-    """The framework spanned by the least adjacency eigenspace of a Graph or
-    of its LeastEigenspace.
+def least_eigenvalue_framework(g) -> Framework:
+    """The framework spanned by the least adjacency eigenspace of a Graph,
+    certified here, or of its LeastEigenspace, whose backend it follows.
 
     Exact path (integral least eigenvalue): the Gram matrix is the projector
     onto the eigenspace, computed exactly, and the projector's own rows are
     the points (idempotence makes them a valid factorization). Floating
     path: rows of an orthonormal eigenbasis.
     """
-    les = _eigenspace_of(g, backend, tol)
+    les = _eigenspace_of(g)
     if les.is_exact():
         gram = points = projector_onto_nullspace(les)
     else:
@@ -279,7 +278,7 @@ def canonical_stress(g: Graph, framework: Framework | None = None) -> StressMatr
     if g.has_cables():
         raise UnsupportedInputError("canonical stress is undefined with cable edges")
     if framework is None:
-        framework = least_eigenvalue_framework(g, backend="exact")
+        framework = least_eigenvalue_framework(least_eigenspace(g, "exact"))
     if not framework.is_exact():
         raise UnsupportedInputError("canonical stress needs the exact backend")
     if framework.eigenspace is None:

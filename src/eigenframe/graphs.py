@@ -25,11 +25,19 @@ CABLE = "cable"
 STRUT = "strut"
 _LABELS = (BAR, CABLE, STRUT)
 
-SYSTEM_BYTE_CAP = 1 << 30  # largest matrix or linear system allocated, at 8 bytes a cell
+SYSTEM_BYTE_CAP = 1 << 30  # largest matrix, linear system or list allocated, at 8 bytes a cell
 # graph6 packs the n(n - 1)/2 upper-triangle bits six to a character, about
 # n^2/12 cells; at 8 bytes a cell they stay within SYSTEM_BYTE_CAP up to
 # isqrt(12 * 2^30 / 8) = 40132 vertices
 VERTEX_CAP = math.isqrt(12 * SYSTEM_BYTE_CAP // 8)
+
+
+def check_budget(cells: int, what: str) -> None:
+    """ResourceLimitError, naming what, when cells at 8 bytes a cell exceed
+    SYSTEM_BYTE_CAP: every matrix, system and list whose size an input sets
+    is checked here before it is built (or grown)."""
+    if 8 * cells > SYSTEM_BYTE_CAP:
+        raise ResourceLimitError(f"{what} exceeds the {SYSTEM_BYTE_CAP}-byte budget")
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,8 +360,7 @@ def q_kneser(q, n, r) -> Graph:
     if r < 1 or n < r:
         raise ValueError("need 1 <= r <= n")
     count = gaussian_binomial(n, r, q)
-    if 8 * count * count > SYSTEM_BYTE_CAP:
-        raise ResourceLimitError(f"{count} x {count} matrix exceeds the {SYSTEM_BYTE_CAP}-byte budget")
+    check_budget(count * count, f"{count} x {count} matrix")
     verts = sorted(subspaces_mod_q(q, n, r))
     edges = []
     for a in range(len(verts)):
@@ -437,9 +444,14 @@ def maximal_cliques(g: Graph, min_size: int = 0):
     emits cliques in depth-first order, dropping a frame whose r | p holds
     fewer than min_size vertices. It is not a recursive closure: a
     closure that calls itself sits in a reference cycle, which every call
-    would leave behind for the cyclic collector.
+    would leave behind for the cyclic collector. Each listed clique is
+    charged to check_budget as its vertices plus 8 cells for the list object
+    (on CPython a k-vertex list takes at least 8k + 64 bytes), so a graph with
+    too many cliques (K_{3,...,3} on k parts has 3^k) is refused before
+    memory runs out.
     """
     out = []
+    listed = 0
     stack = [[0, (1 << g.n) - 1, 0, None]] if g.n else []
     while stack:
         frame = stack[-1]
@@ -449,6 +461,8 @@ def maximal_cliques(g: Graph, min_size: int = 0):
                 stack.pop()
                 continue
             if not p and not x:
+                listed += r.bit_count() + 8
+                check_budget(listed, f"the list of {len(out) + 1} maximal cliques")
                 out.append([v for v in range(g.n) if r >> v & 1])
                 stack.pop()
                 continue

@@ -146,7 +146,7 @@ def test_criterion_4_qkneser_second_coloring(capsys):
     assert isinstance(alt.gram, ExactMatrix) and isinstance(alt.t, Fraction)
     assert alt.t == base.t
     # the published optimum: the projector scaled to unit diagonal
-    fw = least_eigenvalue_framework(g, backend="exact")
+    fw = least_eigenvalue_framework(least_eigenspace(g, "exact"))
     assert base.gram == fw.gram * Fraction(g.n, fw.d)
     assert alt.gram != base.gram
     verdict = validate_coloring(g, alt.gram, alt.t)
@@ -161,7 +161,7 @@ def test_criterion_4_qkneser_second_coloring(capsys):
 def test_criterion_5_kneser_framework_congruence(capsys):
     fw = kneser_framework(5, 2)
     unit = fw.rescaled(Fraction(1, fw.gram[0, 0]))
-    pet = least_eigenvalue_framework(kneser(5, 2), backend="exact")
+    pet = least_eigenvalue_framework(least_eigenspace(kneser(5, 2), "exact"))
     scaled_projector = pet.gram * Fraction(pet.n, pet.d)
     ok = unit.gram == scaled_projector
     with capsys.disabled():
@@ -175,7 +175,7 @@ def test_criterion_6_dense_oracle_equivalence(capsys):
         spec = graph_spectrum(g)
         if spec.backend != "exact":
             continue
-        production = xspace(g, backend="exact").dim
+        production = xspace(least_eigenspace(g, "exact")).dim
         reference = dense_xspace_dim(g, spec.tau)
         assert production == reference, \
             f"graph {emit_graph6(g)}: {production} != {reference}"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -13,7 +14,15 @@ import pytest
 from corpus import PERFBENCH, atlas_graphs, benchmark_ops
 from eigenframe import cli, completability, exact, graphs
 from eigenframe.errors import InternalCheckError, UnsupportedInputError
-from eigenframe.graphs import Graph, complement, cycle, emit_graph6, kneser, parse_graph6
+from eigenframe.graphs import (
+    Graph,
+    complement,
+    cycle,
+    emit_graph6,
+    from_edges,
+    kneser,
+    parse_graph6,
+)
 from eigenframe.serialize import number_token
 from eigenframe.survey import survey_one
 from oracles import x_system_svd
@@ -220,7 +229,7 @@ def test_workers_default_is_read_when_survey_runs(monkeypatch, capsys):
 def test_check_uc_clique_condition_uses_the_requested_backend(monkeypatch, capsys):
     calls = []
 
-    def recording(les, backend="auto", tol=1e-8):
+    def recording(les):
         calls.append((les.spectrum.backend, les.spectrum.tolerance))
         return True, (0, 1)
 
@@ -233,15 +242,18 @@ def test_check_uc_clique_condition_uses_the_requested_backend(monkeypatch, capsy
 
 @pytest.mark.parametrize("spec", ["cycle:5", "kneser:5,2"])
 def test_system_over_the_byte_budget_is_refused_before_it_is_built(monkeypatch, capsys, spec):
+    # the cap admits the n x n adjacency matrix, and no R-system: C5 has a
+    # 10 x 3 one, K(5,2) a 25 x 10 one
     def never(*args):
         raise AssertionError("a system was built over the budget")
 
-    monkeypatch.setattr(completability, "SYSTEM_BYTE_CAP", 8)
+    n = cli._parse_gen(spec).n
+    monkeypatch.setattr(graphs, "SYSTEM_BYTE_CAP", 8 * n * n)
     monkeypatch.setattr(completability, "_complement_gram", never)
     monkeypatch.setattr(completability, "rank_mod_p", never)
     code, out, err = run(capsys, "check-uc", "--gen", spec)
     assert code == 2 and out == ""
-    assert "byte budget" in err
+    assert f"system exceeds the {8 * n * n}-byte budget" in err
 
 
 @pytest.mark.parametrize("command", ["check-uc", "vc", "dominated"])
@@ -279,21 +291,36 @@ def test_kneser_graphs_over_the_byte_budget_are_refused_in_seconds(monkeypatch, 
 
 
 def test_the_byte_budget_holds_for_the_system_a_command_builds(monkeypatch, capsys):
-    # C9: the R-system is 18 x 3 (432 bytes), the Gram matrix of the
-    # complement-edge system 27 x 27 (5832 bytes). Only check-uc reads the
-    # margin that needs it.
+    # C9: the adjacency matrix is 9 x 9 (648 bytes), the R-system 18 x 3
+    # (432 bytes), the Gram matrix of the complement-edge system 27 x 27
+    # (5832 bytes). Only check-uc reads the margin that needs it.
     def never(*args):
         raise AssertionError("a system was built over the budget")
 
     expected = {cmd: run(capsys, cmd, "--gen", "cycle:9") for cmd in ("vc", "dominated")}
-    monkeypatch.setattr(completability, "SYSTEM_BYTE_CAP", 500)
+    monkeypatch.setattr(graphs, "SYSTEM_BYTE_CAP", 1000)
     monkeypatch.setattr(completability, "_complement_gram", never)
     code, out, err = run(capsys, "check-uc", "--gen", "cycle:9")
     assert code == 2 and out == ""
-    assert "27 x 27 system exceeds the 500-byte budget" in err
+    assert "27 x 27 system exceeds the 1000-byte budget" in err
     for cmd, result in expected.items():
         assert result[0] == 0
         assert run(capsys, cmd, "--gen", "cycle:9") == result
+
+
+def test_a_clique_list_over_the_byte_budget_is_refused_before_it_grows(monkeypatch, capsys):
+    # K_{3,...,3} on 8 parts: tau = -3, d = 7 and 3^8 = 6561 maximal
+    # 8-cliques, charged 16 cells each. The 100000-byte cap admits the
+    # 24 x 24 adjacency matrix and the 276 x 28 R-system, not the clique
+    # list; on k = 20 parts (60 vertices) the list would hold 3^20 cliques.
+    g = from_edges(24, [(a, b) for a, b in itertools.combinations(range(24), 2)
+                        if a // 3 != b // 3])
+    code, out, _ = run(capsys, "check-uc", "--graph6", emit_graph6(g))
+    assert code == 0 and json.loads(out)["conditions"]["clique"] is True
+    monkeypatch.setattr(graphs, "SYSTEM_BYTE_CAP", 100_000)
+    code, out, err = run(capsys, "check-uc", "--graph6", emit_graph6(g))
+    assert code == 2 and out == ""
+    assert "maximal cliques exceeds the 100000-byte budget" in err
 
 
 @pytest.mark.parametrize("source", ["cycle:9", "gnp"])
@@ -357,7 +384,7 @@ def _count_calls(monkeypatch, calls, names):
 @pytest.mark.parametrize("command", ["check-uc", "vc", "dominated"])
 def test_each_command_certifies_its_input_eigenspace_once(monkeypatch, capsys, command, spec, n):
     calls = Counter()
-    _count_calls(monkeypatch, calls, ("floating_least_eigenspace", "nullspace"))
+    _count_calls(monkeypatch, calls, ("least_eigenspace", "nullspace"))
     # one eigh call from the exact module serves the guess of tau and the
     # floating basis
     for name in ("eigh", "eigvalsh"):
@@ -370,8 +397,9 @@ def test_each_command_certifies_its_input_eigenspace_once(monkeypatch, capsys, c
 
         monkeypatch.setattr(np.linalg, name, counted_solver)
     assert run(capsys, command, "--gen", spec)[0] == 0
-    for name in ("floating_least_eigenspace", "eigensolver"):
-        assert calls[name, (n, n)] <= 1, (name, calls)
+    certified = sum(k for (name, _), k in calls.items() if name == "least_eigenspace")
+    assert certified == calls["least_eigenspace", (n, n)] == 1, calls
+    assert calls["eigensolver", (n, n)] == 1, calls
     # the pass that proves tau gives the basis, so A - tau I is not
     # eliminated again
     assert calls["nullspace", (n, n)] == 0, calls

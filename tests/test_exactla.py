@@ -19,7 +19,6 @@ from eigenframe.exact import (
     adjacency_matrix,
     cayley_spectrum,
     charpoly,
-    floating_least_eigenspace,
     graph_spectrum,
     invert,
     is_psd_exact,
@@ -414,16 +413,16 @@ def test_least_eigenspace_agrees_with_the_bracket_and_the_floating_route():
         les, found = least_eigenspace(g), exact_mod._integer_bracket(adjacency_matrix(g).num)
         s = les.spectrum
         if found is None:
-            f = floating_least_eigenspace(g).spectrum
+            f = least_eigenspace(g, "floating").spectrum
             assert (s.backend, s.tau, s.tau_multiplicity) == ("floating", f.tau, f.tau_multiplicity)
         else:
             assert (s.backend, s.tau, s.tau_multiplicity) == ("exact", found[0], len(found[1]))
             assert les.basis == found[1]
-    # the auto floating route is floating_least_eigenspace, bit for bit
+    # the auto floating route is the floating backend's, bit for bit
     graphs = _floating_benchmark_graphs()
     assert len(graphs) == 14
     for g in graphs:
-        les, floating = least_eigenspace(g), floating_least_eigenspace(g)
+        les, floating = least_eigenspace(g), least_eigenspace(g, "floating")
         assert les.spectrum == floating.spectrum
         assert np.array_equal(les.basis, floating.basis)
 
@@ -457,18 +456,20 @@ def test_a_wrong_eigenspace_vector_is_refused(monkeypatch):
 
 
 def test_floating_eigenspace_orthonormal():
-    les = floating_least_eigenspace(kneser(5, 2))
+    les = least_eigenspace(kneser(5, 2), "floating")
     b = les.basis
     assert b.shape == (10, 4)
     assert np.allclose(b.T @ b, np.eye(4), atol=1e-9)
 
 
 def test_floating_eigenspace_needs_a_graph():
-    # an eigenspace of a bare matrix would have no graph to form A - tau I from
+    # an eigenspace of a bare matrix would have no graph to form A - tau I
+    # from, on any backend
     a = adjacency_matrix(kneser(5, 2))
     for bare in (a, a.to_float()):
-        with pytest.raises(TypeError):
-            floating_least_eigenspace(bare)
+        for backend in ("floating", "exact", "auto"):
+            with pytest.raises(TypeError):
+                least_eigenspace(bare, backend)
 
 
 def test_gf2_rank_and_span():

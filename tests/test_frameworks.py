@@ -13,8 +13,8 @@ from eigenframe.exact import (
     ExactMatrix,
     LeastEigenspace,
     adjacency_matrix,
-    floating_least_eigenspace,
     graph_spectrum,
+    least_eigenspace,
     rank_exact,
 )
 from eigenframe.frameworks import (
@@ -33,7 +33,7 @@ K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 
 
 def test_least_eigenvalue_framework_is_the_projector():
-    fw = least_eigenvalue_framework(K4, backend="exact")
+    fw = least_eigenvalue_framework(least_eigenspace(K4, "exact"))
     assert fw.gram @ fw.gram == fw.gram
     assert fw.gram[0, 0] == Fraction(3, 4) and fw.gram[0, 1] == Fraction(-1, 4)
     assert fw.d == 3 and fw.tau == -1 and fw.tau_multiplicity == 3
@@ -46,7 +46,7 @@ def test_projector_invariants_on_corpus():
         spec = graph_spectrum(g, backend="auto")
         if spec.backend != "exact":
             continue
-        fw = least_eigenvalue_framework(g, backend="exact")
+        fw = least_eigenvalue_framework(least_eigenspace(g, "exact"))
         assert fw.gram @ fw.gram == fw.gram
         assert fw.gram.trace() == fw.d == fw.tau_multiplicity == spec.tau_multiplicity
         assert adjacency_matrix(g) @ fw.gram == fw.gram * fw.tau
@@ -54,14 +54,14 @@ def test_projector_invariants_on_corpus():
 
 
 def test_floating_backend_close_to_exact():
-    fw_e = least_eigenvalue_framework(kneser(5, 2), backend="exact")
-    fw_f = least_eigenvalue_framework(kneser(5, 2), backend="floating")
+    fw_e = least_eigenvalue_framework(least_eigenspace(kneser(5, 2), "exact"))
+    fw_f = least_eigenvalue_framework(least_eigenspace(kneser(5, 2), "floating"))
     assert fw_f.d == fw_e.d == 4
     assert np.allclose(np.asarray(fw_f.gram, dtype=float), fw_e.gram.to_float(), atol=1e-8)
 
 
 def test_floating_backend_on_irrational_spectrum():
-    fw = least_eigenvalue_framework(cycle(5), backend="floating")
+    fw = least_eigenvalue_framework(least_eigenspace(cycle(5), "floating"))
     assert fw.d == 2
     g = np.asarray(fw.gram, dtype=float)
     assert np.allclose(g, g @ g, atol=1e-8)
@@ -69,7 +69,7 @@ def test_floating_backend_on_irrational_spectrum():
 
 def test_exact_backend_refuses_irrational_tau():
     with pytest.raises(UnsupportedInputError):
-        least_eigenvalue_framework(cycle(5), backend="exact")
+        least_eigenvalue_framework(least_eigenspace(cycle(5), "exact"))
 
 
 def test_kneser_framework_petersen():
@@ -83,7 +83,7 @@ def test_kneser_framework_petersen():
         for j in range(i + 1, 10):
             assert fw.gram[i, j] == (-20 if g.has_edge(i, j) else 5)
     # the gram is a positive multiple of the eigenprojector
-    proj = least_eigenvalue_framework(g, backend="exact").gram
+    proj = least_eigenvalue_framework(least_eigenspace(g, "exact")).gram
     assert fw.gram == proj * 75
 
 
@@ -158,7 +158,7 @@ def test_canonical_stress_refuses_cables():
 
 
 def test_stress_condition_reporting():
-    fw = least_eigenvalue_framework(K4, backend="exact")
+    fw = least_eigenvalue_framework(least_eigenspace(K4, "exact"))
     bad = StressMatrix(ExactMatrix.identity(4), fw)
     assert not bad.condition_annihilates()
     with pytest.raises(InternalCheckError):
@@ -166,7 +166,7 @@ def test_stress_condition_reporting():
 
 
 def test_dominates_and_congruent():
-    fw = least_eigenvalue_framework(K4, backend="exact")
+    fw = least_eigenvalue_framework(least_eigenspace(K4, "exact"))
     assert congruent(fw, fw)
     assert dominates(fw, fw)
     # unlabeled edges are struts: a framework with a strictly smaller inner
@@ -188,7 +188,7 @@ def test_results_hold_no_copy_of_their_eigenspace():
     assert [f.name for f in dataclasses.fields(Framework)] == [
         "graph", "gram", "points", "eigenspace", "d"]
     assert [f.name for f in dataclasses.fields(XSpaceBasis)] == ["eigenspace", "basis"]
-    fw = least_eigenvalue_framework(K4, backend="exact")
+    fw = least_eigenvalue_framework(least_eigenspace(K4, "exact"))
     xs = xspace(fw.eigenspace)
     assert xs.eigenspace is fw.eigenspace and fw.rescaled(2).eigenspace is fw.eigenspace
     assert (fw.backend, fw.tau, fw.tau_multiplicity) == ("exact", -1, 3)
@@ -198,14 +198,15 @@ def test_results_hold_no_copy_of_their_eigenspace():
     same = LeastEigenspace(K4, fw.eigenspace.spectrum, fw.eigenspace.basis[::-1])
     assert fw == dataclasses.replace(fw, eigenspace=same)
     assert fw != dataclasses.replace(fw, eigenspace=None)
-    assert xs == XSpaceBasis(same, xs.basis) == xspace(K4, "exact")
+    assert xs == XSpaceBasis(same, xs.basis) == xspace(least_eigenspace(K4, "exact"))
     k5 = from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    assert xs.basis == xspace(k5, "exact").basis == ()
-    assert xs != xspace(k5, "exact") and xs != xspace(K4, "floating")
+    assert xs.basis == xspace(least_eigenspace(k5, "exact")).basis == ()
+    assert xs != xspace(least_eigenspace(k5, "exact"))
+    assert xs != xspace(least_eigenspace(K4, "floating"))
 
 
 def test_a_framework_needs_its_own_eigenspace_for_stress_and_domination():
-    fw = least_eigenvalue_framework(K4, backend="exact")
+    fw = least_eigenvalue_framework(least_eigenspace(K4, "exact"))
     bare = Framework(K4, fw.gram, fw.points, d=fw.d)
     assert bare.backend == "exact" and bare.tau is None
     with pytest.raises(ValueError):
@@ -213,6 +214,6 @@ def test_a_framework_needs_its_own_eigenspace_for_stress_and_domination():
     with pytest.raises(ValueError):
         dominated_frameworks(bare, ExactMatrix.zeros(4))
     with pytest.raises(ValueError):
-        Framework(K4, fw.gram, eigenspace=floating_least_eigenspace(K4))
+        Framework(K4, fw.gram, eigenspace=least_eigenspace(K4, "floating"))
     with pytest.raises(ValueError):
         Framework(K4, fw.gram, eigenspace=least_eigenvalue_framework(cycle(4)).eigenspace)

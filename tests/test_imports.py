@@ -101,3 +101,51 @@ def test_the_check_sees_each_kind_of_private_helper():
         "b": "from .a import _TABLE\nfrom . import a\nprint(a._Hidden, _TABLE)\n",
     }
     assert _dead_private_helpers(sources) == ["a:_UNREAD", "a:_dead", "a:_recursive"]
+
+
+# least_eigenspace is the one place a backend is chosen (graph_spectrum is
+# built on it); the checks that read its eigenspace take its result instead,
+# and no tolerance either
+BACKEND_CHOOSERS = {"least_eigenspace", "graph_spectrum"}
+EIGENSPACE_CHECKS = {
+    "xspace", "is_universally_completable", "neighborhood_condition", "clique_condition",
+    "clique_condition_any", "least_eigenvalue_framework", "optimal_vector_coloring_1wr",
+    "is_uniquely_vector_colorable_1wr",
+}
+
+
+def _public_functions_with(source, param):
+    """Public functions and methods in source that take a parameter param."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                not node.name.startswith("_"):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            if any(p.arg == param for p in params):
+                found.append(node.name)
+    return found
+
+
+def test_only_least_eigenspace_takes_a_backend():
+    sources = [p.read_text() for p in sorted((ROOT / "src" / "eigenframe").glob("*.py"))]
+    defined = {node.name for source in sources for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef)}
+    assert EIGENSPACE_CHECKS <= defined
+    def taking(param):
+        return {name for source in sources for name in _public_functions_with(source, param)}
+
+    assert taking("backend") == BACKEND_CHOOSERS
+    assert not taking("tol") & EIGENSPACE_CHECKS
+
+
+def test_the_parameter_check_sees_each_kind_of_parameter():
+    source = (
+        "def least_eigenspace(g, backend='auto'):\n    pass\n"
+        "def check(g, *, backend):\n    pass\n"
+        "class A:\n    def method(self, backend, /):\n        pass\n"
+        "def _private(backend):\n    pass\n"
+        "def other(g, tol):\n    pass\n"
+    )
+    assert _public_functions_with(source, "backend") == ["least_eigenspace", "check", "method"]
+    assert _public_functions_with(source, "tol") == ["other"]

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from corpus import atlas_graphs, benchmark_ops, connected_graphs
-from eigenframe import completability, exact
+from eigenframe import coloring, completability, exact, frameworks
+from eigenframe.coloring import is_uniquely_vector_colorable_1wr, optimal_vector_coloring_1wr
 from eigenframe.completability import (
     NEIGHBORHOOD_MARGIN,
     SV_THRESHOLD,
     ConditionReport,
+    clique_condition,
     clique_condition_any,
     dominated_frameworks,
     gershgorin_scale,
@@ -83,7 +85,7 @@ def test_exact_dimension_matches_dense_oracle_on_corpus():
         spec = graph_spectrum(g, backend="auto")
         if spec.backend != "exact":
             continue
-        xs = xspace(g, backend="exact")
+        xs = xspace(least_eigenspace(g, "exact"))
         assert xs.dim == dense_xspace_dim(g, xs.tau), f"graph {g.nbr}"
 
 
@@ -92,17 +94,17 @@ def test_floating_agrees_with_exact_on_corpus():
         spec = graph_spectrum(g, backend="auto")
         if spec.backend != "exact":
             continue
-        exact = xspace(g, backend="exact")
-        floating = xspace(g, backend="floating")
+        exact = xspace(least_eigenspace(g, "exact"))
+        floating = xspace(least_eigenspace(g, "floating"))
         assert floating.dim == exact.dim
         assert floating.sv_margin is None or floating.sv_margin > 0
 
 
 def test_odd_cycles_floating():
     for n in range(3, 13, 2):
-        xs = xspace(cycle(n), backend="floating")
+        xs = xspace(least_eigenspace(cycle(n), "floating"))
         assert xs.dim == 0
-        verdict = is_universally_completable(cycle(n), backend="floating")
+        verdict = is_universally_completable(least_eigenspace(cycle(n), "floating"))
         assert verdict.uc and verdict.witness.dim == 0
 
 
@@ -186,7 +188,7 @@ def test_floating_fallback_reads_the_complement_edge_system(monkeypatch):
 
 
 def test_forced_fallback_gives_the_proof_route_result(monkeypatch):
-    proved = xspace(cycle(5), backend="floating")
+    proved = xspace(least_eigenspace(cycle(5), "floating"))
     real, calls = completability._complement_gram, []
 
     def counted(*args):
@@ -195,7 +197,7 @@ def test_forced_fallback_gives_the_proof_route_result(monkeypatch):
 
     monkeypatch.setattr(completability, "_complement_gram", counted)
     monkeypatch.setattr(completability, "_rspace_margin_bound", lambda les, s: 0.0)
-    fallback = xspace(cycle(5), backend="floating")
+    fallback = xspace(least_eigenspace(cycle(5), "floating"))
     assert fallback == proved and fallback.dim == 0
     assert number_token(fallback.sv_margin) == 0.504622638711
     assert len(calls) == 1  # one build per read, on either route
@@ -295,7 +297,7 @@ def test_floating_phi_inverse_refuses_a_matrix_outside_the_image():
 
 
 def test_dominated_framework_default_scale():
-    fw = least_eigenvalue_framework(TWO_K2, backend="exact")
+    fw = least_eigenvalue_framework(least_eigenspace(TWO_K2, "exact"))
     x = xspace(TWO_K2).basis[0]
     assert gershgorin_scale(x) == Fraction(1, 2)
     dom = dominated_frameworks(fw, x)
@@ -322,7 +324,7 @@ def test_gershgorin_scale_matches_the_fraction_formula():
 
 
 def test_dominated_framework_smaller_scale_keeps_rank():
-    fw = least_eigenvalue_framework(TWO_K2, backend="exact")
+    fw = least_eigenvalue_framework(least_eigenspace(TWO_K2, "exact"))
     x = xspace(TWO_K2).basis[0]
     dom = dominated_frameworks(fw, x, c=Fraction(1, 4))
     assert dom.d == 2
@@ -415,9 +417,9 @@ def test_neighborhood_condition_certifies_no_punctured_spectrum(monkeypatch, g):
     def refuse(*args, **kwargs):
         raise AssertionError("a punctured graph's spectrum was certified")
 
-    # least_eigenspace guesses tau with _eigh_eigenspace and falls back to
-    # _integer_bracket; the floating route is refused too
-    for name in ("_eigh_eigenspace", "_integer_bracket", "floating_least_eigenspace"):
+    # least_eigenspace guesses tau, and builds the floating eigenspace, with
+    # _eigh_eigenspace and falls back to _integer_bracket
+    for name in ("least_eigenspace", "_eigh_eigenspace", "_integer_bracket"):
         monkeypatch.setattr(exact, name, refuse)
     assert neighborhood_condition(les) == expected
 
@@ -515,9 +517,9 @@ def test_split_graphs_are_universally_completable():
 
 def test_backend_argument_validation():
     with pytest.raises(ValueError):
-        xspace(K4, backend="quantum")
+        least_eigenspace(K4, "quantum")
     with pytest.raises(UnsupportedInputError):
-        xspace(cycle(5), backend="exact")
+        least_eigenspace(cycle(5), "exact")
 
 
 def _complement_pair_system(g, tau):
@@ -547,7 +549,7 @@ def _line_graph(n):
 
 
 def _assert_echelon_basis_of_complement_pair_system(g):
-    xs = xspace(g, backend="exact")
+    xs = xspace(least_eigenspace(g, "exact"))
     pairs, rows = _complement_pair_system(g, xs.tau)
     expected = []
     for vec in nullspace(rows):  # Bareiss: primitive, positive at its free column
@@ -602,3 +604,58 @@ def test_lifted_witnesses_are_primitive_echelon_vectors():
     for vec, last in zip(vecs, lasts):
         assert math.gcd(*vec) == 1 and vec[last] > 0
         assert all(vec[other] == 0 for other in lasts if other != last)
+
+
+# The eight checks that read the least eigenspace, each with a reader of
+# (backend, eigenspace) off its result; seen holds the eigenspaces that a
+# check resolved its input to (_eigenspace_of) or ran a rank test on
+# (_nonsingular_off), for the checks whose result holds none.
+CONSUMERS = {
+    "xspace": (xspace, lambda r, seen: (r.backend, r.eigenspace)),
+    "is_universally_completable": (
+        is_universally_completable, lambda r, seen: (r.witness.backend, r.witness.eigenspace)),
+    "least_eigenvalue_framework": (
+        least_eigenvalue_framework, lambda r, seen: (r.backend, r.eigenspace)),
+    "is_uniquely_vector_colorable_1wr": (
+        is_uniquely_vector_colorable_1wr,
+        lambda r, seen: (r.coloring.backend, r.witness_space.eigenspace)),
+    "optimal_vector_coloring_1wr": (
+        optimal_vector_coloring_1wr, lambda r, seen: (r.backend, seen[-1])),
+    "neighborhood_condition": (
+        neighborhood_condition, lambda r, seen: (seen[-1].spectrum.backend, seen[-1])),
+    "clique_condition": (
+        lambda les: clique_condition(les, les.graph.edges()[0]),
+        lambda r, seen: (seen[-1].spectrum.backend, seen[-1])),
+    "clique_condition_any": (
+        clique_condition_any, lambda r, seen: (seen[-1].spectrum.backend, seen[-1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSUMERS))
+@pytest.mark.parametrize("backend", ["exact", "floating"])
+def test_each_check_follows_the_eigenspace_it_is_given(monkeypatch, name, backend):
+    # the exact eigenspace of K(5,2) and the floating one of C5; no check
+    # certifies again, so every eigenspace a check reads is the one given
+    les = least_eigenspace(kneser(5, 2) if backend == "exact" else cycle(5), backend)
+    seen = []
+
+    def resolved(g):
+        seen.append(exact._eigenspace_of(g))
+        return seen[-1]
+
+    def rank_test(e, removed):
+        seen.append(e)
+        return nonsingular_off(e, removed)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check certified its eigenspace again")
+
+    nonsingular_off = completability._nonsingular_off
+    monkeypatch.setattr(exact, "least_eigenspace", refuse)
+    for module in (completability, frameworks, coloring):
+        monkeypatch.setattr(module, "_eigenspace_of", resolved)
+    monkeypatch.setattr(completability, "_nonsingular_off", rank_test)
+    check, read = CONSUMERS[name]
+    got_backend, held = read(check(les), seen)
+    assert got_backend == backend and held is les
+    assert all(e is les for e in seen)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from eigenframe import coloring
 from eigenframe.coloring import (
     is_one_walk_regular,
     is_uniquely_vector_colorable_1wr,
@@ -13,7 +14,7 @@ from eigenframe.coloring import (
     validate_coloring,
 )
 from eigenframe import exact
-from eigenframe.exact import ExactMatrix
+from eigenframe.exact import ExactMatrix, least_eigenspace
 from eigenframe.graphs import cycle, from_edges, kneser
 
 K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -134,3 +135,21 @@ def test_second_coloring_still_unit_norm():
     alt = res.alternate
     for i in range(6):
         assert alt.gram[i, i] == 1
+
+
+def test_a_floating_witness_is_checked_within_its_eigenspace_tolerance(monkeypatch):
+    # two disjoint pentagons: floating tau and a nontrivial witness space;
+    # the witness behind the second coloring is checked within the
+    # tolerance the eigenspace was clustered with (vc --tol)
+    two_c5 = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                        + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    seen, real = [], coloring.dominated_frameworks
+
+    def spy(p, x, c=None, tol=None):
+        seen.append(tol)
+        return real(p, x, c, tol)
+
+    monkeypatch.setattr(coloring, "dominated_frameworks", spy)
+    res = is_uniquely_vector_colorable_1wr(least_eigenspace(two_c5, "floating", 1e-7))
+    assert not res.uvc and res.x_dim > 0 and res.alternate.backend == "floating"
+    assert seen == [1e-7]
