@@ -47,6 +47,5 @@ print("witness dimension histogram:", dict(sorted(dims.items())))
 print("\n" + "\n".join(report_csv(run_survey(2)).splitlines()[:4]))
 
 # the n=5 census (1326 connected classes, 1293 completable) is run_survey(5):
-# about 72 s of CPU, almost all of it the serial orbit enumeration. Workers
-# share only the verdicts (about 1 s), so run_survey(5, workers=8) barely
-# helps
+# about 72 s of CPU in one process, almost all of it the orbit enumeration;
+# the verdicts take about 1 s

@@ -14,7 +14,6 @@ import csv
 import functools
 import io
 import math
-import os
 import sys
 
 from .coloring import is_uniquely_vector_colorable_1wr
@@ -53,13 +52,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("EIGENFRAME_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="eigenframe")
@@ -88,7 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sur = sub.add_parser("survey", help="Cayley graph census for one dimension")
     p_sur.add_argument("--n", type=int, required=True)
-    p_sur.add_argument("--workers", type=int, help="default: $EIGENFRAME_WORKERS or 1")
+    # accepted and ignored, so old command lines still run: the census runs
+    # in one process
+    p_sur.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     p_sur.add_argument("--format", choices=("json", "csv", "table"), default="json")
     p_sur.add_argument("--out")
     return parser
@@ -289,8 +283,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    workers = _default_workers() if args.workers is None else args.workers
-    report = run_survey(args.n, workers=max(1, workers))
+    report = run_survey(args.n)
     if args.format == "json":
         return _emit(args, canonical_json(report_json_dict(report)) + "\n")
     if args.format == "csv":

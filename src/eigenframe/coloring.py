@@ -129,50 +129,39 @@ def validate_coloring(g: Graph, gram, t, tol: float = EDGE_TOL) -> ColoringVerdi
     """Unit diagonal, positive semidefiniteness, and the edge bound, in that
     order, reporting the first violation.
 
+    An ExactMatrix with a rational t is checked exactly, as the floating
+    check at tolerance 0 with the exact PSD test; any other input is
+    checked in floats within tol.
+
     t must exceed 1 whenever the graph has edges (the bound -1/(t-1) is
     meaningless otherwise); edgeless graphs accept t = 1.
     """
     exact = isinstance(gram, ExactMatrix) and isinstance(t, (Fraction, int))
     if exact:
-        t = Fraction(t)
-        if t <= 1 and (g.num_edges() > 0 or t < 1):
-            raise ValueError("coloring value must exceed 1")
+        t, eps = Fraction(t), 0
     else:
-        tf = float(t)
-        if tf <= 1 and (g.num_edges() > 0 or tf < 1):
-            raise ValueError("coloring value must exceed 1")
-    if exact:
-        for i in range(g.n):
-            if gram[i, i] != 1:
-                return ColoringVerdict(INVALID, ("diagonal", i, i))
-        if not is_psd_exact(gram):
-            return ColoringVerdict(INVALID, ("psd", -1, -1))
-        if g.num_edges() == 0:
-            return ColoringVerdict(VALID_STRICT)
-        bound = Fraction(-1) / (t - 1)
-        strict = True
-        for i, j in g.edges():
-            if gram[i, j] > bound:
-                return ColoringVerdict(INVALID, ("edge", i, j))
-            if gram[i, j] != bound:
-                strict = False
-        return ColoringVerdict(VALID_STRICT if strict else VALID)
-    gf = gram.to_float() if isinstance(gram, ExactMatrix) else np.asarray(gram, dtype=float)
-    tf = float(t)
+        gram = gram.to_float() if isinstance(gram, ExactMatrix) else np.asarray(gram, dtype=float)
+        t, eps = float(t), tol
+    if t <= 1 and (g.num_edges() > 0 or t < 1):
+        raise ValueError("coloring value must exceed 1")
     for i in range(g.n):
-        if abs(gf[i, i] - 1.0) > tol:
+        if abs(gram[i, i] - 1) > eps:
             return ColoringVerdict(INVALID, ("diagonal", i, i))
-    w = np.linalg.eigvalsh(gf)
-    if w[0] < -tol * max(1.0, float(w[-1])):
+    if exact:
+        psd = is_psd_exact(gram)
+    else:
+        w = np.linalg.eigvalsh(gram)
+        psd = not w[0] < -tol * max(1.0, float(w[-1]))
+    if not psd:
         return ColoringVerdict(INVALID, ("psd", -1, -1))
     if g.num_edges() == 0:
         return ColoringVerdict(VALID_STRICT)
-    bound = -1.0 / (tf - 1.0)
+    bound = -1 / (t - 1)
     strict = True
     for i, j in g.edges():
-        if gf[i, j] > bound + tol:
+        if gram[i, j] > bound + eps:
             return ColoringVerdict(INVALID, ("edge", i, j))
-        if abs(gf[i, j] - bound) > tol:
+        if abs(gram[i, j] - bound) > eps:
             strict = False
     return ColoringVerdict(VALID_STRICT if strict else VALID)
 

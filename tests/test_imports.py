@@ -127,16 +127,22 @@ def _public_functions_with(source, param):
     return found
 
 
-def test_only_least_eigenspace_takes_a_backend():
-    sources = [p.read_text() for p in sorted((ROOT / "src" / "eigenframe").glob("*.py"))]
-    defined = {node.name for source in sources for node in ast.walk(ast.parse(source))
-               if isinstance(node, ast.FunctionDef)}
-    assert EIGENSPACE_CHECKS <= defined
-    def taking(param):
-        return {name for source in sources for name in _public_functions_with(source, param)}
+def _package_sources():
+    return {p.stem: p.read_text() for p in sorted((ROOT / "src" / "eigenframe").glob("*.py"))}
 
-    assert taking("backend") == BACKEND_CHOOSERS
-    assert not taking("tol") & EIGENSPACE_CHECKS
+
+def _taking(param):
+    """Public functions in the package that take a parameter param."""
+    return {name for source in _package_sources().values()
+            for name in _public_functions_with(source, param)}
+
+
+def test_only_least_eigenspace_takes_a_backend():
+    defined = {node.name for source in _package_sources().values()
+               for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    assert EIGENSPACE_CHECKS <= defined
+    assert _taking("backend") == BACKEND_CHOOSERS
+    assert not _taking("tol") & EIGENSPACE_CHECKS
 
 
 def test_the_parameter_check_sees_each_kind_of_parameter():
@@ -149,3 +155,47 @@ def test_the_parameter_check_sees_each_kind_of_parameter():
     )
     assert _public_functions_with(source, "backend") == ["least_eigenspace", "check", "method"]
     assert _public_functions_with(source, "tol") == ["other"]
+
+
+# the census runs in one process, and no setting comes from the environment
+def _process_pools_and_environment(source):
+    """Lines of source that import multiprocessing or read the environment
+    through os (os.environ, os.getenv, or either imported from os)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            bad = any(a.name.partition(".")[0] == "multiprocessing" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bad = (node.module or "").partition(".")[0] == "multiprocessing" or (
+                node.module == "os" and any(a.name in ("environ", "getenv") for a in node.names))
+        elif isinstance(node, ast.Attribute):
+            bad = node.attr in ("environ", "getenv") and \
+                isinstance(node.value, ast.Name) and node.value.id == "os"
+        else:
+            continue
+        if bad:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_worker_count_pool_or_environment_setting():
+    assert _taking("workers") == set()
+    found = {module: lines for module, source in _package_sources().items()
+             if (lines := _process_pools_and_environment(source))}
+    assert found == {}
+
+
+def test_the_pool_check_sees_each_kind_of_use():
+    source = (
+        "import os\n"
+        "import multiprocessing\n"
+        "import multiprocessing.pool as mp\n"
+        "from multiprocessing import get_context\n"
+        "from os import environ\n"
+        "n = os.environ.get('N')\n"
+        "m = os.getenv('M')\n"
+        "k = os.cpu_count()\n"
+        "from os import path\n"
+        "import multiprocess_free\n"
+    )
+    assert _process_pools_and_environment(source) == [2, 3, 4, 5, 6, 7]

@@ -250,44 +250,6 @@ def test_survey_counts_small():
         assert report.summary() == {"n": n, "connected": conn, "uc": uc}
 
 
-def test_survey_workers_deterministic():
-    solo = run_survey(3, workers=1)
-    duo = run_survey(3, workers=2)
-    assert report_csv(solo) == report_csv(duo)
-
-
-def test_survey_pool_is_capped_at_cpus_and_representatives(monkeypatch):
-    requested = []
-
-    class SerialPool:  # records the pool size and maps in this process
-        def __init__(self, size):
-            requested.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return [fn(item) for item in items]
-
-    class Context:
-        Pool = SerialPool
-
-    monkeypatch.setattr(survey, "get_context", lambda method: Context())
-    monkeypatch.setattr(survey.os, "cpu_count", lambda: 3)
-    solo = report_csv(run_survey(3))
-    assert requested == []
-    assert report_csv(run_survey(3, workers=64)) == solo  # 6 representatives, 3 CPUs
-    assert len(enumerate_orbits(2)) == 2
-    run_survey(2, workers=64)
-    assert requested == [3, 2]
-    monkeypatch.setattr(survey.os, "cpu_count", lambda: None)  # unknown: one worker
-    assert report_csv(run_survey(3, workers=64)) == solo
-    assert requested == [3, 2]
-
-
 def test_nonuc_records_match_dense_oracle():
     report = run_survey(4)
     non_uc = [r for r in report.records if not r.uc]

@@ -75,34 +75,48 @@ def test_pentagon_coloring_floating():
     assert validate_coloring(cycle(5), col.gram, col.t).status == "valid-strict"
 
 
+def _on_both_backends(rows, t):
+    """(gram, t) as an ExactMatrix with a Fraction and as floats."""
+    exact = ExactMatrix(rows)
+    return [(exact, Fraction(t)), (exact.to_float(), float(t))]
+
+
+MINUS_THIRD = Fraction(-1, 3)
+SIMPLEX = [[1 if i == j else MINUS_THIRD for j in range(4)] for i in range(4)]
+IDENTITY = [[int(i == j) for j in range(4)] for i in range(4)]
+BAD_DIAGONAL = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+# symmetric, unit diagonal, edge entries fine, but indefinite
+INDEFINITE = [[-1 if {i, j} == {1, 2} else x for j, x in enumerate(row)]
+              for i, row in enumerate(SIMPLEX)]
+
+
 def test_validate_coloring_violations():
-    gram = ExactMatrix.identity(4)
-    v = validate_coloring(K4, gram, Fraction(4))
-    assert v.status == "invalid" and v.violation[0] == "edge"
+    for rows, violation in [(IDENTITY, ("edge", 0, 1)), (BAD_DIAGONAL, ("diagonal", 0, 0)),
+                            (INDEFINITE, ("psd", -1, -1))]:
+        for gram, t in _on_both_backends(rows, 4):
+            v = validate_coloring(K4, gram, t)
+            assert v.status == "invalid" and v.violation == violation
 
-    rows = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    v = validate_coloring(K4, ExactMatrix(rows), Fraction(4))
-    assert v.status == "invalid" and v.violation[0] == "diagonal"
-
-    # symmetric, unit diagonal, edge entries fine, but indefinite
-    rows = [
-        [1, Fraction(-1, 3), Fraction(-1, 3), Fraction(-1, 3)],
-        [Fraction(-1, 3), 1, Fraction(-1, 1), Fraction(-1, 3)],
-        [Fraction(-1, 3), Fraction(-1, 1), 1, Fraction(-1, 3)],
-        [Fraction(-1, 3), Fraction(-1, 3), Fraction(-1, 3), 1],
-    ]
-    v = validate_coloring(K4, ExactMatrix(rows), Fraction(4))
-    assert v.status == "invalid" and v.violation[0] in ("psd", "edge")
-
-    with pytest.raises(ValueError):
-        validate_coloring(K4, ExactMatrix.identity(4), Fraction(1))
+    for gram, t in _on_both_backends(IDENTITY, 1):
+        with pytest.raises(ValueError):
+            validate_coloring(K4, gram, t)
 
 
 def test_validate_coloring_non_strict():
     # the simplex coloring at a larger t leaves slack on every edge
-    col = optimal_vector_coloring_1wr(K4)
-    v = validate_coloring(K4, col.gram, Fraction(5))
-    assert v.status == "valid"
+    for t, status in [(4, "valid-strict"), (5, "valid")]:
+        for gram, tt in _on_both_backends(SIMPLEX, t):
+            assert validate_coloring(K4, gram, tt).status == status
+
+
+def test_validate_coloring_tolerance_holds_only_on_the_floating_path():
+    off = MINUS_THIRD + Fraction(1, 2 * 10**9)  # above the bound by tol/2
+    rows = [[off if {i, j} == {0, 1} else x for j, x in enumerate(row)]
+            for i, row in enumerate(SIMPLEX)]
+    (exact_gram, exact_t), (float_gram, float_t) = _on_both_backends(rows, 4)
+    assert validate_coloring(K4, float_gram, float_t).status == "valid-strict"
+    v = validate_coloring(K4, exact_gram, exact_t)
+    assert v.status == "invalid" and v.violation == ("edge", 0, 1)
 
 
 def test_coloring_requires_walk_regularity():
