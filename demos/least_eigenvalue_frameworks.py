@@ -14,7 +14,6 @@ from fractions import Fraction
 from eigenframe import (
     adjacency_matrix,
     canonical_stress,
-    graph_spectrum,
     kneser,
     kneser_framework,
     least_eigenspace,
@@ -25,8 +24,9 @@ from eigenframe.graphs import from_edges
 # the complete graph on four vertices: tau = -1 with multiplicity 3,
 # so the points live in 3 dimensions (a regular tetrahedron)
 k4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-fw = least_eigenvalue_framework(least_eigenspace(k4, "exact"))
-print("K4 spectrum:", graph_spectrum(k4).pairs)
+les = least_eigenspace(k4, "exact")
+fw = least_eigenvalue_framework(les)
+print("K4: tau =", les.spectrum.tau, " multiplicity =", les.spectrum.tau_multiplicity)
 print("K4 framework dimension:", fw.d)
 print("Gram row 0:", [str(fw.gram[0, j]) for j in range(4)])
 

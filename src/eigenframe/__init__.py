@@ -48,8 +48,6 @@ from .exact import (
     Spectrum,
     adjacency_matrix,
     cayley_spectrum,
-    charpoly,
-    graph_spectrum,
     is_psd_exact,
     least_eigenspace,
     nullspace,

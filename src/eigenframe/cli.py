@@ -179,7 +179,7 @@ def _render(args, docs, header, rows) -> str:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_check_uc(args) -> int:
+def _cmd_check_uc(args) -> int:
     docs, rows = [], []
     for label, g in _load_graphs(args):
         les = least_eigenspace(g, args.backend, args.tol)
@@ -219,7 +219,7 @@ def _coloring_doc(col) -> dict:
     }
 
 
-def cmd_vc(args) -> int:
+def _cmd_vc(args) -> int:
     docs, rows = [], []
     for label, g in _load_graphs(args):
         try:
@@ -249,7 +249,7 @@ def cmd_vc(args) -> int:
     return _emit(args, _render(args, docs, header, rows))
 
 
-def cmd_dominated(args) -> int:
+def _cmd_dominated(args) -> int:
     docs, rows = [], []
     for label, g in _load_graphs(args):
         les = least_eigenspace(g, args.backend, args.tol)
@@ -271,7 +271,7 @@ def cmd_dominated(args) -> int:
     return _emit(args, _render(args, docs, header, rows))
 
 
-def cmd_gen(args) -> int:
+def _cmd_gen(args) -> int:
     if args.cayley is not None:
         try:
             g = cayley_z2(_parse_cayley(args.cayley))
@@ -282,7 +282,7 @@ def cmd_gen(args) -> int:
     return _emit(args, emit_graph6(g) + "\n")
 
 
-def cmd_survey(args) -> int:
+def _cmd_survey(args) -> int:
     report = run_survey(args.n)
     if args.format == "json":
         return _emit(args, canonical_json(report_json_dict(report)) + "\n")
@@ -299,11 +299,11 @@ def cmd_survey(args) -> int:
 
 
 _COMMANDS = {
-    "check-uc": cmd_check_uc,
-    "vc": cmd_vc,
-    "dominated": cmd_dominated,
-    "gen": cmd_gen,
-    "survey": cmd_survey,
+    "check-uc": _cmd_check_uc,
+    "vc": _cmd_vc,
+    "dominated": _cmd_dominated,
+    "gen": _cmd_gen,
+    "survey": _cmd_survey,
 }
 
 

@@ -391,9 +391,10 @@ def dominated_frameworks(p: Framework, x, c=None, tol: float = DEFAULT_TOL) -> F
         if c <= 0:
             raise ValueError("scale must be positive")
         gram = p.gram + x * c  # symmetric, as p.gram and the witness x are
-        status, d = psd_rank_pivot(gram)
+        status, pivots = psd_rank_pivot(gram)
         if status == "indefinite":
             raise InternalCheckError("scaled witness broke positive semidefiniteness")
+        d = len(pivots)
     else:
         c = float(c)
         if c <= 0:

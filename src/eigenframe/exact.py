@@ -15,7 +15,7 @@ accepted as a proof of a trivial nullspace, which is the one-sided bound
 that keeps large instances cheap.
 
 Positive semidefiniteness has one test: a symmetric fraction-free pivot pass
-that decides PD / PSD-deficient / indefinite and reports the rank. Least
+that decides PD / PSD-deficient / indefinite and reports its pivots. Least
 eigenvalues of adjacency matrices are certified with it: an integer k is the
 least eigenvalue iff A - kI is singular and positive semidefinite. Floating
 point only proposes k, the integer nearest the least eigh value, and one pass
@@ -229,8 +229,8 @@ def rank_exact(m) -> int:
 
 def _back_substitute(rows, pivots, free_col, ncols):
     """Integer kernel vector of rows eliminated by _bareiss_echelon or, on a
-    PSD matrix, _psd_pivot: D at free_col, 0 at the other free columns, where
-    D is the last pivot, read from its own row (1 if there is none).
+    PSD matrix, psd_rank_pivot: D at free_col, 0 at the other free columns,
+    where D is the last pivot, read from its own row (1 if there is none).
 
     Each pivot row holds its Bareiss minors on every later column and D is
     the determinant of the pivot minor, so by Cramer's rule this is D times
@@ -341,30 +341,7 @@ def projector_onto_nullspace(m) -> ExactMatrix:
     return proj
 
 
-# -- characteristic polynomial and PSD test ----------------------------------
-
-
-def charpoly(m: ExactMatrix):
-    """Coefficients [1, c1, ..., cn] of det(xI - m), by the trace recurrence."""
-    if m.nrows != m.ncols:
-        raise ValueError("characteristic polynomial needs a square matrix")
-    n = m.nrows
-    b = m.num
-    coeffs_int = [1]
-    mk = [list(row) for row in b]
-    for k in range(1, n + 1):
-        tr = sum(mk[i][i] for i in range(n))
-        if tr % k:
-            raise InternalCheckError("trace recurrence produced a non-integral coefficient")
-        ck = -tr // k
-        coeffs_int.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            mk[i][i] += ck
-        cols = list(zip(*mk))
-        mk = [[sum(map(mul, row, col)) for col in cols] for row in b]
-    return [Fraction(c, m.den**k) for k, c in enumerate(coeffs_int)]
+# -- PSD test ------------------------------------------------------------------
 
 
 def is_psd_exact(m: ExactMatrix) -> bool:
@@ -375,23 +352,19 @@ def is_psd_exact(m: ExactMatrix) -> bool:
     return psd_rank_pivot(m)[0] != "indefinite"
 
 
-def psd_rank_pivot(m) -> tuple:
-    """(status, rank) of a symmetric matrix by the symmetric pivot pass:
-    status is one of "pd", "psd" (singular PSD), "indefinite"; rank is valid
-    whenever the matrix is PSD."""
-    status, pivots = _psd_pivot(_mutable_rows(m))
-    return status, None if status == "indefinite" else len(pivots)
-
-
-def _psd_pivot(a) -> tuple:
-    """(status, pivots) of symmetric integer rows a, eliminated in place by
-    symmetric fraction-free pivoting; pivots are (i, i) pairs in order.
+def psd_rank_pivot(a) -> tuple:
+    """(status, pivots) of a symmetric ExactMatrix, or of symmetric integer
+    rows a, eliminated in place, by the symmetric pivot pass: status is one
+    of "pd", "psd" (singular PSD), "indefinite"; pivots are (i, i) pairs in
+    order, and their number is the rank whenever the matrix is PSD.
 
     Pivots are taken on positive diagonal entries, so scaled Schur diagonals
     keep the true signs. On a PSD matrix a zero Schur diagonal means a zero
     row, which stays zero, so the pivots rise along exactly the row echelon
     pivot columns and _back_substitute reads the kernel off a.
     """
+    if isinstance(a, ExactMatrix):
+        a = _mutable_rows(a)
     n = len(a)
     act = list(range(n))
     prev = 1
@@ -427,8 +400,8 @@ class Spectrum:
     On the exact backend tau is a Fraction whose multiplicity is verified
     with tau itself: by the pivot pass at the eigh guess, by the integer
     bracket, or by cayley_spectrum's character check. Pairs above tau are
-    floating eigh clusters, except that graph_spectrum certifies the integer
-    ones by exact rank (multiplicities still summing to n).
+    floating eigh clusters, except on cayley_spectrum, whose characters
+    prove every eigenvalue.
     """
 
     pairs: tuple
@@ -490,12 +463,12 @@ def _shift_diagonal(rows, k):
 
 
 def _least_kernel(rows, k):
-    """(status, basis) of A - kI by one _psd_pivot pass; when k is the least
-    eigenvalue ("psd"), the echelon basis of ker(A - kI) read off that pass
-    and checked against A - kI, else ()."""
+    """(status, basis) of A - kI by one psd_rank_pivot pass; when k is the
+    least eigenvalue ("psd"), the echelon basis of ker(A - kI) read off that
+    pass and checked against A - kI, else ()."""
     shifted = _shift_diagonal(rows, k)
     work = [row[:] for row in shifted]
-    status, pivots = _psd_pivot(work)
+    status, pivots = psd_rank_pivot(work)
     if status != "psd":
         return status, ()
     basis = _kernel_basis(work, pivots, len(rows))
@@ -654,24 +627,3 @@ def _eigenspace_of(g) -> LeastEigenspace:
     """A LeastEigenspace as given, or a Graph's, certified by least_eigenspace
     with its defaults."""
     return g if isinstance(g, LeastEigenspace) else least_eigenspace(g)
-
-
-def graph_spectrum(g: Graph, backend: str = "auto", tol: float = DEFAULT_TOL) -> Spectrum:
-    """Spectrum of a graph, exact when the least eigenvalue is integral (the
-    backends as in least_eigenspace). The full spectrum is what its callers
-    read, so unlike least_eigenspace an exact spectrum here also certifies
-    every integer eigenvalue above tau: an eigh cluster of least_eigenspace
-    within 1e-6 of an integer k becomes k when the exact corank of A - kI
-    equals its size."""
-    s = least_eigenspace(g, backend, tol).spectrum
-    if s.backend == "floating":
-        return s
-    rows = g.adjacency_rows()  # within budget: least_eigenspace built A
-    pairs = [s.pairs[0]]
-    for center, mult in s.pairs[1:]:
-        k = round(center)
-        if abs(center - k) <= 1e-6 and k != s.tau:
-            if g.n - rank_exact(_shift_diagonal(rows, k)) == mult:
-                center = Fraction(k)
-        pairs.append((center, mult))
-    return Spectrum(tuple(pairs), s.tau, s.tau_multiplicity, "exact")

@@ -34,12 +34,11 @@ from .graphs import (
     CABLE,
     STRUT,
     Graph,
+    _q_kneser_with_masks,
     kneser,
     kneser_vertices,
-    q_kneser,
-    q_kneser_vertices,
 )
-from .modular import gaussian_binomial, rank_mod_q, subspaces_mod_q
+from .modular import gaussian_binomial
 from .serialize import gram_tokens, number_token
 
 GRAM_TOL = 1e-9
@@ -192,19 +191,12 @@ def qkneser_framework(q: int, n: int, r: int) -> Framework:
     """
     if r < 1 or n < 2 * r + 1:
         raise UnsupportedInputError(f"q-kneser framework needs n >= 2r+1, got n={n}, r={r}")
-    g = q_kneser(q, n, r)
-    verts = q_kneser_vertices(q, n, r)
-    lines = sorted(subspaces_mod_q(q, n, 1))
+    g, masks = _q_kneser_with_masks(q, n, r)
     line_count = gaussian_binomial(r, 1, q)
     alpha = line_count - gaussian_binomial(n, 1, q)
     beta = line_count
-
-    def contains(space, line):
-        return rank_mod_q(list(space) + list(line), q) == r
-
-    p = ExactMatrix(
-        [[alpha if contains(s, ln) else beta for ln in lines] for s in verts]
-    )
+    lines = range(gaussian_binomial(n, 1, q))
+    p = ExactMatrix([[alpha if mask >> k & 1 else beta for k in lines] for mask in masks])
     return _incidence_framework(g, p)
 
 

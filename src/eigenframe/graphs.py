@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import Graph6Error, InternalCheckError, ResourceLimitError, UnsupportedInputError
-from .modular import gaussian_binomial, gf2_span, rank_mod_q, subspaces_mod_q
+from .modular import gaussian_binomial, gf2_span, line_masks
 
 BAR = "bar"
 CABLE = "cable"
@@ -351,9 +351,19 @@ def _is_prime(q):
 def q_kneser(q, n, r) -> Graph:
     """q-Kneser graph: r-subspaces of F_q^n, adjacent on trivial intersection.
 
-    Vertices are sorted lex by their reduced-echelon basis matrices. The
-    pair loop makes N^2 / 2 rank tests, so a graph whose adjacency matrix
-    adjacency_matrix would refuse is refused before it.
+    Vertices are sorted lex by their reduced-echelon basis matrices, and two
+    are adjacent when their line masks (line_masks) are disjoint.
+    """
+    return _q_kneser_with_masks(q, n, r)[0]
+
+
+def _q_kneser_with_masks(q, n, r):
+    """(q_kneser(q, n, r), its vertices' line masks), the masks None when
+    2r > n. A graph whose adjacency matrix adjacency_matrix would refuse is
+    refused before the masks are built. When 2r > n every two r-subspaces
+    U, W meet, as dim(U cap W) >= 2r - n > 0, so the graph is edgeless and no
+    mask is built; otherwise the [r]_q lines per subspace and the [n]_q lines
+    of F_q^n number at most the vertex count.
     """
     if not _is_prime(q):
         raise UnsupportedInputError(f"q must be prime, got {q}")
@@ -361,19 +371,13 @@ def q_kneser(q, n, r) -> Graph:
         raise ValueError("need 1 <= r <= n")
     count = gaussian_binomial(n, r, q)
     check_budget(count * count, f"{count} x {count} matrix")
-    verts = sorted(subspaces_mod_q(q, n, r))
-    edges = []
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            stacked = list(verts[a]) + list(verts[b])
-            if rank_mod_q(stacked, q) == 2 * r:
-                edges.append((a, b))
-    return from_edges(len(verts), edges)
-
-
-def q_kneser_vertices(q, n, r):
-    """The lex-ordered RREF basis matrices matching q_kneser(q, n, r)."""
-    return sorted(subspaces_mod_q(q, n, r))
+    if 2 * r > n:
+        return from_edges(count, []), None
+    masks = line_masks(q, n, r)
+    edges = [
+        (a, b) for a in range(count) for b in range(a + 1, count) if not masks[a] & masks[b]
+    ]
+    return from_edges(count, edges), masks
 
 
 def cayley_z2(spec: CayleySpec) -> Graph:

@@ -1,5 +1,6 @@
 """Small modular-arithmetic helpers: GF(2) bit-vector spans, word-size mod-p
-elimination, and reduced-echelon enumeration of subspaces over a prime field.
+elimination, reduced-echelon enumeration of subspaces over a prime field,
+and the lines each subspace contains.
 
 The mod-p elimination is the workhorse behind the certified exact nullspace:
 full column rank modulo a prime is already a proof of full column rank over
@@ -10,6 +11,7 @@ independent over the rationals, so the exact solver eliminates only them.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 import numpy as np
 
@@ -74,42 +76,7 @@ def rank_mod_p(rows, p=DEFAULT_PRIME):
     return r, pivot_rows, pivot_cols
 
 
-def rref_mod_q(rows, q):
-    """Reduced row echelon form over F_q for a small dense integer matrix.
-
-    Returns (rref_rows as tuple of tuples, pivot_cols). Pure-int arithmetic,
-    intended for the subspace enumeration and adjacency tests, not for bulk
-    elimination.
-    """
-    m = [list(map(lambda x: x % q, row)) for row in rows]
-    if not m:
-        return (), []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        k = next((i for i in range(r, nrows) if m[i][c] % q), None)
-        if k is None:
-            continue
-        m[r], m[k] = m[k], m[r]
-        inv = pow(m[r][c], q - 2, q)
-        m[r] = [(x * inv) % q for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % q for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in m[:r]), pivots
-
-
-def rank_mod_q(rows, q) -> int:
-    return len(rref_mod_q(rows, q)[1])
-
-
-def subspaces_mod_q(q, n, r):
+def _subspaces_mod_q(q, n, r):
     """All r-dimensional subspaces of F_q^n as canonical RREF basis matrices.
 
     Yields r x n tuples of tuples in reduced echelon form; every subspace
@@ -129,6 +96,34 @@ def subspaces_mod_q(q, n, r):
             for (i, j), v in zip(free_cells, values):
                 mat[i][j] = v
             yield tuple(tuple(row) for row in mat)
+
+
+def line_masks(q, n, r):
+    """For each r-subspace of F_q^n, in sorted(_subspaces_mod_q(q, n, r))
+    order, the bitmask of the lines it contains: bit k stands for the k-th
+    line of sorted(_subspaces_mod_q(q, n, 1)), named by its vector with a
+    leading 1. Two subspaces meet trivially exactly when their masks are
+    disjoint.
+
+    In a reduced-echelon basis, a combination whose first nonzero
+    coefficient c sits on row i has c at row i's pivot column and zeros
+    before it, so the combinations whose first nonzero coefficient is 1 are
+    the span's vectors with a leading 1, one per line: [r]_q per subspace.
+    """
+    lines = {row: k for k, (row,) in enumerate(sorted(_subspaces_mod_q(q, n, 1)))}
+    combos = [
+        (0,) * i + (1,) + rest
+        for i in range(r)
+        for rest in itertools.product(range(q), repeat=r - i - 1)
+    ]
+    masks = []
+    for basis in sorted(_subspaces_mod_q(q, n, r)):
+        cols = list(zip(*basis))
+        mask = 0
+        for c in combos:
+            mask |= 1 << lines[tuple([sum(map(mul, c, col)) % q for col in cols])]
+        masks.append(mask)
+    return masks
 
 
 def gaussian_binomial(n, r, q) -> int:

@@ -2,11 +2,15 @@
 
 Everything here deliberately avoids the package's own elimination and
 nullspace code: plain Gauss-Jordan over Fraction on the full set of
-symmetric-matrix unknowns. Slow, obviously correct, and wrong in different
-ways than the production route would be. The floating oracle builds the
-complement-edge system with numpy alone and reads it off one full SVD.
+symmetric-matrix unknowns, over F_q for subspace incidence, and integer
+row reduction for the exact rank at every integer eigenvalue. Slow,
+obviously correct, and wrong in different ways than the production route
+would be. The floating oracle
+builds the complement-edge system with numpy alone and reads it off one
+full SVD.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +35,74 @@ def rref_fraction(rows):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def rank_mod_q(rows, q):
+    """Rank over F_q, q prime, of an integer matrix, by Gauss-Jordan."""
+    rows = [[x % q for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], q - 2, q)
+        rows[rank] = [x * inv % q for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(a - f * b) % q for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def rank_integer(rows):
+    """Rank over Q of an integer matrix, by elimination on integer rows:
+    each reduced row is divided by the gcd of its entries."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c]
+            if f:
+                row = [top[c] * a - f * b for a, b in zip(rows[r], top)]
+                g = math.gcd(*row)
+                rows[r] = [x // g for x in row] if g else row
+        rank += 1
+    return rank
+
+
+def exact_spectrum(g, tol=1e-8):
+    """Eigenvalues of g with multiplicities, ascending: the eigvalsh values
+    clustered within tol, each cluster within 1e-6 of an integer k taken as
+    Fraction(k) when the exact corank of A - kI equals its size, and as its
+    float mean otherwise."""
+    n = g.n
+    a = np.zeros((n, n))
+    for i, j in g.edges():
+        a[i, j] = a[j, i] = 1.0
+    clusters = []
+    for v in np.linalg.eigvalsh(a):
+        if clusters and v - clusters[-1][-1] <= tol:
+            clusters[-1].append(v)
+        else:
+            clusters.append([v])
+    pairs = []
+    for cluster in clusters:
+        center = sum(cluster) / len(cluster)
+        k = round(center)
+        if abs(center - k) <= 1e-6:
+            shifted = [[int(x) - k * (i == j) for j, x in enumerate(row)]
+                       for i, row in enumerate(a)]
+            if n - rank_integer(shifted) == len(cluster):
+                center = Fraction(k)
+        pairs.append((center, len(cluster)))
+    return tuple(pairs)
 
 
 def dense_xspace_dim(g, tau):

@@ -274,7 +274,7 @@ def test_kneser_graphs_over_the_byte_budget_are_refused_in_seconds(monkeypatch, 
     def never(*args):
         raise AssertionError("the q-Kneser pair loop ran")
 
-    monkeypatch.setattr(graphs, "rank_mod_q", never)
+    monkeypatch.setattr(graphs, "line_masks", never)
     code, out, err = run(capsys, "check-uc", "--gen", "qkneser:2,7,3")
     assert code == 2 and out == ""
     assert "11811 x 11811 matrix exceeds the 1073741824-byte budget" in err
@@ -433,7 +433,7 @@ def _exact_report_argvs():
     inputs = [
         ["--graph6", emit_graph6(g)]
         for g, _ in atlas_graphs()
-        if g.n <= 6 and exact.graph_spectrum(g).backend == "exact"
+        if g.n <= 6 and exact.least_eigenspace(g).is_exact()
     ]
     inputs += [["--gen", spec] for spec in ("kneser:5,2", "kneser:6,2", "kneser:7,2", "cycle:4")]
     inputs.append(["--graph6", emit_graph6(complement(kneser(6, 2)))])

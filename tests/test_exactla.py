@@ -18,8 +18,6 @@ from eigenframe.exact import (
     ExactMatrix,
     adjacency_matrix,
     cayley_spectrum,
-    charpoly,
-    graph_spectrum,
     invert,
     is_psd_exact,
     least_eigenspace,
@@ -40,14 +38,13 @@ from eigenframe.graphs import (
     q_kneser,
 )
 from eigenframe.modular import (
+    _subspaces_mod_q,
     gaussian_binomial,
     gf2_rank,
     gf2_span,
     rank_mod_p,
-    rank_mod_q,
-    rref_mod_q,
-    subspaces_mod_q,
 )
+from oracles import exact_spectrum
 
 
 P = 2_147_483_647  # the prime of rank_mod_p
@@ -238,22 +235,6 @@ def test_projector_onto_nullspace():
     assert p.trace() == 3 - rank_exact(m)
 
 
-def test_charpoly_triangle():
-    # eigenvalues of the triangle are 2, -1, -1
-    coeffs = charpoly(adjacency_matrix(from_edges(3, [(0, 1), (0, 2), (1, 2)])))
-    assert list(coeffs) == [1, 0, -3, -2]
-
-
-def test_charpoly_against_numpy():
-    rng = random.Random(5)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        rows = _random_int_matrix(rng, n, n, -3, 3)
-        coeffs = [float(c) for c in charpoly(ExactMatrix(rows))]
-        expected = np.poly(np.array(rows, dtype=float))
-        assert np.allclose(coeffs, expected, atol=1e-6)
-
-
 def test_psd_certificates_against_numpy():
     rng = random.Random(17)
     for _ in range(50):
@@ -267,10 +248,10 @@ def test_psd_certificates_against_numpy():
         eigs = np.linalg.eigvalsh(m.to_float())
         truly_psd = bool(eigs.min() > -1e-9)
         assert is_psd_exact(m) == truly_psd
-        kind, rank = psd_rank_pivot([[int(x) for x in row] for row in gram])
+        kind, pivots = psd_rank_pivot([[int(x) for x in row] for row in gram])
         assert (kind in ("psd", "pd")) == truly_psd
         if kind in ("psd", "pd"):
-            assert rank == np.linalg.matrix_rank(m.to_float())
+            assert len(pivots) == np.linalg.matrix_rank(m.to_float())
 
 
 def test_integer_least_eigenvalue_on_corpus():
@@ -290,17 +271,19 @@ def test_integer_least_eigenvalue_on_corpus():
             assert a @ ExactMatrix.column_stack(basis) == ExactMatrix.column_stack(basis) * tau
 
 
-def test_graph_spectrum_backends():
+def test_least_eigenspace_backends():
     pet = kneser(5, 2)
-    s = graph_spectrum(pet, backend="exact")
-    assert s.pairs == ((Fraction(-2), 4), (Fraction(1), 5), (Fraction(3), 1))
+    s = least_eigenspace(pet, "exact").spectrum
+    assert exact_spectrum(pet) == ((Fraction(-2), 4), (Fraction(1), 5), (Fraction(3), 1))
+    assert s.pairs[0] == (s.tau, s.tau_multiplicity) == (Fraction(-2), 4)
     with pytest.raises(UnsupportedInputError):
-        graph_spectrum(cycle(5), backend="exact")
-    f = graph_spectrum(cycle(5), backend="floating")
+        least_eigenspace(cycle(5), "exact")
+    f = least_eigenspace(cycle(5), "floating").spectrum
     assert f.backend == "floating"
     assert abs(f.tau - 2 * np.cos(4 * np.pi / 5)) < 1e-9
     assert f.tau_multiplicity == 2
-    auto = graph_spectrum(cycle(5), backend="auto")
+    assert f.pairs[0][1] == exact_spectrum(cycle(5))[0][1]
+    auto = least_eigenspace(cycle(5), "auto").spectrum
     assert auto.backend == "floating"
 
 
@@ -314,11 +297,10 @@ def test_cayley_spectrum_against_dense_route():
             if not conn:
                 continue
             spec = CayleySpec(n, conn)
-            cs = cayley_spectrum(spec)
-            dense = graph_spectrum(cayley_z2(spec), backend="exact")
-            assert cs.spectrum.pairs == dense.pairs
+            cs, g = cayley_spectrum(spec), cayley_z2(spec)
+            assert cs.spectrum.pairs == exact_spectrum(g)
+            assert least_eigenspace(g, "exact").spectrum.pairs[0] == cs.spectrum.pairs[0]
             # character vectors are actual eigenvectors for tau
-            g = cayley_z2(spec)
             assert cs.graph == g
             a = adjacency_matrix(g)
             chars = [[(-1) ** (x & u).bit_count() for x in range(g.n)] for u in cs.tau_elements]
@@ -327,10 +309,10 @@ def test_cayley_spectrum_against_dense_route():
 
 
 def _count_pivot_passes(monkeypatch):
-    """Sizes of the symmetric pivot passes (_psd_pivot) and of the integer
+    """Sizes of the symmetric pivot passes (psd_rank_pivot) and of the integer
     bracket searches made from here on."""
     sizes, brackets = [], []
-    real_pivot, real_bracket = exact_mod._psd_pivot, exact_mod._integer_bracket
+    real_pivot, real_bracket = exact_mod.psd_rank_pivot, exact_mod._integer_bracket
 
     def counted_pivot(m):
         sizes.append(len(m))
@@ -340,7 +322,7 @@ def _count_pivot_passes(monkeypatch):
         brackets.append(len(rows))
         return real_bracket(rows)
 
-    monkeypatch.setattr(exact_mod, "_psd_pivot", counted_pivot)
+    monkeypatch.setattr(exact_mod, "psd_rank_pivot", counted_pivot)
     monkeypatch.setattr(exact_mod, "_integer_bracket", counted_bracket)
     return sizes, brackets
 
@@ -428,7 +410,7 @@ def test_least_eigenspace_agrees_with_the_bracket_and_the_floating_route():
 
 
 def _integer_tau_graphs():
-    graphs = [g for g, _ in atlas_graphs() if graph_spectrum(g).backend == "exact"]
+    graphs = [g for g, _ in atlas_graphs() if least_eigenspace(g).is_exact()]
     return graphs + [kneser(7, 2), kneser(8, 3), q_kneser(2, 4, 2)]
 
 
@@ -495,17 +477,10 @@ def test_rank_mod_p_lower_bounds_rational_rank():
     assert rank_exact(ExactMatrix([[2_147_483_647]])) == 1
 
 
-def test_rref_mod_q():
-    rows, pivots = rref_mod_q([[2, 4], [1, 3]], 5)
-    assert pivots == [0, 1]
-    assert rows[0][0] == 1 and rows[1][1] == 1 and rows[0][1] == 0
-    assert rank_mod_q([[1, 1], [1, 1]], 2) == 1
-
-
 def test_gaussian_binomials():
     assert gaussian_binomial(3, 1, 2) == 7
     assert gaussian_binomial(4, 2, 2) == 35
     assert gaussian_binomial(5, 2, 2) == 155
     assert gaussian_binomial(4, 2, 3) == 130
-    assert len(list(subspaces_mod_q(2, 3, 1))) == 7
-    assert len(list(subspaces_mod_q(2, 4, 2))) == 35
+    assert len(list(_subspaces_mod_q(2, 3, 1))) == 7
+    assert len(list(_subspaces_mod_q(2, 4, 2))) == 35

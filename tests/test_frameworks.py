@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from corpus import connected_graphs
-from eigenframe.errors import InternalCheckError, UnsupportedInputError
+from eigenframe import modular
+from eigenframe.errors import InternalCheckError, ResourceLimitError, UnsupportedInputError
 from eigenframe.completability import XSpaceBasis, dominated_frameworks, xspace
 from eigenframe.exact import (
     ExactMatrix,
     LeastEigenspace,
     adjacency_matrix,
-    graph_spectrum,
     least_eigenspace,
     rank_exact,
 )
@@ -28,6 +28,8 @@ from eigenframe.frameworks import (
     qkneser_framework,
 )
 from eigenframe.graphs import cycle, from_edges, kneser
+from eigenframe.modular import _subspaces_mod_q, gaussian_binomial
+from oracles import rank_mod_q
 
 K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 
@@ -43,12 +45,12 @@ def test_least_eigenvalue_framework_is_the_projector():
 
 def test_projector_invariants_on_corpus():
     for g, _ in connected_graphs(max_n=5, min_n=2):
-        spec = graph_spectrum(g, backend="auto")
-        if spec.backend != "exact":
+        les = least_eigenspace(g)
+        if not les.is_exact():
             continue
         fw = least_eigenvalue_framework(least_eigenspace(g, "exact"))
         assert fw.gram @ fw.gram == fw.gram
-        assert fw.gram.trace() == fw.d == fw.tau_multiplicity == spec.tau_multiplicity
+        assert fw.gram.trace() == fw.d == fw.tau_multiplicity == les.spectrum.tau_multiplicity
         assert adjacency_matrix(g) @ fw.gram == fw.gram * fw.tau
         assert fw.points @ fw.points.transpose() == fw.gram
 
@@ -105,9 +107,35 @@ def test_qkneser_framework_small():
     assert a @ fw.gram == fw.gram * fw.tau
 
 
+def test_qkneser_framework_incidence_matches_the_rank_oracle():
+    # alpha where the subspace contains the line, that is where adding the
+    # line keeps rank r, and beta elsewhere
+    for q, n, r in [(2, 3, 1), (2, 4, 1), (3, 3, 1), (5, 3, 1), (2, 5, 2)]:
+        beta = gaussian_binomial(r, 1, q)
+        alpha = beta - gaussian_binomial(n, 1, q)
+        lines = sorted(_subspaces_mod_q(q, n, 1))
+        expected = ExactMatrix([
+            [alpha if rank_mod_q(s + line, q) == r else beta for line in lines]
+            for s in sorted(_subspaces_mod_q(q, n, r))
+        ])
+        assert qkneser_framework(q, n, r).points == expected, (q, n, r)
+
+
 def test_qkneser_framework_guard():
     with pytest.raises(UnsupportedInputError):
         qkneser_framework(2, 4, 2)
+
+
+def test_qkneser_framework_refuses_an_over_budget_graph_before_its_masks(monkeypatch):
+    # the 11811 x 11811 adjacency matrix of qK(2, 7, 3) is over the byte
+    # budget, so its subspaces, which every line mask is built from, may not
+    # even be listed
+    def never(*args):
+        raise AssertionError("subspaces listed for an over-budget graph")
+
+    monkeypatch.setattr(modular, "_subspaces_mod_q", never)
+    with pytest.raises(ResourceLimitError, match="11811 x 11811 matrix"):
+        qkneser_framework(2, 7, 3)
 
 
 @pytest.mark.slow
@@ -144,8 +172,7 @@ def test_canonical_stress_triangle():
 
 def test_canonical_stress_on_corpus():
     for g, _ in connected_graphs(max_n=5, min_n=2):
-        spec = graph_spectrum(g, backend="auto")
-        if spec.backend != "exact":
+        if not least_eigenspace(g).is_exact():
             continue
         z = canonical_stress(g)
         assert z.z.nrows - rank_exact(z.z) == z.framework.d

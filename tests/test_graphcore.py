@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -22,7 +23,8 @@ from eigenframe.graphs import (
     maximal_cliques,
     q_kneser,
 )
-from eigenframe.modular import gaussian_binomial
+from eigenframe.modular import _subspaces_mod_q, gaussian_binomial, line_masks
+from oracles import rank_mod_q
 
 
 def test_corpus_counts():
@@ -105,6 +107,30 @@ def test_q_kneser_shape():
     # 1-subspaces of F_2^3 are pairwise disjoint, so the graph is complete
     k7 = q_kneser(2, 3, 1)
     assert k7.n == 7 and k7.num_edges() == 21
+
+
+def test_q_kneser_edges_and_line_masks_match_the_rank_oracle():
+    # two r-subspaces are adjacent when their 2r basis rows have rank 2r,
+    # and a subspace contains a line when adding the line keeps rank r
+    for q, n, r in [(2, 3, 1), (2, 4, 1), (2, 4, 2), (2, 4, 3), (2, 4, 4), (3, 3, 1),
+                    (3, 4, 2), (5, 3, 1), (7, 2, 1), (2, 5, 2), (2, 5, 3)]:
+        verts = sorted(_subspaces_mod_q(q, n, r))
+        lines = sorted(_subspaces_mod_q(q, n, 1))
+        g = q_kneser(q, n, r)
+        assert g.n == len(verts), (q, n, r)
+        for a, b in itertools.combinations(range(g.n), 2):
+            assert g.has_edge(a, b) == (rank_mod_q(verts[a] + verts[b], q) == 2 * r), (q, n, r)
+        for s, mask in zip(verts, line_masks(q, n, r), strict=True):
+            for k, line in enumerate(lines):
+                assert bool(mask >> k & 1) == (rank_mod_q(s + line, q) == r), (q, n, r)
+
+
+def test_q_kneser_with_2r_over_n_is_edgeless_at_once():
+    # every two r-subspaces meet when 2r > n; the one 5-subspace of F_101^5
+    # holds 101^5 vectors, which no mask build may enumerate
+    start = time.perf_counter()
+    g = q_kneser(101, 5, 5)
+    assert g.n == 1 and time.perf_counter() - start < 1
 
 
 def test_q_kneser_rejects_nonprime_order():

@@ -1,5 +1,6 @@
-"""No imported-but-unused names in the package or the tests, and no
-private module-level helper that the package never refers to.
+"""No imported-but-unused names in the package or the tests, no private
+module-level helper that the package never refers to, and no public
+function that no other module reaches.
 
 Written with the standard-library ast module, as no linter is a dependency.
 The package's __init__.py re-exports its imports and is exempt, as are
@@ -7,6 +8,7 @@ The package's __init__.py re-exports its imports and is exempt, as are
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +59,18 @@ def _defined_names(node):
     return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
+def _references(node):
+    """Names node refers to: a name it reads, an attribute, or the names a
+    from-import binds."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.ImportFrom):
+        return {a.name for a in node.names}
+    return set()
+
+
 def _dead_private_helpers(sources):
     """module:name for each module-level _name (not a dunder) defined in
     sources, a {module: source} dict, that no statement but its own
@@ -68,15 +82,7 @@ def _dead_private_helpers(sources):
             defined.update((name, module) for name in own
                            if name.startswith("_") and not name.startswith("__"))
             for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                    refs = {sub.id}
-                elif isinstance(sub, ast.Attribute):
-                    refs = {sub.attr}
-                elif isinstance(sub, ast.ImportFrom):
-                    refs = {a.name for a in sub.names}
-                else:
-                    continue
-                used |= refs - own
+                used |= _references(sub) - own
     return sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
 
 
@@ -103,10 +109,59 @@ def test_the_check_sees_each_kind_of_private_helper():
     assert _dead_private_helpers(sources) == ["a:_UNREAD", "a:_dead", "a:_recursive"]
 
 
-# least_eigenspace is the one place a backend is chosen (graph_spectrum is
-# built on it); the checks that read its eigenspace take its result instead,
-# and no tolerance either
-BACKEND_CHOOSERS = {"least_eigenspace", "graph_spectrum"}
+def _unreached_public_functions(sources, entry_points=()):
+    """module:name for each module-level public function defined in sources,
+    a {module: source} dict, that no other module refers to, by name,
+    attribute or import, and that is not one of entry_points, given as
+    module:name. The package's "__init__" module counts as another module,
+    so re-exporting a function from it reaches the function."""
+    defined, used = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")]
+        for sub in ast.walk(tree):
+            for ref in _references(sub):
+                used.setdefault(ref, set()).add(module)
+    return sorted(f"{module}:{name}" for module, name in defined
+                  if not used.get(name, set()) - {module}
+                  and f"{module}:{name}" not in entry_points)
+
+
+def test_every_public_function_is_reached_from_another_module():
+    # the console scripts of pyproject.toml are reached from outside, and so
+    # are the functions the benchmark tracer wraps by name: renaming one
+    # would drop its span from the benchmark's reports
+    scripts = re.findall(r'"eigenframe\.(\w+:\w+)"', (ROOT / "pyproject.toml").read_text())
+    assert scripts == ["cli:main"]
+    tracer = (ROOT / "perfbench" / "tracer.py").read_text()
+    traced = [f"{module}:{name}" for module, name in re.findall(r'\("(\w+)", "(\w+)"\)', tracer)]
+    assert "exact:invert" in traced
+    assert _unreached_public_functions(_package_sources(), scripts + traced) == []
+
+
+def test_the_check_sees_each_way_a_public_function_is_reached():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": (
+            "def exported():\n    pass\n"
+            "def imported():\n    pass\n"
+            "def by_attribute():\n    pass\n"
+            "def own_module_only():\n    return by_attribute()\n"
+            "def unreached():\n    return unreached()\n"
+            "def _private():\n    pass\n"
+            "class Public:\n    def method(self):\n        pass\n"
+        ),
+        "b": "from .a import imported\nfrom . import a\nprint(imported, a.by_attribute)\n",
+    }
+    assert _unreached_public_functions(sources) == ["a:own_module_only", "a:unreached"]
+    assert _unreached_public_functions(sources, ["a:unreached"]) == ["a:own_module_only"]
+
+
+# least_eigenspace is the one place a backend is chosen; the checks that
+# read its eigenspace take its result instead, and no tolerance either
+BACKEND_CHOOSERS = {"least_eigenspace"}
 EIGENSPACE_CHECKS = {
     "xspace", "is_universally_completable", "neighborhood_condition", "clique_condition",
     "clique_condition_any", "least_eigenvalue_framework", "optimal_vector_coloring_1wr",

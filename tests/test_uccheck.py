@@ -34,7 +34,6 @@ from eigenframe.errors import UnsupportedInputError
 from eigenframe.exact import (
     ExactMatrix,
     cayley_spectrum,
-    graph_spectrum,
     least_eigenspace,
     nullspace,
     rank_exact,
@@ -82,8 +81,7 @@ def test_square_is_universally_completable():
 
 def test_exact_dimension_matches_dense_oracle_on_corpus():
     for g, _ in connected_graphs(max_n=5, min_n=2):
-        spec = graph_spectrum(g, backend="auto")
-        if spec.backend != "exact":
+        if not least_eigenspace(g).is_exact():
             continue
         xs = xspace(least_eigenspace(g, "exact"))
         assert xs.dim == dense_xspace_dim(g, xs.tau), f"graph {g.nbr}"
@@ -91,8 +89,7 @@ def test_exact_dimension_matches_dense_oracle_on_corpus():
 
 def test_floating_agrees_with_exact_on_corpus():
     for g, _ in connected_graphs(max_n=5, min_n=2):
-        spec = graph_spectrum(g, backend="auto")
-        if spec.backend != "exact":
+        if not least_eigenspace(g).is_exact():
             continue
         exact = xspace(least_eigenspace(g, "exact"))
         floating = xspace(least_eigenspace(g, "floating"))
@@ -367,7 +364,7 @@ def _spectral_neighborhood_oracle(les):
     for v in range(g.n):
         closed = {v, *g.neighbours(v)}
         h = induced_subgraph(g, [w for w in range(g.n) if w not in closed])
-        lam = graph_spectrum(h, backend).tau if h.n else Fraction(0)
+        lam = least_eigenspace(h, backend).spectrum.tau if h.n else Fraction(0)
         if isinstance(lam, Fraction) and isinstance(tau, Fraction):
             ok = lam > tau
         else:
@@ -564,7 +561,7 @@ def _assert_echelon_basis_of_complement_pair_system(g):
 def test_exact_basis_is_the_echelon_basis_of_the_complement_pair_system():
     checked = 0
     for g, _ in atlas_graphs():
-        if graph_spectrum(g).backend == "exact" and xspace(g).dim > 0:
+        if least_eigenspace(g).is_exact() and xspace(g).dim > 0:
             _assert_echelon_basis_of_complement_pair_system(g)
             checked += 1
     assert checked == 22  # all of them disconnected

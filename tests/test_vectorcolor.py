@@ -40,7 +40,7 @@ def test_walk_regularity_stops_at_the_minimal_polynomial(monkeypatch):
     def no_spectrum(*args):
         raise AssertionError("the walk check needs no spectrum")
 
-    for name in ("_eigh_eigenspace", "_integer_bracket", "_psd_pivot"):
+    for name in ("_eigh_eigenspace", "_integer_bracket", "psd_rank_pivot"):
         monkeypatch.setattr(exact, name, no_spectrum)
     assert is_one_walk_regular(kneser(5, 2)).k_max == 2  # eigenvalues 3, 1, -2
     assert is_one_walk_regular(cycle(7)).k_max == 3  # 2 and three irrational pairs
