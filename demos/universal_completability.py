@@ -2,10 +2,11 @@
 When is the spectral framework the only one of its kind?
 ========================================================
 
-A framework dominates another when the second keeps every bar length and
-stays within the cable/strut bounds. Universal completability means every
-dominated framework is congruent to the original, and it reduces to a
-linear question: the space of symmetric witness matrices must be zero.
+A framework dominates another when the second keeps every vector's length
+and has no larger inner product across any edge. Universal completability
+means every dominated framework is congruent to the original, and it
+reduces to a linear question: the space of symmetric witness matrices must
+be zero.
 
 This script certifies some graphs, exhibits a witness when certification
 fails, and walks the witness down to a genuinely different framework.

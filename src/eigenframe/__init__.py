@@ -16,7 +16,6 @@ from .coloring import (
     is_one_walk_regular,
     is_uniquely_vector_colorable_1wr,
     optimal_vector_coloring_1wr,
-    struts_tensegrity,
     validate_coloring,
 )
 from .completability import (
@@ -65,9 +64,6 @@ from .frameworks import (
     qkneser_framework,
 )
 from .graphs import (
-    BAR,
-    CABLE,
-    STRUT,
     CayleySpec,
     Graph,
     cayley_z2,

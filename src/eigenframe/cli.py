@@ -222,9 +222,10 @@ def _coloring_doc(col) -> dict:
 def _cmd_vc(args) -> int:
     docs, rows = [], []
     for label, g in _load_graphs(args):
+        les = least_eigenspace(g, args.backend, args.tol)
         try:
-            result = is_uniquely_vector_colorable_1wr(least_eigenspace(g, args.backend, args.tol))
-        except ValueError as exc:
+            result = is_uniquely_vector_colorable_1wr(les)
+        except ValueError as exc:  # not 1-walk-regular
             raise UnsupportedInputError(str(exc)) from exc
         col = result.coloring
         _warn_if_floating(args.backend, col.backend, label)

@@ -30,7 +30,7 @@ from .exact import (
 )
 from .completability import XSpaceBasis, dominated_frameworks, xspace
 from .frameworks import least_eigenvalue_framework
-from .graphs import STRUT, Graph
+from .graphs import Graph
 
 EDGE_TOL = 1e-9
 
@@ -109,11 +109,6 @@ def _extends_echelon(echelon, vec) -> bool:
     g = math.gcd(*vec)
     echelon.append((pivot, [x // g for x in vec]))
     return True
-
-
-def struts_tensegrity(g: Graph) -> Graph:
-    """Every edge relabeled as a strut (idempotent)."""
-    return g.with_labels({e: STRUT for e in g.edges()})
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InternalCheckError, UnsupportedInputError
+from .errors import InternalCheckError
 from .exact import (
     DEFAULT_TOL,
     ExactMatrix,
@@ -263,13 +263,9 @@ def is_universally_completable(g) -> UCVerdict:
     or of its LeastEigenspace.
 
     True exactly when the witness space is trivial; the basis is carried
-    along as the certificate either way. Tensegrities with cables are out of
-    scope (the canonical stress argument needs nonnegative edge weights).
+    along as the certificate either way.
     """
-    les = _eigenspace_of(g)
-    if les.graph.has_cables():
-        raise UnsupportedInputError("cable edges are not supported")
-    xs = xspace(les)
+    xs = xspace(_eigenspace_of(g))
     return UCVerdict(xs.dim == 0, xs)
 
 

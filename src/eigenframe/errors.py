@@ -20,7 +20,8 @@ class Graph6Error(EigenframeError):
 
 
 class UnsupportedInputError(EigenframeError):
-    """Input outside the supported domain (cables, non-prime q, n > 5 survey)."""
+    """Input outside the supported domain (irrational tau on the exact
+    backend, non-prime q, n > 5 survey)."""
 
 
 class ResourceLimitError(UnsupportedInputError):

@@ -1,4 +1,4 @@
-"""Frameworks on tensegrity graphs: Gram matrices, domination, stresses.
+"""Frameworks on graphs: Gram matrices, domination, stresses.
 
 A framework assigns a vector to each vertex; the Gram matrix of those
 vectors is the object everything here works with, since congruence (equal
@@ -8,8 +8,10 @@ is represented by the projector onto the least eigenspace: the projector is
 rational whenever the eigenvalue is integral, while an orthonormal point
 matrix generally is not, and the two differ only by congruence.
 
-Domination compares two frameworks on the same tensegrity graph entrywise:
-equal on the diagonal and on bars, >= on cables, <= on struts.
+Domination compares two frameworks on the same graph entrywise: p dominates
+q when their Grams agree on the diagonal and q's is at most p's on every
+edge. A stress is a PSD matrix supported on the diagonal and the edges, with
+nonnegative edge entries, that annihilates the framework.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ from .exact import (
     rank_exact,
 )
 from .graphs import (
-    BAR,
-    CABLE,
-    STRUT,
     Graph,
     _q_kneser_with_masks,
     kneser,
@@ -47,7 +46,7 @@ FACTOR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Framework:
-    """Vectors on the vertices of a tensegrity graph, up to congruence.
+    """Vectors on the vertices of a graph, up to congruence.
 
     gram is the source of truth. points, when present, is a rank
     factorization with gram = points @ points.T (checked at construction);
@@ -203,9 +202,9 @@ def qkneser_framework(q: int, n: int, r: int) -> Framework:
 @dataclass(frozen=True)
 class StressMatrix:
     """A symmetric matrix stressing a framework, with its five defining
-    checks exposed individually: positive semidefinite, supported on edges,
-    correctly signed on struts and cables, annihilating the points, and of
-    corank equal to the span dimension."""
+    checks exposed individually: positive semidefinite, supported on the
+    diagonal and the edges, nonnegative on edges, annihilating the points,
+    and of corank equal to the span dimension."""
 
     z: ExactMatrix
     framework: Framework
@@ -223,14 +222,7 @@ class StressMatrix:
         )
 
     def condition_signs(self) -> bool:
-        g = self.framework.graph
-        for i, j in g.edges():
-            label = g.label_of(i, j)
-            if label == STRUT and self.z[i, j] < 0:
-                return False
-            if label == CABLE and self.z[i, j] > 0:
-                return False
-        return True
+        return all(self.z[i, j] >= 0 for i, j in self.framework.graph.edges())
 
     def condition_annihilates(self) -> bool:
         fw = self.framework
@@ -262,13 +254,11 @@ def canonical_stress(g: Graph, framework: Framework | None = None) -> StressMatr
     PSD matrix supported on edges whose kernel is exactly the eigenspace.
 
     The stress is the framework's certified A - tau I
-    (LeastEigenspace.shifted). Requires an integral least eigenvalue and a
-    cable-free graph, and a framework that carries its eigenspace
+    (LeastEigenspace.shifted), whose edge entries are 1. Requires an
+    integral least eigenvalue and a framework that carries its eigenspace
     (ValueError otherwise); all five conditions are verified before
     returning.
     """
-    if g.has_cables():
-        raise UnsupportedInputError("canonical stress is undefined with cable edges")
     if framework is None:
         framework = least_eigenvalue_framework(least_eigenspace(g, "exact"))
     if not framework.is_exact():
@@ -287,10 +277,10 @@ def _comparable(p: Framework, q: Framework):
 
 
 def dominates(p: Framework, q: Framework, tol: float = GRAM_TOL) -> bool:
-    """Entrywise Gram comparison on the shared tensegrity graph: equality on
-    the diagonal and bars, >= on cables, <= on struts."""
+    """Entrywise Gram comparison on the shared graph: equality on the
+    diagonal, q <= p on every edge."""
     if p.graph != q.graph:
-        raise ValueError("frameworks live on different tensegrity graphs")
+        raise ValueError("frameworks live on different graphs")
     at, exact = _comparable(p, q)
     eps = 0 if exact else tol
     for i in range(p.n):
@@ -299,12 +289,7 @@ def dominates(p: Framework, q: Framework, tol: float = GRAM_TOL) -> bool:
             return False
     for i, j in p.graph.edges():
         a, b = at(i, j)
-        label = p.graph.label_of(i, j)
-        if label == BAR and abs(b - a) > eps:
-            return False
-        if label == CABLE and b < a - eps:
-            return False
-        if label == STRUT and b > a + eps:
+        if b > a + eps:
             return False
     return True
 

@@ -1,9 +1,8 @@
 """Graph type, graph6 codec, and the graph families used throughout.
 
 Vertices are 0..n-1 and adjacency is stored as one neighbour bitmask per
-vertex. Graphs are immutable; every operation returns a new Graph. Edges may
-optionally carry tensegrity labels (bar, cable, strut); an unlabeled graph is
-read as all-struts wherever labels matter.
+vertex. Graphs are immutable; every operation returns a new Graph. Graphs
+are plain: edges carry no labels, and frameworks.py reads every edge alike.
 
 Canonical vertex orders are part of the contract: r-subsets are listed in
 colex order, r-subspaces in lex order of their reduced-echelon basis
@@ -15,15 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 from .errors import Graph6Error, InternalCheckError, ResourceLimitError, UnsupportedInputError
 from .modular import gaussian_binomial, gf2_span, line_masks
-
-BAR = "bar"
-CABLE = "cable"
-STRUT = "strut"
-_LABELS = (BAR, CABLE, STRUT)
 
 SYSTEM_BYTE_CAP = 1 << 30  # largest matrix, linear system or list allocated, at 8 bytes a cell
 # graph6 packs the n(n - 1)/2 upper-triangle bits six to a character, about
@@ -40,11 +35,10 @@ def check_budget(cells: int, what: str) -> None:
         raise ResourceLimitError(f"{what} exceeds the {SYSTEM_BYTE_CAP}-byte budget")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Graph:
     n: int
     nbr: tuple  # bitmask of neighbours per vertex
-    edge_labels: dict | None = field(default=None)
 
     def __post_init__(self):
         if self.n < 0:
@@ -78,25 +72,6 @@ class Graph:
                     if not nbr[i] >> j & 1:
                         raise ValueError(f"adjacency not symmetric at ({i}, {j})")
                     m ^= low
-        if self.edge_labels is not None:
-            edges = set(self.edges())
-            if set(self.edge_labels) != edges:
-                raise ValueError("edge labels must cover exactly the edge set")
-            for e, lab in self.edge_labels.items():
-                if lab not in _LABELS:
-                    raise ValueError(f"unknown edge label {lab!r} at {e}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.nbr == other.nbr
-            and self.edge_labels == other.edge_labels
-        )
-
-    def __hash__(self):
-        labels = None if self.edge_labels is None else tuple(sorted(self.edge_labels.items()))
-        return hash((self.n, self.nbr, labels))
 
     def edges(self):
         out = []
@@ -123,16 +98,6 @@ class Graph:
             j = (m & -m).bit_length() - 1
             yield j
             m &= m - 1
-
-    def label_of(self, i, j) -> str:
-        if not self.has_edge(i, j):
-            raise ValueError(f"({i}, {j}) is not an edge")
-        if self.edge_labels is None:
-            return STRUT
-        return self.edge_labels[(min(i, j), max(i, j))]
-
-    def has_cables(self) -> bool:
-        return self.edge_labels is not None and CABLE in self.edge_labels.values()
 
     def adjacency_rows(self):
         return [[self.nbr[i] >> j & 1 for j in range(self.n)] for i in range(self.n)]
@@ -164,19 +129,10 @@ class Graph:
                 j = (m & -m).bit_length() - 1
                 nbr[perm[i]] |= 1 << perm[j]
                 m &= m - 1
-        labels = None
-        if self.edge_labels is not None:
-            labels = {
-                (min(perm[i], perm[j]), max(perm[i], perm[j])): lab
-                for (i, j), lab in self.edge_labels.items()
-            }
-        return Graph(self.n, tuple(nbr), labels)
-
-    def with_labels(self, labels):
-        return Graph(self.n, self.nbr, dict(labels))
+        return Graph(self.n, tuple(nbr))
 
 
-def from_edges(n, edges, labels=None) -> Graph:
+def from_edges(n, edges) -> Graph:
     nbr = [0] * n
     for i, j in edges:
         if i == j:
@@ -185,9 +141,7 @@ def from_edges(n, edges, labels=None) -> Graph:
             raise ValueError(f"edge ({i}, {j}) outside vertex range")
         nbr[i] |= 1 << j
         nbr[j] |= 1 << i
-    if labels is not None:
-        labels = {(min(i, j), max(i, j)): lab for (i, j), lab in labels.items()}
-    return Graph(n, tuple(nbr), labels)
+    return Graph(n, tuple(nbr))
 
 
 @dataclass(frozen=True)
@@ -449,13 +403,16 @@ def maximal_cliques(g: Graph, min_size: int = 0):
     fewer than min_size vertices. It is not a recursive closure: a
     closure that calls itself sits in a reference cycle, which every call
     would leave behind for the cyclic collector. Each listed clique is
-    charged to check_budget as its vertices plus 8 cells for the list object
-    (on CPython a k-vertex list takes at least 8k + 64 bytes), so a graph with
-    too many cliques (K_{3,...,3} on k parts has 3^k) is refused before
-    memory runs out.
+    charged to check_budget, before the result grows, as the bytes its list
+    takes with its over-allocation (sys.getsizeof) plus 2 cells for its slot
+    in the result, which over-allocates by up to an eighth. Every clique
+    holds the same int object per vertex, so none of them owns an int. A
+    graph with too many cliques (K_{3,...,3} on k parts has 3^k) is refused
+    before memory runs out.
     """
     out = []
     listed = 0
+    vertices = list(range(g.n))
     stack = [[0, (1 << g.n) - 1, 0, None]] if g.n else []
     while stack:
         frame = stack[-1]
@@ -465,9 +422,10 @@ def maximal_cliques(g: Graph, min_size: int = 0):
                 stack.pop()
                 continue
             if not p and not x:
-                listed += r.bit_count() + 8
+                clique = [v for v in vertices if r >> v & 1]
+                listed += sys.getsizeof(clique) // 8 + 2
                 check_budget(listed, f"the list of {len(out) + 1} maximal cliques")
-                out.append([v for v in range(g.n) if r >> v & 1])
+                out.append(clique)
                 stack.pop()
                 continue
             pool = p | x

@@ -187,6 +187,14 @@ def test_exit_code_1_on_parse_errors(capsys):
     assert run(capsys, "check-uc")[0] == 1  # an input source is required
 
 
+def test_the_empty_graph_has_no_spectrum_on_every_report_command(capsys):
+    # an input error, not an unsupported one: vc certifies the eigenspace
+    # before it asks whether the graph is 1-walk-regular
+    for command in ("check-uc", "vc", "dominated"):
+        code, out, err = run(capsys, command, "--graph6", "?")
+        assert (code, out, err) == (1, "", "error: empty graph has no spectrum\n")
+
+
 def test_exit_code_2_on_unsupported(capsys):
     code, _, err = run(capsys, "check-uc", "--gen", "cycle:5", "--backend", "exact")
     assert code == 2
@@ -300,7 +308,7 @@ def test_the_byte_budget_holds_for_the_system_a_command_builds(monkeypatch, caps
 
 def test_a_clique_list_over_the_byte_budget_is_refused_before_it_grows(monkeypatch, capsys):
     # K_{3,...,3} on 8 parts: tau = -3, d = 7 and 3^8 = 6561 maximal
-    # 8-cliques, charged 16 cells each. The 100000-byte cap admits the
+    # 8-cliques, charged 17 cells each. The 100000-byte cap admits the
     # 24 x 24 adjacency matrix and the 276 x 28 R-system, not the clique
     # list; on k = 20 parts (60 vertices) the list would hold 3^20 cliques.
     g = from_edges(24, [(a, b) for a, b in itertools.combinations(range(24), 2)

@@ -15,6 +15,7 @@ from eigenframe.exact import (
     LeastEigenspace,
     adjacency_matrix,
     least_eigenspace,
+    nullspace,
     rank_exact,
 )
 from eigenframe.frameworks import (
@@ -178,10 +179,52 @@ def test_canonical_stress_on_corpus():
         assert z.z.nrows - rank_exact(z.z) == z.framework.d
 
 
-def test_canonical_stress_refuses_cables():
-    g = from_edges(2, [(0, 1)], labels={(0, 1): "cable"})
-    with pytest.raises(UnsupportedInputError):
-        canonical_stress(g)
+def _on_its_kernel(g, rows):
+    # z with the framework of its kernel's integer basis, which z annihilates
+    # and whose rank is the corank of z
+    z = ExactMatrix(rows)
+    p = ExactMatrix.column_stack(nullspace(z))
+    return StressMatrix(z, Framework(g, p @ p.transpose(), p))
+
+
+def test_each_stress_condition_fails_alone():
+    # A + 2I on the Petersen graph, mutated once per condition; a change to z
+    # alone would also break annihilation, since every symmetric matrix on
+    # the diagonal and the edges that annihilates the eigenvalue -2 space is
+    # a multiple of A + 2I, so z moves with its kernel framework
+    g = kneser(5, 2)
+    stress = canonical_stress(g)
+    rows = [[int(x) for x in stress.z.row(i)] for i in range(g.n)]
+    kernel = nullspace(stress.z)
+    assert stress.z == _on_its_kernel(g, rows).verify().z
+    # diag(-1, 1, ..., 1) z diag(-1, 1, ..., 1): -1 on the edges at vertex 0
+    flipped = [[-x if (i == 0) != (j == 0) else x for j, x in enumerate(row)]
+               for i, row in enumerate(rows)]
+    # vertices 0 and 1 exchanged, which is no automorphism: the edge entries
+    # move onto non-edges
+    swap = [1, 0, *range(2, g.n)]
+    swapped = [[rows[swap[i]][swap[j]] for j in range(g.n)] for i in range(g.n)]
+    # A - I, whose eigenvalues are 2, 0 (five times) and -3 (four times)
+    shifted = [[x - 3 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    # the point of vertex 0 moved off the kernel, its rank still 4
+    moved = [list(v) for v in zip(*kernel)]
+    moved[0][0] += 1
+    moved = ExactMatrix(moved)
+    # three of the four kernel vectors: rank 3 against corank 4
+    fewer = ExactMatrix.column_stack(kernel[:3])
+    mutants = {
+        "signs": _on_its_kernel(g, flipped),
+        "support": _on_its_kernel(g, swapped),
+        "psd": _on_its_kernel(g, shifted),
+        "annihilates": StressMatrix(stress.z, Framework(g, moved @ moved.transpose(), moved)),
+        "corank": StressMatrix(stress.z, Framework(g, fewer @ fewer.transpose(), fewer)),
+    }
+    for name, mutant in mutants.items():
+        failed = [c for c in ("psd", "support", "signs", "annihilates", "corank")
+                  if not getattr(mutant, f"condition_{c}")()]
+        assert failed == [name]
+        with pytest.raises(InternalCheckError, match=f"conditions failed: {name}$"):
+            mutant.verify()
 
 
 def test_stress_condition_reporting():
@@ -196,8 +239,8 @@ def test_dominates_and_congruent():
     fw = least_eigenvalue_framework(least_eigenspace(K4, "exact"))
     assert congruent(fw, fw)
     assert dominates(fw, fw)
-    # unlabeled edges are struts: a framework with a strictly smaller inner
-    # product on one edge is dominated but does not dominate
+    # a framework with a strictly smaller inner product on one edge is
+    # dominated but does not dominate
     rows = [[fw.gram[i, j] for j in range(4)] for i in range(4)]
     rows[0][1] -= 1
     rows[1][0] -= 1

@@ -1,14 +1,17 @@
 """Graph type, generators, and structural predicates."""
 
+import dataclasses
 import gc
 import itertools
 import random
 import time
+import tracemalloc
 
 import networkx as nx
 import pytest
 
 from corpus import atlas_graphs, connected_graphs, ATLAS_COUNTS, CONNECTED_COUNTS
+from eigenframe import graphs
 from eigenframe.errors import UnsupportedInputError
 from eigenframe.graphs import (
     CayleySpec,
@@ -246,6 +249,32 @@ def test_maximal_cliques_leave_no_reference_cycles():
     assert len(cliques) == 105  # three disjoint pairs out of seven points
 
 
+@pytest.mark.parametrize("parts,isolated", [(9, 0), (6, 276)])
+def test_maximal_cliques_are_charged_at_least_what_they_take(monkeypatch, parts, isolated):
+    # K_{3,...,3} with 3^parts maximal cliques, after `isolated` vertices
+    # that are skipped by the size floor; past 256 the vertex ints are not
+    # CPython's cached small ints, so each clique would hold its own
+    n = 3 * parts
+    g = from_edges(isolated + n, [
+        (isolated + a, isolated + b)
+        for a, b in itertools.combinations(range(n), 2) if a // 3 != b // 3
+    ])
+    charged = [0]
+
+    def record(cells, what):
+        charged[0] = cells
+
+    monkeypatch.setattr(graphs, "check_budget", record)
+    tracemalloc.start()
+    try:
+        cliques = maximal_cliques(g, parts)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cliques) == 3**parts
+    assert 8 * charged[0] >= traced
+
+
 def test_relabel_preserves_structure():
     g = kneser(5, 2)
     perm = list(range(10))
@@ -261,3 +290,4 @@ def test_graph_equality_and_hash():
     b = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert a == b and hash(a) == hash(b)
     assert a != cycle(5)
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "nbr"]

@@ -10,7 +10,6 @@ from eigenframe.coloring import (
     is_one_walk_regular,
     is_uniquely_vector_colorable_1wr,
     optimal_vector_coloring_1wr,
-    struts_tensegrity,
     validate_coloring,
 )
 from eigenframe import exact
@@ -46,12 +45,6 @@ def test_walk_regularity_stops_at_the_minimal_polynomial(monkeypatch):
     assert is_one_walk_regular(cycle(7)).k_max == 3  # 2 and three irrational pairs
     edgeless = is_one_walk_regular(from_edges(3, []))
     assert edgeless.ok and edgeless.k_max == 1  # A = 0, but A^1 is still checked
-
-
-def test_struts_tensegrity_labels():
-    st = struts_tensegrity(cycle(3))
-    assert all(lab == "strut" for lab in st.edge_labels.values())
-    assert struts_tensegrity(st).edge_labels == st.edge_labels
 
 
 def test_complete_graph_coloring():
