@@ -9,13 +9,14 @@ Both paths decide the dimension in the paper's reduced space X = B R B^T
 (B a basis of ker(A - tau I), R symmetric d x d): n + |E| equations in
 d(d+1)/2 unknowns. On the exact path B is an integer basis; full column
 rank modulo a word-size prime certifies dimension zero, and kernel vectors
-are otherwise solved exactly and verified. On the floating path B is the
-orthonormal eigh basis, and the least singular value of the same system
-bounds the margin of the n^2 x |E(complement)| complement-edge system from
-below; only when that bound is too small to prove full rank do its rank
-and null vectors decide. The reported margin, the smallest-to-largest
-singular value ratio of the complement-edge system, is read from that
-system's Gram matrix when first asked for; the system itself is never built.
+are otherwise lifted from that same elimination and verified exactly. On
+the floating path B is the orthonormal eigh basis, and the least singular
+value of the same system bounds the margin of the n^2 x |E(complement)|
+complement-edge system from below; only when that bound is too small to
+prove full rank do its rank and null vectors decide. The reported margin,
+the smallest-to-largest singular value ratio of the complement-edge system,
+is read from that system's Gram matrix when first asked for; the system
+itself is never built.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ from .exact import (
     ExactMatrix,
     LeastEigenspace,
     _eigenspace_of,
-    nullspace_fast,
+    nullspace_mod_p,
     psd_rank_pivot,
     rank_exact,
 )
 from .frameworks import Framework, dominates
 from .graphs import Graph, check_budget, maximal_cliques
-from .modular import rank_mod_p
 
 SV_THRESHOLD = 1e-7
 NEIGHBORHOOD_MARGIN = 1e-6
@@ -197,15 +197,11 @@ def _symmetric(tri, vec, d):
 
 def _rspace_kernel(les):
     """Kernel vectors of the exact R-system (_rspace_rows), as symmetric
-    d x d ExactMatrices. Full column rank modulo a prime proves the kernel
-    trivial; otherwise nullspace_fast eliminates the pivot rows found modulo
-    it."""
+    d x d ExactMatrices, from one elimination modulo a prime
+    (nullspace_mod_p): full column rank there proves the kernel trivial,
+    and otherwise its kernel, lifted to the rationals, is verified exactly."""
     rows, tri = _rspace_rows(les)
-    rank, pivot_rows, _ = rank_mod_p(rows)
-    if rank == len(tri):  # R -> B R B^T is injective
-        return []
-    return [ExactMatrix(_symmetric(tri, vec, len(les.basis)))
-            for vec in nullspace_fast(rows, pivot_rows)]
+    return [ExactMatrix(_symmetric(tri, vec, len(les.basis))) for vec in nullspace_mod_p(rows)]
 
 
 def xspace(g) -> XSpaceBasis:
@@ -403,10 +399,8 @@ def dominated_frameworks(p: Framework, x, c=None, tol: float = DEFAULT_TOL) -> F
     q = Framework(p.graph, gram, None, les, d)
     if not dominates(p, q):  # also proves the diagonal unchanged
         raise InternalCheckError("dominated framework fails the domination check")
-    eps = 0 if p.is_exact() else 1e-9
-    for i, j in p.graph.edges():
-        if abs(q.entry(i, j) - p.entry(i, j)) > eps:
-            raise InternalCheckError("dominated framework changed an edge entry")
+    if not dominates(q, p):  # so every edge entry is unchanged too
+        raise InternalCheckError("dominated framework changed an edge entry")
     return q
 
 

@@ -107,9 +107,6 @@ class Framework:
     def tau_multiplicity(self) -> int | None:
         return None if self.eigenspace is None else self.eigenspace.spectrum.tau_multiplicity
 
-    def entry(self, i, j):
-        return self.gram[i, j] if self.is_exact() else float(np.asarray(self.gram)[i, j])
-
     def rescaled(self, factor) -> "Framework":
         """Scale the Gram matrix by a positive factor; points are dropped."""
         if self.is_exact():
@@ -255,12 +252,14 @@ def canonical_stress(g: Graph, framework: Framework | None = None) -> StressMatr
 
     The stress is the framework's certified A - tau I
     (LeastEigenspace.shifted), whose edge entries are 1. Requires an
-    integral least eigenvalue and a framework that carries its eigenspace
-    (ValueError otherwise); all five conditions are verified before
-    returning.
+    integral least eigenvalue and a framework on g that carries its
+    eigenspace (ValueError otherwise); all five conditions are verified
+    before returning.
     """
     if framework is None:
         framework = least_eigenvalue_framework(least_eigenspace(g, "exact"))
+    if framework.graph != g:
+        raise ValueError("framework belongs to another graph")
     if not framework.is_exact():
         raise UnsupportedInputError("canonical stress needs the exact backend")
     if framework.eigenspace is None:
@@ -269,27 +268,31 @@ def canonical_stress(g: Graph, framework: Framework | None = None) -> StressMatr
 
 
 def _comparable(p: Framework, q: Framework):
-    if p.is_exact() and q.is_exact():
-        return lambda i, j: (p.gram[i, j], q.gram[i, j]), True
+    """Floating reader of the two Grams at (i, j), exact ones rounded."""
     pg = p.gram.to_float() if p.is_exact() else np.asarray(p.gram, dtype=float)
     qg = q.gram.to_float() if q.is_exact() else np.asarray(q.gram, dtype=float)
-    return lambda i, j: (pg[i, j], qg[i, j]), False
+    return lambda i, j: (pg[i, j], qg[i, j])
 
 
 def dominates(p: Framework, q: Framework, tol: float = GRAM_TOL) -> bool:
     """Entrywise Gram comparison on the shared graph: equality on the
-    diagonal, q <= p on every edge."""
+    diagonal, q <= p on every edge. Two exact Grams pn / pd and qn / qd
+    compare their integer numerators: q_ij <= p_ij iff qn_ij pd <= pn_ij qd."""
     if p.graph != q.graph:
         raise ValueError("frameworks live on different graphs")
-    at, exact = _comparable(p, q)
-    eps = 0 if exact else tol
+    if p.is_exact() and q.is_exact():
+        pn, pd, qn, qd = p.gram.num, p.gram.den, q.gram.num, q.gram.den
+        return all(qn[i][i] * pd == pn[i][i] * qd for i in range(p.n)) and all(
+            qn[i][j] * pd <= pn[i][j] * qd for i, j in p.graph.edges()
+        )
+    at = _comparable(p, q)
     for i in range(p.n):
         a, b = at(i, i)
-        if abs(b - a) > eps:
+        if abs(b - a) > tol:
             return False
     for i, j in p.graph.edges():
         a, b = at(i, j)
-        if b > a + eps:
+        if b > a + tol:
             return False
     return True
 
@@ -299,7 +302,7 @@ def congruent(p: Framework, q: Framework, tol: float = GRAM_TOL) -> bool:
         raise ValueError("frameworks have different sizes")
     if p.is_exact() and q.is_exact():
         return p.gram == q.gram
-    at, _ = _comparable(p, q)
+    at = _comparable(p, q)
     return all(
         abs(at(i, j)[0] - at(i, j)[1]) <= tol for i in range(p.n) for j in range(p.n)
     )

@@ -1,16 +1,19 @@
 """Small modular-arithmetic helpers: GF(2) bit-vector spans, word-size mod-p
-elimination, reduced-echelon enumeration of subspaces over a prime field,
-and the lines each subspace contains.
+elimination and rational reconstruction, reduced-echelon enumeration of
+subspaces over a prime field, and the lines each subspace contains.
 
 The mod-p elimination is the workhorse behind the certified exact nullspace:
 full column rank modulo a prime is already a proof of full column rank over
-the rationals, and when the rank is deficient the pivot rows found here are
-independent over the rationals, so the exact solver eliminates only them.
+the rationals, and when the rank is deficient the same elimination, reduced
+and lifted by rational reconstruction, proposes the kernel for an exact
+check. If a proposal fails, the pivot rows found here, independent over the
+rationals, are all the exact solver eliminates.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from operator import mul
 
 import numpy as np
@@ -41,16 +44,18 @@ def gf2_span(vectors):
     return span
 
 
-def rank_mod_p(rows, p=DEFAULT_PRIME):
-    """Rank of an integer matrix modulo p.
-
-    Returns (rank, pivot_rows, pivot_cols) with indices into the original
-    matrix. Elimination order is deterministic: columns left to right,
-    pivot row = first nonzero at or below the current row.
-    """
-    m = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+def _echelon_mod_p(rows, p):
+    """Row echelon form of an integer matrix modulo p: (echelon, pivot_rows,
+    pivot_cols), with row i of the int64 array echelon 1 at pivot_cols[i]
+    and 0 before it, and indices into the original matrix. Elimination order
+    is deterministic: columns left to right, pivot row = first nonzero at or
+    below the current row."""
+    try:
+        m = np.array(rows, dtype=np.int64) % p
+    except OverflowError:  # an entry beyond int64: reduce it as a Python int
+        m = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
     if m.size == 0:
-        return 0, [], []
+        return m, [], []
     nrows, ncols = m.shape
     perm = list(range(nrows))
     pivot_rows, pivot_cols = [], []
@@ -73,7 +78,73 @@ def rank_mod_p(rows, p=DEFAULT_PRIME):
         pivot_rows.append(perm[r])
         pivot_cols.append(c)
         r += 1
-    return r, pivot_rows, pivot_cols
+    return m[:r], pivot_rows, pivot_cols
+
+
+def rank_mod_p(rows, p=DEFAULT_PRIME):
+    """Rank of an integer matrix modulo p.
+
+    Returns (rank, pivot_rows, pivot_cols) with indices into the original
+    matrix, as _echelon_mod_p finds them.
+    """
+    _, pivot_rows, pivot_cols = _echelon_mod_p(rows, p)
+    return len(pivot_cols), pivot_rows, pivot_cols
+
+
+def _rational_reconstruction(a, p):
+    """(num, den) with num = den * a (mod p), |num| <= B and 0 < den <= B
+    for B = isqrt(p // 2), or None when the residue a has no such fraction.
+
+    Wang's half extended Euclid: the first remainder r <= B, with
+    r = t * a (mod p), gives num / den = r / t when |t| <= B. Two such
+    fractions n / d and n' / d' would have |n d' - n' d| <= 2 B^2 < p, so
+    they are equal: the fraction is unique, and Euclid finds it whenever it
+    exists (Wang, Guy & Davenport, 1982).
+    """
+    bound = math.isqrt(p // 2)
+    r0, r1, t0, t1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def kernel_mod_p(rows, p=DEFAULT_PRIME):
+    """(pivot_rows, candidates) from one elimination of an integer matrix
+    modulo p: pivot_rows as rank_mod_p gives them, and candidates, for each
+    free column f left to right, the kernel vector modulo p with 1 at f and
+    0 at the other free columns, lifted to the rationals entrywise by
+    _rational_reconstruction and scaled to the primitive integer vector
+    positive at f; candidates is None when some entry has no lift.
+
+    Nothing here is proved over the rationals: a candidate is a kernel
+    vector only once it is checked against every row (exact.nullspace_mod_p).
+    With full rank modulo p there is no free column, and no candidate.
+    """
+    ncols = len(rows[0]) if rows else 0
+    m, pivot_rows, pivot_cols = _echelon_mod_p(rows, p)
+    pivots = set(pivot_cols)
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return pivot_rows, ()
+    # reduced echelon form: clear each pivot column above its pivot
+    for i in range(len(pivot_cols) - 1, 0, -1):
+        m[:i] = (m[:i] - np.outer(m[:i, pivot_cols[i]], m[i])) % p
+    candidates = []
+    for f in free:
+        lifts = [_rational_reconstruction(-x % p, p) for x in m[:, f].tolist()]
+        if None in lifts:
+            return pivot_rows, None
+        scale = math.lcm(*(den for _, den in lifts))
+        vec = [0] * ncols
+        vec[f] = scale
+        for c, (num, den) in zip(pivot_cols, lifts):
+            vec[c] = num * (scale // den)
+        g = math.gcd(*vec)
+        candidates.append(tuple([v // g for v in vec]))
+    return pivot_rows, tuple(candidates)
 
 
 def _subspaces_mod_q(q, n, r):

@@ -8,6 +8,7 @@ separators.
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 
@@ -23,10 +24,17 @@ def number_token(x):
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
+def _ratio_token(num, den):
+    """number_token(Fraction(num, den)) for a positive den, with one gcd."""
+    g = math.gcd(num, den)
+    return num // g if g == den else f"{num // g}/{den // g}"
+
+
 def gram_tokens(gram):
-    """Row-major entry list from an ExactMatrix or a numpy array."""
-    if hasattr(gram, "entries_row_major"):
-        return [number_token(x) for x in gram.entries_row_major()]
+    """Row-major entry list from an ExactMatrix, read off its integer
+    numerators and common denominator, or from a numpy array."""
+    if hasattr(gram, "den"):
+        return [_ratio_token(x, gram.den) for row in gram.num for x in row]
     return [number_token(float(x)) for row in gram for x in row]
 
 

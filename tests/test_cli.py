@@ -248,7 +248,7 @@ def test_system_over_the_byte_budget_is_refused_before_it_is_built(monkeypatch, 
     n = cli._parse_gen(spec).n
     monkeypatch.setattr(graphs, "SYSTEM_BYTE_CAP", 8 * n * n)
     monkeypatch.setattr(completability, "_complement_gram", never)
-    monkeypatch.setattr(completability, "rank_mod_p", never)
+    monkeypatch.setattr(completability, "nullspace_mod_p", never)
     code, out, err = run(capsys, "check-uc", "--gen", spec)
     assert code == 2 and out == ""
     assert f"system exceeds the {8 * n * n}-byte budget" in err

@@ -6,6 +6,7 @@ echelon basis, so they are run against each other on randomized inputs
 throughout.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from eigenframe.exact import (
     least_eigenspace,
     nullspace,
     nullspace_fast,
+    nullspace_mod_p,
     projector_onto_nullspace,
     psd_rank_pivot,
     rank_exact,
@@ -38,10 +40,12 @@ from eigenframe.graphs import (
     q_kneser,
 )
 from eigenframe.modular import (
+    _rational_reconstruction,
     _subspaces_mod_q,
     gaussian_binomial,
     gf2_rank,
     gf2_span,
+    kernel_mod_p,
     rank_mod_p,
 )
 from oracles import exact_spectrum
@@ -197,6 +201,78 @@ def test_fast_nullspace_with_entries_beyond_a_word(monkeypatch):
     assert plain == []
     assert len(fast) == 3
     assert fast == nullspace(ExactMatrix(rows))
+
+
+def test_modular_nullspace_agrees_with_plain_elimination(monkeypatch):
+    # the seeded inputs of test_fast_nullspace_agrees_with_plain_elimination,
+    # through one elimination modulo p: every route is taken
+    rng = random.Random(31)
+    inputs = []
+    for trial in range(30):
+        nrows, ncols = rng.randint(2, 10), rng.randint(2, 10)
+        rows = _random_int_matrix(rng, nrows, ncols, -9, 9)
+        if trial % 3 == 0:  # force rank deficiency
+            rows.append([a + b for a, b in zip(rows[0], rows[-1])])
+        inputs.append(rows)
+    inputs += [[[P, 0, 1], [0, 1, 0]], [[P, 1, 0, 1], [0, 0, 1, 1]]]
+    routes = []
+    for rows in inputs:
+        fast = _record_results(monkeypatch, "nullspace_fast")
+        candidates = kernel_mod_p(rows)[1]
+        assert nullspace_mod_p(rows) == nullspace(ExactMatrix(rows))
+        if candidates is None:
+            routes.append("no lift")
+        elif fast:
+            routes.append("candidate fails")
+        else:
+            routes.append("lifted" if candidates else "full rank")
+        assert len(fast) == (routes[-1] in ("no lift", "candidate fails"))
+        monkeypatch.undo()
+    assert {r: routes.count(r) for r in set(routes)} == {
+        "full rank": 18, "lifted": 9, "no lift": 3, "candidate fails": 2}
+
+
+def test_kernel_entries_beyond_the_lift_bound_take_the_pivot_row_solve(monkeypatch):
+    # the rows of test_fast_nullspace_with_large_entries: kernel entries are
+    # ratios of 12 x 12 minors, far beyond isqrt(P // 2)
+    rng = random.Random(47)
+    rows = _random_int_matrix(rng, 12, 15, -10**6, 10**6)
+    assert kernel_mod_p(rows)[1] is None
+    fast = _record_results(monkeypatch, "nullspace_fast")
+    plain = _record_results(monkeypatch, "nullspace")
+    basis = nullspace_mod_p(rows)
+    assert plain == [] and fast == [basis]
+    assert basis == nullspace(ExactMatrix(rows))
+
+
+def test_a_kernel_candidate_that_fails_verification_falls_back(monkeypatch):
+    # [P] is zero modulo P, so e_1 is a candidate, and no kernel vector
+    assert kernel_mod_p([[P]]) == ([], ((1,),))
+    fast = _record_results(monkeypatch, "nullspace_fast")
+    plain = _record_results(monkeypatch, "nullspace")
+    assert nullspace_mod_p([[P]]) == nullspace(ExactMatrix([[P]])) == ()
+    assert fast == plain == [()]
+
+
+def test_rational_reconstruction_at_the_bound():
+    b = math.isqrt(P // 2)
+    assert b == 32767 and 2 * b * b < P
+    for num, den in ((b, b - 1), (-b, b - 1), (b - 1, b), (1 - b, b), (-b, 1), (0, 1)):
+        assert _rational_reconstruction(num * pow(den, -1, P) % P, P) == (num, den)
+    # b + 1 = num / den (mod P) for no |num|, den <= b
+    assert not any(abs((b + 1) * d % P - P * ((b + 1) * d % P > P // 2)) <= b
+                   for d in range(1, b + 1))
+    assert _rational_reconstruction(b + 1, P) is None
+
+
+def test_entries_beyond_int64_are_reduced_as_python_ints():
+    # numpy refuses these entries, so the elimination reduces them one by one
+    big = 2**64 + 1
+    with pytest.raises(OverflowError):
+        np.array([[big]], dtype=np.int64)
+    rows = [[big, -big, 0], [0, 1, -1]]
+    assert nullspace_mod_p(rows) == nullspace(ExactMatrix(rows)) == ((1, 1, 1),)
+    assert rank_mod_p([[P << 40, 1], [1, 0]]) == (2, [1, 0], [0, 1])
 
 
 def test_fast_nullspace_falls_back_when_rank_drops_mod_p(monkeypatch):

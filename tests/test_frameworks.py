@@ -1,6 +1,7 @@
 """Least-eigenvalue frameworks, named constructions, stress matrices."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from eigenframe.frameworks import (
 )
 from eigenframe.graphs import cycle, from_edges, kneser
 from eigenframe.modular import _subspaces_mod_q, gaussian_binomial
+from eigenframe.serialize import gram_tokens, number_token
 from oracles import rank_mod_q
 
 K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -253,6 +255,61 @@ def test_dominates_and_congruent():
     assert not dominates(fw, scaled) and not dominates(scaled, fw)
 
 
+def _symmetric_exact(rng, n, den):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(-6, 6), den)
+    return rows
+
+
+def test_exact_tokens_and_domination_read_integer_numerators():
+    # seeded Gram pairs on C5 against the Fraction reading of every entry:
+    # q moves off p on few diagonal entries and on some edges, either way
+    rng = random.Random(11)
+    g = cycle(5)
+    outcomes, dens, numerators = [], set(), set()
+    for _ in range(80):
+        p_rows = _symmetric_exact(rng, 5, rng.choice((1, 1, 2, 3, 4, 6, 12)))
+        q_rows = [row[:] for row in p_rows]
+        for i in range(5):
+            for j in range(i, 5):
+                odds = (1,) + (0,) * 9 if i == j else (1, 0, 0, 0, -1, -1)
+                move = rng.choice(odds) * Fraction(1, rng.choice((1, 2, 3)))
+                q_rows[i][j] = q_rows[j][i] = q_rows[i][j] + move
+        p, q = ExactMatrix(p_rows), ExactMatrix(q_rows)
+        for m in (p, q):
+            assert gram_tokens(m) == [number_token(x) for x in m.entries_row_major()]
+            dens.add(m.den)
+            numerators |= {(x > 0) - (x < 0) for row in m.num for x in row}
+        expected = all(q[i, i] == p[i, i] for i in range(5)) and all(
+            q[i, j] <= p[i, j] for i, j in g.edges())
+        assert dominates(Framework(g, p), Framework(g, q)) == expected
+        outcomes.append(expected)
+    assert 10 <= sum(outcomes) <= 70
+    assert 1 in dens and len(dens) > 3 and numerators == {-1, 0, 1}
+
+
+def test_exact_domination_at_equality_across_denominators():
+    # C4 with 1/2 on the diagonal and 1/4 on the edges; p has 1/3 and q has
+    # -1 on the non-edges, so p is over 12 and q over 4, and every edge entry
+    # is at equality: 3 * 4 = 1 * 12
+    g = cycle(4)
+
+    def gram(off, edge=Fraction(1, 4)):
+        return ExactMatrix([[Fraction(1, 2) if i == j else edge if g.has_edge(i, j) else off
+                             for j in range(4)] for i in range(4)])
+
+    p, q = gram(Fraction(1, 3)), gram(-1)
+    assert (p.den, q.den, p.num[0][1], q.num[0][1]) == (12, 4, 3, 1)
+    fp, fq = Framework(g, p), Framework(g, q)
+    assert dominates(fp, fq) and dominates(fq, fp)
+    above = Framework(g, gram(-1, Fraction(1, 4) + Fraction(1, 10**12)))
+    assert not dominates(fp, above) and dominates(above, fp)
+    assert gram_tokens(p)[:4] == ["1/2", "1/4", "1/3", "1/4"]
+    assert gram_tokens(q)[:4] == ["1/2", "1/4", -1, "1/4"]
+
+
 def test_results_hold_no_copy_of_their_eigenspace():
     # tau, its multiplicity and the backend are read from the eigenspace
     assert [f.name for f in dataclasses.fields(Framework)] == [
@@ -287,3 +344,10 @@ def test_a_framework_needs_its_own_eigenspace_for_stress_and_domination():
         Framework(K4, fw.gram, eigenspace=least_eigenspace(K4, "floating"))
     with pytest.raises(ValueError):
         Framework(K4, fw.gram, eigenspace=least_eigenvalue_framework(cycle(4)).eigenspace)
+
+
+def test_canonical_stress_refuses_a_framework_of_another_graph():
+    c4 = least_eigenvalue_framework(cycle(4))
+    assert canonical_stress(cycle(4), c4).z == c4.eigenspace.shifted
+    with pytest.raises(ValueError, match="framework belongs to another graph"):
+        canonical_stress(K4, c4)

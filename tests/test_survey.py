@@ -322,11 +322,13 @@ def test_survey_one_makes_no_pivot_pass_elimination_or_eigensolver_call(monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("survey_one left the character route")
 
-    for name in ("psd_rank_pivot", "nullspace", "nullspace_fast"):
+    for name in ("psd_rank_pivot", "nullspace", "nullspace_fast", "nullspace_mod_p",
+                 "kernel_mod_p"):
         monkeypatch.setattr(exact, name, refuse)
-    for name in ("xspace", "rank_mod_p", "nullspace_fast", "psd_rank_pivot"):
+    for name in ("xspace", "nullspace_mod_p", "psd_rank_pivot"):
         monkeypatch.setattr(completability, name, refuse)
-    monkeypatch.setattr(modular, "rank_mod_p", refuse)
+    for name in ("rank_mod_p", "kernel_mod_p"):
+        monkeypatch.setattr(modular, name, refuse)
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
     assert run_survey(4).summary() == {"n": 4, "connected": 36, "uc": 34}

@@ -574,19 +574,33 @@ def test_small_cayley_eigenspace_takes_the_modular_full_rank_route(monkeypatch):
     sp = cayley_spectrum(CayleySpec(5, conn)).spectrum
     assert sp.tau == -5 and sp.tau_multiplicity == 2
     widths = []
-    real_rank = completability.rank_mod_p
+    real_kernel = exact.kernel_mod_p
 
-    def recording_rank(rows):
+    def recording_kernel(rows):
         widths.append(len(rows[0]))
-        return real_rank(rows)
+        return real_kernel(rows)
 
     def no_kernel_solve(*args):
         raise AssertionError("kernel solve on a full-rank reduced system")
 
-    monkeypatch.setattr(completability, "rank_mod_p", recording_rank)
-    monkeypatch.setattr(completability, "nullspace_fast", no_kernel_solve)
+    monkeypatch.setattr(exact, "kernel_mod_p", recording_kernel)
+    monkeypatch.setattr(exact, "nullspace_fast", no_kernel_solve)
     assert xspace(cayley_z2(CayleySpec(5, conn))).dim == 0
     assert widths == [3]  # the upper triangle of a 2 x 2 matrix R
+
+
+def test_the_witness_benchmark_inputs_take_no_bignum_elimination(monkeypatch):
+    # every kernel of the witness workload lifts from its one elimination
+    # modulo p, so a slide back to the Bareiss route fails here
+    graphs = {parse_graph6(op.argv[2]) for op in benchmark_ops("witness")}
+    dims = {g: xspace(g).dim for g in graphs}
+    assert len(graphs) == 7 and sum(dims.values()) > 0
+
+    def no_bareiss(rows):
+        raise AssertionError("bignum elimination on a benchmark input")
+
+    monkeypatch.setattr(exact, "_bareiss_echelon", no_bareiss)
+    assert {g: xspace(g).dim for g in graphs} == dims
 
 
 def test_lifted_witnesses_are_primitive_echelon_vectors():
