@@ -25,12 +25,11 @@ from .exact import (
     ExactMatrix,
     LeastEigenspace,
     _eigenspace_of,
-    adjacency_matrix,
     is_psd_exact,
 )
 from .completability import XSpaceBasis, dominated_frameworks, xspace
 from .frameworks import least_eigenvalue_framework
-from .graphs import Graph
+from .graphs import Graph, check_budget
 
 EDGE_TOL = 1e-9
 
@@ -74,26 +73,38 @@ def is_one_walk_regular(g: Graph) -> OneWalkRegularCertificate:
     The first power that is exactly linearly dependent on the lower ones
     ends the check: it and every higher power are combinations of the
     checked ones, so constancy there is implied. A^1 is always checked.
+
+    Each power is kept as rows of Python ints, and row i of A^k is the sum
+    of the rows of A^(k-1) at the neighbours of i, so no matrix product is
+    formed. Every power is symmetric, and a symmetric matrix is zero exactly
+    when its upper triangle (diagonal included) is, so the upper triangles
+    are linearly dependent exactly when the powers are: independence is
+    tested on them. ResourceLimitError over the byte budget of the n x n
+    powers (check_budget), before any is built.
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         raise ValueError("empty graph")
-    a = adjacency_matrix(g)
+    check_budget(n * n, f"{n} x {n} matrix")
+    nbrs = [list(g.neighbours(i)) for i in range(n)]
     edges = g.edges()
-    power = ExactMatrix.identity(g.n)
+    zero = [0] * n
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
     a_seq, b_seq, echelon = [], [], []
     for k in itertools.count():
         if k:
-            power = power @ a
-        independent = _extends_echelon(echelon, [x for row in power.num for x in row])
+            power = [list(map(sum, zip(*[power[l] for l in nbrs[i]]))) if nbrs[i] else zero
+                     for i in range(n)]
+        independent = _extends_echelon(echelon, [x for i, row in enumerate(power) for x in row[i:]])
         if k > 1 and not independent:
             return OneWalkRegularCertificate(True, tuple(a_seq), tuple(b_seq), k - 1)
-        diag = power[0, 0]
-        edge_val = power[edges[0][0], edges[0][1]] if edges else Fraction(0)
-        for i, j in [(i, i) for i in range(1, g.n)] + edges:
-            if power[i, j] != (diag if i == j else edge_val):
+        diag = power[0][0]
+        edge_val = power[edges[0][0]][edges[0][1]] if edges else 0
+        for i, j in [(i, i) for i in range(1, n)] + edges:
+            if power[i][j] != (diag if i == j else edge_val):
                 return OneWalkRegularCertificate(False, tuple(a_seq), tuple(b_seq), k, (k, i, j))
-        a_seq.append(diag)
-        b_seq.append(edge_val)
+        a_seq.append(Fraction(diag))
+        b_seq.append(Fraction(edge_val))
 
 
 def _extends_echelon(echelon, vec) -> bool:

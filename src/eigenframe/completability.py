@@ -120,15 +120,24 @@ def _closed_pairs(g: Graph):
 
 def _complement_gram(shifted, k, j):
     """The Gram matrix M^T M of the floating complement-edge system M over
-    the pairs (k[t], j[t]). Column (k, j) of M is vec((A - tau I) X) with
-    X = e_k e_j^T + e_j e_k^T, so with T = (A - tau I)^2 the entry at (k, j),
-    (k', j') is T_jk'[k = j'] + T_jj'[k = k'] + T_kk'[j = j'] + T_kj'[j = k'];
-    M itself, n^2 rows, is never built."""
+    the pairs (k[t], j[t]), k < j. Column (k, j) of M is vec((A - tau I) X)
+    with X = e_k e_j^T + e_j e_k^T, so with T = (A - tau I)^2 the entry at
+    (k, j), (k', j') is T_jk'[k = j'] + T_jj'[k = k'] + T_kk'[j = j'] +
+    T_kj'[j = k']; M itself, n^2 rows, is never built.
+
+    Built by vertex blocks: the pairs through vertex v, with o their other
+    ends, add T[o, o'] on their block, which is the one term above that
+    names v. Two distinct pairs share at most one vertex, so each of their
+    entries receives one term, added to the 0.0 the matrix starts from; a
+    diagonal entry receives T_jj at v = k and then T_kk at v = j, the order
+    the four-term sum adds them in. So every entry, signed zeros included,
+    has the same bits as the four-term sum taken term by term."""
     t = shifted @ shifted
     gram = np.zeros((len(k), len(k)))
-    for row, col, left, right in ((j, k, k, j), (j, j, k, k), (k, k, j, j), (k, j, j, k)):
-        r, c = np.nonzero(np.equal.outer(left, right))
-        gram[r, c] += t[row[r], col[c]]
+    for v in range(len(t)):
+        p = np.nonzero((k == v) | (j == v))[0]
+        o = k[p] + j[p] - v
+        gram[np.ix_(p, p)] += t[np.ix_(o, o)]
     return gram
 
 

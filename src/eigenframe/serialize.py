@@ -11,6 +11,8 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def number_token(x):
     if isinstance(x, Fraction):
@@ -32,10 +34,12 @@ def _ratio_token(num, den):
 
 def gram_tokens(gram):
     """Row-major entry list from an ExactMatrix, read off its integer
-    numerators and common denominator, or from a numpy array."""
+    numerators and common denominator, or from a numpy array (or nested
+    lists), read in one pass over its float64 entries: each token is
+    number_token(float(x)) of the entry x."""
     if hasattr(gram, "den"):
         return [_ratio_token(x, gram.den) for row in gram.num for x in row]
-    return [number_token(float(x)) for row in gram for x in row]
+    return [float(f"{x:.12g}") for x in np.asarray(gram, dtype=float).ravel().tolist()]
 
 
 def canonical_json(obj) -> str:

@@ -7,7 +7,8 @@ row reduction for the exact rank at every integer eigenvalue. Slow,
 obviously correct, and wrong in different ways than the production route
 would be. The floating oracle
 builds the complement-edge system with numpy alone and reads it off one
-full SVD.
+full SVD, or sums its Gram matrix entry by entry, and the walk-count
+oracle multiplies dense integer powers of A.
 """
 
 import math
@@ -177,3 +178,59 @@ def x_system_svd(g, threshold=1e-7, tol=1e-8):
             x[k, l] = x[l, k] = v
         basis.append(x)
     return len(pairs) - rank, float(svals[-1] / smax) if smax > 0 else 0.0, basis
+
+
+def complement_gram_loop(shifted, k, j):
+    """The Gram matrix of the complement-edge system over the pairs
+    (k[t], j[t]), entry by entry from T = shifted @ shifted: 0.0 plus
+    T_jk'[k = j'], T_jj'[k = k'], T_kk'[j = j'] and T_kj'[j = k'], added in
+    that order."""
+    t = shifted @ shifted
+    m = len(k)
+    gram = np.zeros((m, m))
+    for a in range(m):
+        for b in range(m):
+            x = 0.0
+            if k[a] == j[b]:
+                x += t[j[a], k[b]]
+            if k[a] == k[b]:
+                x += t[j[a], j[b]]
+            if j[a] == j[b]:
+                x += t[k[a], k[b]]
+            if j[a] == k[b]:
+                x += t[k[a], j[b]]
+            gram[a, b] = x
+    return gram
+
+
+def walk_regularity(g):
+    """(ok, a_seq, b_seq, k_max, failure) of the 1-walk-regular check, from
+    dense powers A^k = A^(k-1) A over Python ints: each power must have a
+    constant diagonal and constant edge entries, and the first power whose
+    full n^2 entry vector is linearly dependent on the lower ones (k > 1)
+    ends the check. failure is the first (k, i, j) off its constant,
+    diagonal entries i = 1..n-1 first, then the edges in order; the
+    constants are Fractions."""
+    n, edges = g.n, g.edges()
+    a = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        a[i][j] = a[j][i] = 1
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    a_seq, b_seq, basis = [], [], []
+    k = 0
+    while True:
+        if k:
+            power = [[sum(row[l] * a[l][j] for l in range(n)) for j in range(n)] for row in power]
+        flat = [Fraction(x) for row in power for x in row]
+        independent = rref_fraction(basis + [flat]) > len(basis)
+        if k > 1 and not independent:
+            return True, tuple(a_seq), tuple(b_seq), k - 1, None
+        basis.append(flat)
+        diag = power[0][0]
+        edge_val = power[edges[0][0]][edges[0][1]] if edges else 0
+        for i, j in [(i, i) for i in range(1, n)] + edges:
+            if power[i][j] != (diag if i == j else edge_val):
+                return False, tuple(a_seq), tuple(b_seq), k, (k, i, j)
+        a_seq.append(Fraction(diag))
+        b_seq.append(Fraction(edge_val))
+        k += 1

@@ -31,7 +31,7 @@ from eigenframe.frameworks import (
 )
 from eigenframe.graphs import cycle, from_edges, kneser
 from eigenframe.modular import _subspaces_mod_q, gaussian_binomial
-from eigenframe.serialize import gram_tokens, number_token
+from eigenframe.serialize import canonical_json, gram_tokens, number_token
 from oracles import rank_mod_q
 
 K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -308,6 +308,20 @@ def test_exact_domination_at_equality_across_denominators():
     assert not dominates(fp, above) and dominates(above, fp)
     assert gram_tokens(p)[:4] == ["1/2", "1/4", "1/3", "1/4"]
     assert gram_tokens(q)[:4] == ["1/2", "1/4", -1, "1/4"]
+
+
+def test_float_tokens_are_the_number_token_of_each_entry():
+    # compared through canonical_json, so that nan matches nan and -0.0
+    # keeps its sign; the array is not symmetric, so a transposed view
+    # must be read in its own row-major order
+    values = np.array([[0.0, -0.0, 5e-324, 1e300], [-1e300, np.inf, -np.inf, np.nan],
+                       [3.0, -7.0, 2.0**60, 0.1 + 0.2], [1 / 3, -2 / 3, 123456789012.5, 1e-7]])
+    for gram in (values, values.T, values[::2, 1:], values.tolist(), np.eye(3, dtype=int)):
+        expected = [number_token(float(x)) for row in gram for x in row]
+        assert canonical_json(gram_tokens(gram)) == canonical_json(expected)
+    tokens = canonical_json(gram_tokens(values))
+    assert tokens.startswith("[0.0,-0.0,5e-324,1e+300,-1e+300,Infinity,-Infinity,NaN,3.0,")
+    assert gram_tokens(values.T)[:4] == [0.0, -1e300, 3.0, 0.333333333333]
 
 
 def test_results_hold_no_copy_of_their_eigenspace():

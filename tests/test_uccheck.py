@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from corpus import atlas_graphs, benchmark_ops, connected_graphs
-from eigenframe import coloring, completability, exact, frameworks
+from eigenframe import cli, coloring, completability, exact, frameworks
 from eigenframe.coloring import is_uniquely_vector_colorable_1wr, optimal_vector_coloring_1wr
 from eigenframe.completability import (
     NEIGHBORHOOD_MARGIN,
@@ -53,7 +53,7 @@ from eigenframe.graphs import (
     q_kneser,
 )
 from eigenframe.serialize import number_token
-from oracles import dense_xspace_dim, x_system_svd
+from oracles import complement_gram_loop, dense_xspace_dim, x_system_svd
 
 TWO_K2 = from_edges(4, [(0, 1), (2, 3)])
 GNP20 = "SH??`@gAG?_KA@CGaaKBCk?AC?`@CSD_c"  # G(20, 0.2), irrational tau
@@ -165,6 +165,26 @@ def test_rspace_bound_never_exceeds_the_complement_edge_margin(monkeypatch):
             assert xs.sv_margin == 0.0 and len(calls) == built, emit_graph6(g)
             fallbacks += 1
     assert fallbacks == 24  # all disconnected: every connected atlas graph is UC
+
+
+def test_the_complement_gram_has_the_bits_of_the_four_term_sum():
+    # every atlas graph with a complement pair and every floating check-uc
+    # input, compared as bytes so that signed zeros count
+    floating = [cli._parse_gen(op.argv[2]) if op.argv[1] == "--gen" else parse_graph6(op.argv[2])
+                for op in benchmark_ops("floating") if op.argv[0] == "check-uc"]
+    assert len(floating) == 14
+    graphs = [g for g, _ in atlas_graphs()] + floating
+    compared = 0
+    for g in graphs:
+        pairs = completability._complement_pairs(g)
+        if not pairs:
+            continue
+        shifted = least_eigenspace(g, "floating").shifted
+        k, j = np.array(pairs).T
+        built = completability._complement_gram(shifted, k, j)
+        assert built.tobytes() == complement_gram_loop(shifted, k, j).tobytes(), emit_graph6(g)
+        compared += 1
+    assert compared == 1245 + 14
 
 
 def test_floating_fallback_reads_the_complement_edge_system(monkeypatch):

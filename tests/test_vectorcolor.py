@@ -1,11 +1,13 @@
 """Optimal vector colorings of walk-regular graphs and their uniqueness."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from eigenframe import coloring
+from corpus import atlas_graphs, benchmark_ops
+from eigenframe import cli, coloring, graphs
 from eigenframe.coloring import (
     is_one_walk_regular,
     is_uniquely_vector_colorable_1wr,
@@ -13,8 +15,11 @@ from eigenframe.coloring import (
     validate_coloring,
 )
 from eigenframe import exact
+from eigenframe.errors import ResourceLimitError
 from eigenframe.exact import ExactMatrix, least_eigenspace
-from eigenframe.graphs import cycle, from_edges, kneser
+from eigenframe.graphs import Graph, cycle, emit_graph6, from_edges, kneser, parse_graph6
+from oracles import walk_regularity
+from test_acceptance import WALK_REGULAR_TWENTY
 
 K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 STAR = from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -45,6 +50,73 @@ def test_walk_regularity_stops_at_the_minimal_polynomial(monkeypatch):
     assert is_one_walk_regular(cycle(7)).k_max == 3  # 2 and three irrational pairs
     edgeless = is_one_walk_regular(from_edges(3, []))
     assert edgeless.ok and edgeless.k_max == 1  # A = 0, but A^1 is still checked
+
+
+def _certificate(g):
+    cert = is_one_walk_regular(g)
+    return cert.ok, cert.a_seq, cert.b_seq, cert.k_max, cert.failure
+
+
+def _with_isolated_vertices(rng):
+    """A seeded G(n, p) on at most 10 vertices, then 1-3 isolated vertices,
+    relabelled at random so that they fall anywhere."""
+    n, p = rng.randint(1, 10), rng.random()
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    total = n + rng.randint(1, 3)
+    perm = list(range(total))
+    rng.shuffle(perm)
+    return from_edges(total, [(perm[i], perm[j]) for i, j in edges])
+
+
+def test_walk_counts_match_the_dense_power_oracle():
+    # every field of the certificate, failure vertex or edge included,
+    # against dense integer powers and full n^2-entry dependence
+    rng = random.Random(29)
+    corpus = [g for g, _ in atlas_graphs()] + WALK_REGULAR_TWENTY + [kneser(9, 4)]
+    corpus += [_with_isolated_vertices(rng) for _ in range(150)]
+    outcomes = set()
+    for g in corpus:
+        cert = _certificate(g)
+        assert cert == walk_regularity(g), emit_graph6(g)
+        outcomes.add(cert[0])
+    assert outcomes == {True, False}
+
+
+def test_walk_counts_take_no_exact_matrix_product(monkeypatch):
+    # the vc inputs of three benchmark workloads; a return to bignum
+    # products, or to the adjacency ExactMatrix, fails here
+    inputs = []
+    for workload in ("certify", "witness", "floating"):
+        for op in benchmark_ops(workload):
+            if op.argv and op.argv[0] == "vc":
+                flag, spec = op.argv[1:]
+                inputs.append(cli._parse_gen(spec) if flag == "--gen" else parse_graph6(spec))
+    assert len(inputs) == 13
+    before = [_certificate(g) for g in inputs]
+
+    def never(*args):
+        raise AssertionError("the walk check formed an exact matrix")
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", never)
+    monkeypatch.setattr(ExactMatrix, "_from_ints", never)
+    assert [_certificate(g) for g in inputs] == before
+    assert before == [walk_regularity(g) for g in inputs]
+    assert all(cert[0] for cert in before)
+
+
+def test_walk_counts_over_the_byte_budget_are_refused_before_a_power_is_built(monkeypatch):
+    def never(*args):
+        raise AssertionError("the walk check read the graph over the budget")
+
+    g = kneser(6, 2)
+    expected = _certificate(g)
+    monkeypatch.setattr(graphs, "SYSTEM_BYTE_CAP", 8 * 15 * 15)
+    assert _certificate(g) == expected  # the 15 x 15 powers fit exactly
+    monkeypatch.setattr(graphs, "SYSTEM_BYTE_CAP", 8 * 15 * 15 - 1)
+    monkeypatch.setattr(Graph, "neighbours", never)
+    monkeypatch.setattr(Graph, "edges", never)
+    with pytest.raises(ResourceLimitError, match="15 x 15 matrix exceeds the 1799-byte budget"):
+        is_one_walk_regular(g)
 
 
 def test_complete_graph_coloring():
