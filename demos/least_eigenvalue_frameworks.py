@@ -33,8 +33,8 @@ print("Gram row 0:", [str(fw.gram[0, j]) for j in range(4)])
 # the Gram matrix is an exact projector: squaring changes nothing
 assert fw.gram @ fw.gram == fw.gram
 
-# eigenvector check: A P = tau P on the point matrix itself
-assert adjacency_matrix(k4) @ fw.points == fw.points * fw.tau
+# eigenvector check: A P = tau P, column by column of the projector
+assert adjacency_matrix(k4) @ fw.gram == fw.gram * fw.tau
 
 # the Petersen graph, built as the disjointness graph of 2-element subsets
 pet = kneser(5, 2)

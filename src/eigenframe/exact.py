@@ -13,8 +13,7 @@ prime. Full column rank there is accepted as a proof of a trivial nullspace,
 the one-sided bound that keeps large instances cheap; otherwise the kernel
 modulo the prime, lifted to the rationals by rational reconstruction, is
 verified against every row. Only when a lift or a check fails does the
-exact solver run, on the rows that are pivot rows modulo the prime, and on
-all rows if its kernel fails the same check.
+exact solver run, on all rows.
 
 Positive semidefiniteness has one test: a symmetric fraction-free pivot pass
 that decides PD / PSD-deficient / indefinite and reports its pivots. Least
@@ -281,26 +280,6 @@ def nullspace(m):
     return basis
 
 
-def nullspace_fast(int_rows, pivot_rows):
-    """Certified nullspace of an integer matrix, given the pivot rows that
-    rank_mod_p or kernel_mod_p found for it; the route nullspace_mod_p takes
-    when its lift fails.
-
-    Those rows are independent modulo the prime, hence over the rationals,
-    so their kernel contains the true one. Only they are eliminated, and
-    every vector of their echelon kernel basis is verified against all rows:
-    if all pass, the two kernels are equal and this is the echelon basis
-    nullspace returns. Any failure falls back to nullspace on all rows.
-    """
-    if not int_rows:
-        return ()
-    work = [list(int_rows[r]) for r in pivot_rows]
-    basis = _kernel_basis(work, _bareiss_echelon(work), len(int_rows[0]))
-    if all(_annihilates(int_rows, vec) for vec in basis):
-        return basis
-    return nullspace(int_rows)
-
-
 def nullspace_mod_p(int_rows):
     """Certified nullspace of an integer matrix from one elimination modulo
     a word-size prime: the echelon basis nullspace returns.
@@ -318,13 +297,12 @@ def nullspace_mod_p(int_rows):
     is unique up to scale; the candidate and the Bareiss vector are both
     it, primitive and positive at f. Full rank modulo the prime leaves no
     candidate: the kernel is trivial, with no exact work. If some entry has
-    no lift or some candidate fails, nullspace_fast eliminates the pivot
-    rows instead.
+    no lift or some candidate fails, nullspace eliminates all rows instead.
     """
-    pivot_rows, candidates = kernel_mod_p(int_rows)
+    candidates = kernel_mod_p(int_rows)
     if candidates is not None and all(_annihilates(int_rows, vec) for vec in candidates):
         return candidates
-    return nullspace_fast(int_rows, pivot_rows)
+    return nullspace(int_rows)
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
@@ -350,25 +328,28 @@ def invert(m: ExactMatrix) -> ExactMatrix:
 def projector_onto_nullspace(m) -> ExactMatrix:
     """Orthogonal projector onto the kernel of m, exactly.
 
-    Built as B (B^T B)^{-1} B^T from a kernel basis B, the shared one when m
-    is an exact LeastEigenspace; verified idempotent and annihilated by the
-    matrix before being returned.
+    Built as P = B C B^T with C = (B^T B)^{-1}, from a kernel basis B: the
+    shared one when m is an exact LeastEigenspace, whose pass verified
+    (A - tau I) B = 0, else nullspace's, verified against m. Only the d x d
+    identity (B^T B) C = I is checked here (InternalCheckError otherwise).
+    It gives C = C^T, as B^T B is symmetric, and P^2 = B C (B^T B) C B^T =
+    P; with m B = 0 it gives m P = 0, and P B = B gives rank d. So P is the
+    orthogonal projector onto col(B), proved with no n x n by n x n
+    product.
     """
     if isinstance(m, LeastEigenspace):
-        basis, m = m.basis, m.shifted
+        basis, n = m.basis, m.graph.n
     else:
-        basis = nullspace(m)
-    n = m.ncols
+        basis, n = nullspace(m), m.ncols
     if not basis:
         return ExactMatrix.zeros(n)
     b = ExactMatrix.column_stack(basis)
     bt = b.transpose()
-    proj = b @ invert(bt @ b) @ bt
-    if proj @ proj != proj:
-        raise InternalCheckError("projector is not idempotent")
-    if not (m @ proj).is_zero():
-        raise InternalCheckError("projector does not annihilate the matrix")
-    return proj
+    gram = bt @ b
+    c = invert(gram)
+    if gram @ c != ExactMatrix.identity(len(basis)):
+        raise InternalCheckError("inverse of the basis Gram matrix fails its check")
+    return b @ c @ bt
 
 
 # -- PSD test ------------------------------------------------------------------

@@ -48,12 +48,14 @@ FACTOR_TOL = 1e-10
 class Framework:
     """Vectors on the vertices of a graph, up to congruence.
 
-    gram is the source of truth. points, when present, is a rank
+    gram is the source of truth, and must be symmetric (floating entries
+    within FACTOR_TOL); ValueError otherwise. points, when present, is a
     factorization with gram = points @ points.T (checked at construction);
-    it is dropped by operations that cannot maintain it. eigenspace is the
-    certified LeastEigenspace of the graph that the framework was built
-    from, when there is one; tau and tau_multiplicity are read from it. d is
-    the rank of the Gram matrix, and backend follows the Gram matrix.
+    it is dropped by operations that cannot maintain it, and the exact
+    least-eigenvalue framework has none. eigenspace is the certified
+    LeastEigenspace of the graph that the framework was built from, when
+    there is one; tau and tau_multiplicity are read from it. d is the rank
+    of the Gram matrix, and backend follows the Gram matrix.
     """
 
     graph: Graph
@@ -65,15 +67,11 @@ class Framework:
     def __post_init__(self):
         n = self.graph.n
         exact = isinstance(self.gram, ExactMatrix)
-        if exact:
-            if self.gram.shape != (n, n):
-                raise ValueError("gram size does not match the graph")
-            if not self.gram.is_symmetric():
-                raise ValueError("gram matrix must be symmetric")
-        else:
-            g = np.asarray(self.gram)
-            if g.shape != (n, n):
-                raise ValueError("gram size does not match the graph")
+        g = self.gram if exact else np.asarray(self.gram)
+        if g.shape != (n, n):
+            raise ValueError("gram size does not match the graph")
+        if not (g.is_symmetric() if exact else np.all(np.abs(g - g.T) <= FACTOR_TOL)):
+            raise ValueError("gram matrix must be symmetric")
         if self.points is not None:
             if exact:
                 if self.points @ self.points.transpose() != self.gram:
@@ -144,13 +142,14 @@ def least_eigenvalue_framework(g) -> Framework:
     certified here, or of its LeastEigenspace, whose backend it follows.
 
     Exact path (integral least eigenvalue): the Gram matrix is the projector
-    onto the eigenspace, computed exactly, and the projector's own rows are
-    the points (idempotence makes them a valid factorization). Floating
-    path: rows of an orthonormal eigenbasis.
+    onto the eigenspace, computed exactly and proved by the d x d check of
+    projector_onto_nullspace. It carries no points: its own n rows factor
+    it, as P P^T = P, but they are no rank factorization. Floating path:
+    rows of an orthonormal eigenbasis.
     """
     les = _eigenspace_of(g)
     if les.is_exact():
-        gram = points = projector_onto_nullspace(les)
+        gram, points = projector_onto_nullspace(les), None
     else:
         points = les.basis
         gram = points @ points.T

@@ -193,11 +193,15 @@ def _g6_read_n(data, pos):
 
 
 def parse_graph6(s) -> Graph:
-    """Decode one graph6 string (optionally prefixed by the standard header)."""
+    """Decode one graph6 string (optionally prefixed by the standard header).
+    A str must be ASCII: Graph6Error at its first other character."""
     if isinstance(s, bytes):
         data = s
     else:
-        data = s.encode("ascii", errors="replace")
+        try:
+            data = s.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6Error(f"character {s[exc.start]!r} is not ASCII", exc.start) from None
     data = data.rstrip(b"\r\n")
     pos = 0
     if data.startswith(_G6_HEADER.encode()):

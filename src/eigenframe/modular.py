@@ -6,8 +6,7 @@ The mod-p elimination is the workhorse behind the certified exact nullspace:
 full column rank modulo a prime is already a proof of full column rank over
 the rationals, and when the rank is deficient the same elimination, reduced
 and lifted by rational reconstruction, proposes the kernel for an exact
-check. If a proposal fails, the pivot rows found here, independent over the
-rationals, are all the exact solver eliminates.
+check.
 """
 
 from __future__ import annotations
@@ -45,20 +44,20 @@ def gf2_span(vectors):
 
 
 def _echelon_mod_p(rows, p):
-    """Row echelon form of an integer matrix modulo p: (echelon, pivot_rows,
-    pivot_cols), with row i of the int64 array echelon 1 at pivot_cols[i]
-    and 0 before it, and indices into the original matrix. Elimination order
-    is deterministic: columns left to right, pivot row = first nonzero at or
-    below the current row."""
+    """Row echelon form of an integer matrix modulo p: (echelon, pivot_cols),
+    with row i of the int64 array echelon 1 at pivot_cols[i] and 0 before
+    it. Elimination order is deterministic: columns left to right, pivot row
+    = first nonzero at or below the current row. The rank modulo p,
+    len(pivot_cols), is at most the rank over the rationals, since a minor
+    nonzero modulo p is nonzero."""
     try:
         m = np.array(rows, dtype=np.int64) % p
     except OverflowError:  # an entry beyond int64: reduce it as a Python int
         m = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
     if m.size == 0:
-        return m, [], []
+        return m, []
     nrows, ncols = m.shape
-    perm = list(range(nrows))
-    pivot_rows, pivot_cols = [], []
+    pivot_cols = []
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -69,26 +68,14 @@ def _echelon_mod_p(rows, p):
         k = r + int(nz[0])
         if k != r:
             m[[r, k]] = m[[k, r]]
-            perm[r], perm[k] = perm[k], perm[r]
         inv = pow(int(m[r, c]), p - 2, p)
         m[r] = (m[r] * inv) % p
         below = m[r + 1 :, c]
         if below.size:
             m[r + 1 :] = (m[r + 1 :] - np.outer(below, m[r])) % p
-        pivot_rows.append(perm[r])
         pivot_cols.append(c)
         r += 1
-    return m[:r], pivot_rows, pivot_cols
-
-
-def rank_mod_p(rows, p=DEFAULT_PRIME):
-    """Rank of an integer matrix modulo p.
-
-    Returns (rank, pivot_rows, pivot_cols) with indices into the original
-    matrix, as _echelon_mod_p finds them.
-    """
-    _, pivot_rows, pivot_cols = _echelon_mod_p(rows, p)
-    return len(pivot_cols), pivot_rows, pivot_cols
+    return m[:r], pivot_cols
 
 
 def _rational_reconstruction(a, p):
@@ -112,23 +99,22 @@ def _rational_reconstruction(a, p):
 
 
 def kernel_mod_p(rows, p=DEFAULT_PRIME):
-    """(pivot_rows, candidates) from one elimination of an integer matrix
-    modulo p: pivot_rows as rank_mod_p gives them, and candidates, for each
-    free column f left to right, the kernel vector modulo p with 1 at f and
-    0 at the other free columns, lifted to the rationals entrywise by
-    _rational_reconstruction and scaled to the primitive integer vector
-    positive at f; candidates is None when some entry has no lift.
+    """Kernel candidates from one elimination of an integer matrix modulo p:
+    for each free column f left to right, the kernel vector modulo p with 1
+    at f and 0 at the other free columns, lifted to the rationals entrywise
+    by _rational_reconstruction and scaled to the primitive integer vector
+    positive at f; None when some entry has no lift.
 
     Nothing here is proved over the rationals: a candidate is a kernel
     vector only once it is checked against every row (exact.nullspace_mod_p).
     With full rank modulo p there is no free column, and no candidate.
     """
     ncols = len(rows[0]) if rows else 0
-    m, pivot_rows, pivot_cols = _echelon_mod_p(rows, p)
+    m, pivot_cols = _echelon_mod_p(rows, p)
     pivots = set(pivot_cols)
     free = [c for c in range(ncols) if c not in pivots]
     if not free:
-        return pivot_rows, ()
+        return ()
     # reduced echelon form: clear each pivot column above its pivot
     for i in range(len(pivot_cols) - 1, 0, -1):
         m[:i] = (m[:i] - np.outer(m[:i, pivot_cols[i]], m[i])) % p
@@ -136,7 +122,7 @@ def kernel_mod_p(rows, p=DEFAULT_PRIME):
     for f in free:
         lifts = [_rational_reconstruction(-x % p, p) for x in m[:, f].tolist()]
         if None in lifts:
-            return pivot_rows, None
+            return None
         scale = math.lcm(*(den for _, den in lifts))
         vec = [0] * ncols
         vec[f] = scale
@@ -144,7 +130,7 @@ def kernel_mod_p(rows, p=DEFAULT_PRIME):
             vec[c] = num * (scale // den)
         g = math.gcd(*vec)
         candidates.append(tuple([v // g for v in vec]))
-    return pivot_rows, tuple(candidates)
+    return tuple(candidates)
 
 
 def _subspaces_mod_q(q, n, r):

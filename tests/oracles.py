@@ -8,7 +8,9 @@ obviously correct, and wrong in different ways than the production route
 would be. The floating oracle
 builds the complement-edge system with numpy alone and reads it off one
 full SVD, or sums its Gram matrix entry by entry, and the walk-count
-oracle multiplies dense integer powers of A.
+oracle multiplies dense integer powers of A. The projector oracle checks the
+n x n identities the exact path proves only in their d x d form, by dense
+products over Fractions.
 """
 
 import math
@@ -234,3 +236,21 @@ def walk_regularity(g):
         a_seq.append(Fraction(diag))
         b_seq.append(Fraction(edge_val))
         k += 1
+
+
+def _dense_product(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def assert_projector_and_witnesses(g, tau, gram, witnesses):
+    """P^2 = P and (A - tau I) P = 0 for the exact framework Gram P of g,
+    and (A - tau I) X = 0 for every exact witness X, entry by entry."""
+    n = g.n
+    shifted = [[int(g.has_edge(i, j)) - tau * (i == j) for j in range(n)] for i in range(n)]
+    p = [[gram[i, j] for j in range(n)] for i in range(n)]
+    assert _dense_product(p, p) == p, "the framework Gram is not idempotent"
+    assert not any(map(any, _dense_product(shifted, p))), "A - tau I does not annihilate P"
+    for x in witnesses:
+        rows = [[x[i, j] for j in range(n)] for i in range(n)]
+        assert not any(map(any, _dense_product(shifted, rows))), "a witness is not in the kernel"

@@ -246,9 +246,9 @@ def test_criterion_7_invariant_battery(capsys):
         for _ in range(25):
             runs += 1
             if backend == "exact":
-                # the projector is idempotent and the points are eigenvectors
+                # the projector is idempotent and its columns are eigenvectors
                 assert fw.gram @ fw.gram == fw.gram
-                assert adjacency_matrix(g) @ fw.points == fw.points * tau
+                assert adjacency_matrix(g) @ fw.gram == fw.gram * tau
                 # constant diagonal d/n and edge entries tau*d/(n*deg)
                 a_const, b_const = Fraction(d, n), Fraction(tau * d, n * deg)
                 assert all(fw.gram[i, i] == a_const for i in range(n))

@@ -177,6 +177,8 @@ def test_empty_graph6_file(tmp_path, capsys):
 
 def test_exit_code_1_on_parse_errors(capsys):
     assert run(capsys, "check-uc", "--graph6", "!!!")[0] == 1
+    code, out, err = run(capsys, "check-uc", "--graph6", "Aé")
+    assert (code, out) == (1, "") and "not ASCII (byte offset 1)" in err
     assert run(capsys, "check-uc", "--gen", "moebius:5")[0] == 1
     assert run(capsys, "check-uc", "--gen", "cycle:abc")[0] == 1
     assert run(capsys, "gen", "--cayley", "2:01,xx")[0] == 1
@@ -408,10 +410,11 @@ def test_commands_read_a_and_its_shift_from_the_one_eigenspace(
     monkeypatch, capsys, command, adjacency_cap
 ):
     # T(6), the complement of K(6,2), with a 5-dimensional witness space.
-    # A is built to certify tau and once more for A - tau I, which every
-    # witness check reads from the eigenspace (vc builds it once more for the
-    # 1-walk-regular test). Each dominated framework takes its rank from the
-    # pivot pass that proves it PSD, so no framework runs an exact rank.
+    # A is built to certify tau and once more for A - tau I, which the
+    # membership check of every dominated framework reads from the
+    # eigenspace (vc builds it once more for the 1-walk-regular test). Each
+    # dominated framework takes its rank from the pivot pass that proves it
+    # PSD, so no framework runs an exact rank.
     calls = Counter()
     _count_calls(monkeypatch, calls, ("adjacency_matrix", "rank_exact"))
     code, out, _ = run(capsys, command, "--graph6", emit_graph6(complement(kneser(6, 2))),
@@ -432,6 +435,31 @@ def test_gen_refuses_a_graph6_list_over_the_byte_budget(capsys):
     assert "200000 vertices exceeds the cap" in err
     assert run(capsys, "gen", "--cayley", "20:1")[0] == 2
     assert run(capsys, "gen", "--gen", "cycle:5") == (0, "Dhc\n", "")
+
+
+@pytest.mark.parametrize("workload", ["certify", "witness"])
+def test_exact_benchmark_ops_make_no_n_by_n_product_but_the_membership_checks(
+    monkeypatch, capsys, workload
+):
+    # the projector and the witnesses are proved at d x d, so the one n x n
+    # by n x n product left is the check that a witness handed to
+    # dominated_frameworks is one: x_dim of them for dominated, one for a vc
+    # with a second coloring, none for check-uc
+    shapes = []
+    real = exact.ExactMatrix.__matmul__
+
+    def recorded(a, b):
+        shapes.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(exact.ExactMatrix, "__matmul__", recorded)
+    for op in benchmark_ops(workload):
+        shapes.clear()
+        code, out, _ = run(capsys, *op.argv)
+        x_dim = json.loads(out)["x_dim"]
+        expected = {"check-uc": 0, "vc": int(x_dim > 0), "dominated": x_dim}[op.argv[0]]
+        square = [s for s in shapes if s == ((op.n, op.n), (op.n, op.n))]
+        assert code == 0 and len(square) == expected, (op.key, shapes)
 
 
 def _exact_report_argvs():

@@ -1,9 +1,9 @@
 """Exact linear algebra: elimination, spectra, PSD certificates.
 
-The fast nullspace (eliminating only the pivot rows found modulo a prime)
-and the plain elimination of every row are independent routes to the same
-echelon basis, so they are run against each other on randomized inputs
-throughout.
+The fast nullspace (one elimination modulo a prime, its kernel lifted by
+rational reconstruction) and the plain elimination of every row are
+independent routes to the same echelon basis, so they are run against each
+other on randomized inputs throughout.
 """
 
 import math
@@ -23,7 +23,6 @@ from eigenframe.exact import (
     is_psd_exact,
     least_eigenspace,
     nullspace,
-    nullspace_fast,
     nullspace_mod_p,
     projector_onto_nullspace,
     psd_rank_pivot,
@@ -40,18 +39,18 @@ from eigenframe.graphs import (
     q_kneser,
 )
 from eigenframe.modular import (
+    _echelon_mod_p,
     _rational_reconstruction,
     _subspaces_mod_q,
     gaussian_binomial,
     gf2_rank,
     gf2_span,
     kernel_mod_p,
-    rank_mod_p,
 )
 from oracles import exact_spectrum
 
 
-P = 2_147_483_647  # the prime of rank_mod_p
+P = 2_147_483_647  # the default prime of the elimination modulo p
 
 
 def _random_int_matrix(rng, nrows, ncols, lo=-5, hi=5):
@@ -150,31 +149,32 @@ def test_nullspace_is_a_kernel_basis():
             assert rank_exact(stacked) == len(basis)
 
 
-def _fast(rows):
-    """nullspace_fast as xspace calls it: with the pivot rows mod p."""
-    return nullspace_fast([list(r) for r in rows], rank_mod_p(rows)[1])
-
-
 def test_fast_nullspace_agrees_with_plain_elimination():
-    rng = random.Random(31)
-    inputs = []
-    for trial in range(30):
-        nrows, ncols = rng.randint(2, 10), rng.randint(2, 10)
+    rng = random.Random(37)
+    for _ in range(30):
+        nrows, ncols = rng.randint(2, 12), rng.randint(2, 12)
         rows = _random_int_matrix(rng, nrows, ncols, -9, 9)
-        if trial % 3 == 0:  # force rank deficiency
-            rows.append([a + b for a, b in zip(rows[0], rows[-1])])
-        inputs.append(rows)
-    # the prime divides an entry: a pivot mod p sits in another column
-    inputs += [[[P, 0, 1], [0, 1, 0]], [[P, 1, 0, 1], [0, 0, 1, 1]]]
-    for rows in inputs:
-        assert _fast(rows) == nullspace(ExactMatrix(rows))
+        for _ in range(rng.randint(0, 3)):  # rank deficiency, one per combination
+            a, b = rng.sample(rows, 2)
+            rows.append([x - 2 * y for x, y in zip(a, b)])
+        assert nullspace_mod_p(rows) == nullspace(ExactMatrix(rows))
 
 
-def test_fast_nullspace_with_large_entries():
-    # entries big enough that the pivot minors run to many words
+def test_fast_nullspace_with_large_entries(monkeypatch):
+    # rows L [I | T] for an invertible L with entries up to 10^6: the kernel
+    # is that of [I | T], small enough to lift with no fallback
     rng = random.Random(47)
-    rows = _random_int_matrix(rng, 12, 15, -10**6, 10**6)
-    assert _fast(rows) == nullspace(ExactMatrix(rows))
+    t = _random_int_matrix(rng, 12, 3, -3, 3)
+    s = [[int(i == j) for j in range(12)] + t[i] for i in range(12)]
+    while True:
+        left = _random_int_matrix(rng, 12, 12, -10**6, 10**6)
+        if rank_exact(left) == 12:
+            break
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*s)] for row in left]
+    plain = _record_results(monkeypatch, "nullspace")
+    basis = nullspace_mod_p(rows)
+    assert plain == [] and len(basis) == 3
+    assert basis == nullspace(ExactMatrix(rows))
 
 
 def _record_results(monkeypatch, name):
@@ -190,22 +190,20 @@ def _record_results(monkeypatch, name):
     return results
 
 
-def test_fast_nullspace_with_entries_beyond_a_word(monkeypatch):
-    # entries >= 2^20, a dependent row, and no fallback to all rows
+def test_fast_nullspace_with_entries_beyond_a_word():
+    # entries >= 2^20 and a dependent row
     rng = random.Random(53)
     rows = _random_int_matrix(rng, 6, 9, -(1 << 22), 1 << 22)
     rows.append([a - b for a, b in zip(rows[0], rows[1])])
     assert max(abs(x) for row in rows for x in row) >= 1 << 20
-    plain = _record_results(monkeypatch, "nullspace")
-    fast = _fast(rows)
-    assert plain == []
+    fast = nullspace_mod_p(rows)
     assert len(fast) == 3
     assert fast == nullspace(ExactMatrix(rows))
 
 
 def test_modular_nullspace_agrees_with_plain_elimination(monkeypatch):
-    # the seeded inputs of test_fast_nullspace_agrees_with_plain_elimination,
-    # through one elimination modulo p: every route is taken
+    # seeded inputs, and two where the prime divides an entry, through one
+    # elimination modulo p: every route is taken
     rng = random.Random(31)
     inputs = []
     for trial in range(30):
@@ -217,41 +215,39 @@ def test_modular_nullspace_agrees_with_plain_elimination(monkeypatch):
     inputs += [[[P, 0, 1], [0, 1, 0]], [[P, 1, 0, 1], [0, 0, 1, 1]]]
     routes = []
     for rows in inputs:
-        fast = _record_results(monkeypatch, "nullspace_fast")
-        candidates = kernel_mod_p(rows)[1]
+        plain = _record_results(monkeypatch, "nullspace")
+        candidates = kernel_mod_p(rows)
         assert nullspace_mod_p(rows) == nullspace(ExactMatrix(rows))
         if candidates is None:
             routes.append("no lift")
-        elif fast:
+        elif plain:
             routes.append("candidate fails")
         else:
             routes.append("lifted" if candidates else "full rank")
-        assert len(fast) == (routes[-1] in ("no lift", "candidate fails"))
+        assert len(plain) == (routes[-1] in ("no lift", "candidate fails"))
         monkeypatch.undo()
     assert {r: routes.count(r) for r in set(routes)} == {
         "full rank": 18, "lifted": 9, "no lift": 3, "candidate fails": 2}
 
 
-def test_kernel_entries_beyond_the_lift_bound_take_the_pivot_row_solve(monkeypatch):
-    # the rows of test_fast_nullspace_with_large_entries: kernel entries are
-    # ratios of 12 x 12 minors, far beyond isqrt(P // 2)
+def test_kernel_entries_beyond_the_lift_bound_fall_back_to_nullspace(monkeypatch):
+    # a 12 x 15 matrix with entries up to 10^6: kernel entries are ratios of
+    # 12 x 12 minors, far beyond isqrt(P // 2)
     rng = random.Random(47)
     rows = _random_int_matrix(rng, 12, 15, -10**6, 10**6)
-    assert kernel_mod_p(rows)[1] is None
-    fast = _record_results(monkeypatch, "nullspace_fast")
+    assert kernel_mod_p(rows) is None
     plain = _record_results(monkeypatch, "nullspace")
     basis = nullspace_mod_p(rows)
-    assert plain == [] and fast == [basis]
+    assert plain == [basis]
     assert basis == nullspace(ExactMatrix(rows))
 
 
 def test_a_kernel_candidate_that_fails_verification_falls_back(monkeypatch):
     # [P] is zero modulo P, so e_1 is a candidate, and no kernel vector
-    assert kernel_mod_p([[P]]) == ([], ((1,),))
-    fast = _record_results(monkeypatch, "nullspace_fast")
+    assert kernel_mod_p([[P]]) == ((1,),)
     plain = _record_results(monkeypatch, "nullspace")
     assert nullspace_mod_p([[P]]) == nullspace(ExactMatrix([[P]])) == ()
-    assert fast == plain == [()]
+    assert plain == [()]
 
 
 def test_rational_reconstruction_at_the_bound():
@@ -272,13 +268,16 @@ def test_entries_beyond_int64_are_reduced_as_python_ints():
         np.array([[big]], dtype=np.int64)
     rows = [[big, -big, 0], [0, 1, -1]]
     assert nullspace_mod_p(rows) == nullspace(ExactMatrix(rows)) == ((1, 1, 1),)
-    assert rank_mod_p([[P << 40, 1], [1, 0]]) == (2, [1, 0], [0, 1])
+    assert _echelon_mod_p([[P << 40, 1], [1, 0]], P)[1] == [0, 1]
 
 
 def test_fast_nullspace_falls_back_when_rank_drops_mod_p(monkeypatch):
-    # the prime itself: rank 0 mod p, so the candidate (1,) fails verification
+    # rank 1 modulo p against 2 over the rationals, so the candidate e_1
+    # fails verification and every row is eliminated
+    rows = [[P, 0], [0, 1]]
+    assert kernel_mod_p(rows) == ((1, 0),)
     plain = _record_results(monkeypatch, "nullspace")
-    assert _fast([[P]]) == () == nullspace([[P]])
+    assert nullspace_mod_p(rows) == () == nullspace(ExactMatrix(rows))
     assert plain == [()]
 
 
@@ -309,6 +308,23 @@ def test_projector_onto_nullspace():
     assert (m @ p).is_zero()
     assert p.is_symmetric()
     assert p.trace() == 3 - rank_exact(m)
+
+
+def test_projector_refuses_an_inverse_that_fails_its_check(monkeypatch):
+    # the d x d check (B^T B) C = I is the projector's only proof, so a
+    # wrong C is caught there, before any n x n product
+    real = exact_mod.invert
+
+    def perturbed(m):
+        c = real(m)
+        bump = [[Fraction(1, 7) * (i == j == 0) for j in range(c.ncols)] for i in range(c.nrows)]
+        return c + ExactMatrix(bump)
+
+    monkeypatch.setattr(exact_mod, "invert", perturbed)
+    k4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    for m in (ExactMatrix([[1, 1, 0], [0, 0, 0]]), least_eigenspace(k4, "exact")):
+        with pytest.raises(InternalCheckError, match="inverse of the basis Gram matrix"):
+            projector_onto_nullspace(m)
 
 
 def test_psd_certificates_against_numpy():
@@ -544,12 +560,13 @@ def test_rank_mod_p_lower_bounds_rational_rank():
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         rows = _random_int_matrix(rng, nrows, ncols)
         exact = rank_exact(ExactMatrix(rows))
-        modular, prows, pcols = rank_mod_p(rows)
+        echelon, pcols = _echelon_mod_p(rows, P)
+        modular = len(pcols)
         assert modular <= exact
         assert modular == exact  # generic small entries never hit the prime
-        assert len(prows) == modular == len(pcols)
+        assert len(echelon) == modular
     # a matrix that genuinely drops rank modulo the chosen prime
-    assert rank_mod_p([[2_147_483_647]])[0] == 0
+    assert _echelon_mod_p([[2_147_483_647]], P)[1] == []
     assert rank_exact(ExactMatrix([[2_147_483_647]])) == 1
 
 

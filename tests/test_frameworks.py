@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from corpus import connected_graphs
+from corpus import atlas_graphs, benchmark_ops, connected_graphs
 from eigenframe import modular
 from eigenframe.errors import InternalCheckError, ResourceLimitError, UnsupportedInputError
 from eigenframe.completability import XSpaceBasis, dominated_frameworks, xspace
@@ -29,10 +29,11 @@ from eigenframe.frameworks import (
     least_eigenvalue_framework,
     qkneser_framework,
 )
-from eigenframe.graphs import cycle, from_edges, kneser
+from eigenframe.cli import _parse_gen
+from eigenframe.graphs import cycle, from_edges, kneser, parse_graph6
 from eigenframe.modular import _subspaces_mod_q, gaussian_binomial
 from eigenframe.serialize import canonical_json, gram_tokens, number_token
-from oracles import rank_mod_q
+from oracles import assert_projector_and_witnesses, rank_mod_q
 
 K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 
@@ -47,15 +48,26 @@ def test_least_eigenvalue_framework_is_the_projector():
 
 
 def test_projector_invariants_on_corpus():
-    for g, _ in connected_graphs(max_n=5, min_n=2):
-        les = least_eigenspace(g)
-        if not les.is_exact():
-            continue
-        fw = least_eigenvalue_framework(least_eigenspace(g, "exact"))
-        assert fw.gram @ fw.gram == fw.gram
+    # the exact path proves P and every witness X at d x d; the dense
+    # identities P^2 = P, (A - tau I) P = 0 and (A - tau I) X = 0 hold on
+    # every exact atlas graph and every exact benchmark input
+    graphs = [g for g, _ in atlas_graphs() if least_eigenspace(g).is_exact()]
+    assert len(graphs) == 228
+    for workload in ("certify", "witness"):
+        graphs += list({
+            _parse_gen(op.argv[2]) if op.argv[1] == "--gen" else parse_graph6(op.argv[2])
+            for op in benchmark_ops(workload)
+        })
+    witnesses = 0
+    for g in graphs:
+        les = least_eigenspace(g, "exact")
+        fw = least_eigenvalue_framework(les)
+        basis = xspace(les).basis
+        assert fw.points is None
         assert fw.gram.trace() == fw.d == fw.tau_multiplicity == les.spectrum.tau_multiplicity
-        assert adjacency_matrix(g) @ fw.gram == fw.gram * fw.tau
-        assert fw.points @ fw.points.transpose() == fw.gram
+        assert_projector_and_witnesses(g, les.spectrum.tau, fw.gram, basis)
+        witnesses += len(basis)
+    assert len(graphs) == 228 + 14 and witnesses > 0
 
 
 def test_floating_backend_close_to_exact():
@@ -162,6 +174,12 @@ def test_rescaled():
 def test_framework_validation():
     with pytest.raises(ValueError):
         Framework(K4, ExactMatrix([[1, 2], [2, 1]]))
+    # a Gram matrix must be symmetric on both paths; floating asymmetry
+    # within FACTOR_TOL is rounding
+    for gram in (np.triu(np.ones((4, 4))), np.eye(4) + np.diag([1e-9] * 3, k=1)):
+        with pytest.raises(ValueError, match="gram matrix must be symmetric"):
+            Framework(K4, gram)
+    assert Framework(K4, np.eye(4) + np.diag([1e-11] * 3, k=1)).d == 4
     bad_points = ExactMatrix([[1], [0], [0], [0]])
     with pytest.raises(InternalCheckError):
         Framework(K4, ExactMatrix.identity(4), points=bad_points)

@@ -59,6 +59,11 @@ def test_errors_carry_byte_offsets():
         parse_graph6("D")  # declares 5 vertices, adjacency bytes missing
     with pytest.raises(Graph6Error):
         parse_graph6("A")  # n=2 needs one adjacency byte
+    # once replaced by "?", byte 63, "Aé" would read as the graph "A?"
+    for text, offset in (("Aé", 1), ("é", 0), (">>graph6<<B\u2019", 11)):
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset and "not ASCII" in str(exc.value)
 
 
 def test_padding_bits_checked():

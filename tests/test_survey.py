@@ -322,12 +322,11 @@ def test_survey_one_makes_no_pivot_pass_elimination_or_eigensolver_call(monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("survey_one left the character route")
 
-    for name in ("psd_rank_pivot", "nullspace", "nullspace_fast", "nullspace_mod_p",
-                 "kernel_mod_p"):
+    for name in ("psd_rank_pivot", "nullspace", "nullspace_mod_p", "kernel_mod_p"):
         monkeypatch.setattr(exact, name, refuse)
     for name in ("xspace", "nullspace_mod_p", "psd_rank_pivot"):
         monkeypatch.setattr(completability, name, refuse)
-    for name in ("rank_mod_p", "kernel_mod_p"):
+    for name in ("_echelon_mod_p", "kernel_mod_p"):
         monkeypatch.setattr(modular, name, refuse)
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
