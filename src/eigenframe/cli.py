@@ -257,7 +257,7 @@ def _cmd_dominated(args) -> int:
         fw = least_eigenvalue_framework(les)
         _warn_if_floating(args.backend, fw.backend, label)
         xs = xspace(les)
-        shifted = [dominated_frameworks(fw, x, tol=args.tol) for x in xs.basis]
+        shifted = [dominated_frameworks(fw, x) for x in xs.basis]
         doc = {
             "graph6": emit_graph6(g),
             "tau": number_token(xs.tau),

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import InternalCheckError
 from .exact import (
-    DEFAULT_TOL,
     ExactMatrix,
     LeastEigenspace,
     _eigenspace_of,
@@ -250,8 +249,7 @@ def is_uniquely_vector_colorable_1wr(g) -> UVCResult:
     reason = None if g.is_connected() else "disconnected, components move independently"
     alternate = None
     if xs.dim > 0:
-        tol = les.spectrum.tolerance or DEFAULT_TOL  # an exact witness reads no tolerance
-        shifted = dominated_frameworks(fw, xs.basis[0], tol=tol)
+        shifted = dominated_frameworks(fw, xs.basis[0])
         alternate = _scaled_coloring(shifted, fw.d, coloring.t)
         if fw.is_exact() and alternate.gram == coloring.gram:
             raise InternalCheckError("second coloring equals the first")

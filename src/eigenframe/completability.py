@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import InternalCheckError
 from .exact import (
-    DEFAULT_TOL,
     ExactMatrix,
     LeastEigenspace,
     _eigenspace_of,
@@ -38,7 +37,7 @@ from .exact import (
     psd_rank_pivot,
     rank_exact,
 )
-from .frameworks import Framework, dominates
+from .frameworks import Framework, _checked_scale, dominates
 from .graphs import Graph, check_budget, maximal_cliques
 
 SV_THRESHOLD = 1e-7
@@ -277,85 +276,85 @@ def is_universally_completable(g) -> UCVerdict:
 # -- the bijection with the reduced space -------------------------------------
 
 
-def _vanishes_on_closed_pairs(g: Graph, x, tol) -> bool:
+def _vanishes_on_closed_pairs(les, x) -> bool:
+    """Whether x is zero on the diagonal and the edges of les's graph:
+    exactly for an ExactMatrix, else within the eigenspace's tolerance."""
+    pairs = _closed_pairs(les.graph)
     if isinstance(x, ExactMatrix):
-        return not any(x.num[i][j] for i, j in _closed_pairs(g))
-    return not any(abs(x[i, j]) > tol for i, j in _closed_pairs(g))
+        return not any(x.num[i][j] for i, j in pairs)
+    return not any(abs(x[i, j]) > les.spectrum.tolerance for i, j in pairs)
 
 
-def phi(r, g, tol: float = DEFAULT_TOL):
+def phi(r, g):
     """Map a reduced witness up to vertex space: X = B R B^T, where B is the
     eigenspace basis (LeastEigenspace.basis) of a Graph, certified here, or
     of its LeastEigenspace.
 
     r must be a symmetric d x d matrix, an ExactMatrix on the exact path,
     and X must vanish on the diagonal and on edges, floating entries within
-    tol; ValueError otherwise.
+    the tolerance the eigenspace was clustered with; ValueError otherwise.
     """
     les = _eigenspace_of(g)
     d = les.spectrum.tau_multiplicity
     if les.is_exact():
         if not isinstance(r, ExactMatrix) or r.shape != (d, d) or not r.is_symmetric():
             raise ValueError(f"R must be a symmetric {d} x {d} ExactMatrix")
-        b = ExactMatrix.column_stack(les.basis)
+        b = ExactMatrix._from_ints(list(zip(*les.basis)))
         x = b @ r @ b.transpose()
     else:
         r = np.asarray(r, dtype=float)
-        if r.shape != (d, d) or not np.allclose(r, r.T, atol=tol):
+        if r.shape != (d, d) or not np.allclose(r, r.T, atol=les.spectrum.tolerance):
             raise ValueError(f"R must be a symmetric {d} x {d} matrix")
         x = les.basis @ r @ les.basis.T
-    if not _vanishes_on_closed_pairs(les.graph, x, tol):
+    if not _vanishes_on_closed_pairs(les, x):
         raise ValueError("matrix violates the reduced membership conditions")
     return x
 
 
-def phi_inverse(x, g, tol: float = DEFAULT_TOL):
-    """The R with phi(R) = x, read off without inverting anything.
+def phi_inverse(x, g):
+    """The R with phi(R) = x, read off without inverting anything; ValueError
+    unless x is a completability witness on the eigenspace of a Graph,
+    certified here, or of its LeastEigenspace, on that eigenspace's backend.
 
     Exact path: column a of the echelon basis B ends at its free vertex f_a
     with value c_a, and row f_a of B is c_a e_a, so R_ab = x[f_a, f_b] /
-    (c_a c_b); ValueError unless phi(R) == x, so an x outside the image is
-    refused rather than projected. Floating path: R = B^T x B on the
-    orthonormal eigh basis; ValueError unless x is n x n and phi(R) is
-    within tol * max(1, max |x_ij|) of x.
+    (c_a c_b), read in integers as x.num[f_a][f_b] (k / (c_a c_b)) over
+    x.den k with k = lcm(c)^2. ValueError unless phi(R) == x, so an x
+    outside the image is refused rather than projected. That check proves x
+    a witness: phi checks R symmetric and X = B R B^T zero on the closed
+    pairs, and (A - tau I) X = 0 follows from the (A - tau I) B = 0 that the
+    pass certifying tau verified. Conversely every witness is B R B^T, as
+    its columns lie in ker(A - tau I) = col(B), and its R is the one read
+    off the free-vertex rows. Floating path: R = B^T x B on the orthonormal
+    eigh basis; ValueError unless x is n x n and phi(R) is within
+    tol * max(1, max |x_ij|) of x, tol the eigenspace's tolerance.
     """
     les = _eigenspace_of(g)
     n = les.graph.n
     if not les.is_exact():
+        if isinstance(x, ExactMatrix) or np.shape(x) != (n, n):
+            raise ValueError(f"floating eigenspace needs a floating {n} x {n} witness")
         x = np.asarray(x, dtype=float)
-        if x.shape != (n, n):
-            raise ValueError(f"floating eigenspace needs an {n} x {n} witness")
         r = les.basis.T @ x @ les.basis
-        if np.max(np.abs(phi(r, les, tol) - x)) > tol * max(1.0, np.max(np.abs(x))):
+        tol = les.spectrum.tolerance
+        if np.max(np.abs(phi(r, les) - x)) > tol * max(1.0, np.max(np.abs(x))):
             raise ValueError("matrix is not in the image of the reduced space")
         return r
     if not isinstance(x, ExactMatrix) or x.shape != (n, n):
         raise ValueError(f"exact eigenspace needs an exact {n} x {n} witness")
     ends = [max(i for i, v in enumerate(col) if v) for col in les.basis]
     c = [col[f] for col, f in zip(les.basis, ends)]
-    r = ExactMatrix([[x[fa, fb] / (ca * cb) for fb, cb in zip(ends, c)] for fa, ca in zip(ends, c)])
+    k = math.lcm(*c) ** 2
+    r = ExactMatrix._from_ints(
+        [[x.num[fa][fb] * (k // (ca * cb)) for fb, cb in zip(ends, c)] for fa, ca in zip(ends, c)],
+        x.den * k,
+    )
     if phi(r, les) != x:
         raise ValueError("matrix is not in the image of the reduced space")
     return r
 
 
 # -- dominated frameworks ------------------------------------------------------
-
-
-def _membership_in_xspace(les, x, tol) -> bool:
-    """Whether x is a completability witness on the eigenspace les: checked
-    against its A - tau I (exactly only when both are exact)."""
-    g, shifted = les.graph, les.shifted
-    if isinstance(x, ExactMatrix):
-        if not les.is_exact() or not x.is_symmetric() or not _vanishes_on_closed_pairs(g, x, tol):
-            return False
-        return (shifted @ x).is_zero()
-    xf = np.asarray(x, dtype=float)
-    if not np.allclose(xf, xf.T, atol=tol) or not _vanishes_on_closed_pairs(g, xf, tol):
-        return False
-    if les.is_exact():
-        shifted = shifted.to_float()
-    return bool(np.max(np.abs(shifted @ xf)) <= tol * max(1.0, np.max(np.abs(xf))))
 
 
 def gershgorin_scale(x):
@@ -369,43 +368,39 @@ def gershgorin_scale(x):
     return None if s == 0.0 else 1.0 / s
 
 
-def dominated_frameworks(p: Framework, x, c=None, tol: float = DEFAULT_TOL) -> Framework:
+def dominated_frameworks(p: Framework, x, c=None) -> Framework:
     """The framework whose Gram matrix is gram(p) + c*x.
 
-    x must be a completability witness on p's eigenspace (ValueError if p
-    carries none); c defaults to the Gershgorin scale of x, which keeps the
-    sum positive semidefinite. The result carries p's eigenspace and is
-    verified PSD and dominated by p, with equality on edges. On the exact
-    path the symmetric pivot pass that proves PSD also gives its rank d.
+    x must be a completability witness on p's eigenspace, which phi_inverse
+    proves (ValueError if it is not, or if p carries no eigenspace); c
+    defaults to the Gershgorin scale of x, which keeps the sum positive
+    semidefinite, and any other c must be positive and finite (ValueError).
+    The result carries p's eigenspace and is verified PSD and dominated by
+    p, with equality on edges. On the exact path the symmetric pivot pass
+    that proves PSD also gives its rank d.
     """
     les = p.eigenspace
     if les is None:
         raise ValueError("framework carries no eigenspace")
-    if not _membership_in_xspace(les, x, tol):
-        raise ValueError("matrix is not a completability witness for this graph")
+    phi_inverse(x, les)
     if c is None:
         c = gershgorin_scale(x)
         if c is None:
             return p  # x = 0
+    c = _checked_scale(c, p.is_exact())
     if p.is_exact():
-        c = Fraction(c)
-        if c <= 0:
-            raise ValueError("scale must be positive")
         gram = p.gram + x * c  # symmetric, as p.gram and the witness x are
         status, pivots = psd_rank_pivot(gram)
         if status == "indefinite":
             raise InternalCheckError("scaled witness broke positive semidefiniteness")
         d = len(pivots)
     else:
-        c = float(c)
-        if c <= 0:
-            raise ValueError("scale must be positive")
         gram = np.asarray(p.gram) + c * np.asarray(x, dtype=float)
         w = np.linalg.eigvalsh(gram)
         if w[0] < -1e-9 * max(1.0, float(w[-1])):
             raise InternalCheckError("scaled witness broke positive semidefiniteness")
         d = None  # the Framework reads it off the Gram matrix
-    q = Framework(p.graph, gram, None, les, d)
+    q = Framework(p.graph, gram, les, d)
     if not dominates(p, q):  # also proves the diagonal unchanged
         raise InternalCheckError("dominated framework fails the domination check")
     if not dominates(q, p):  # so every edge entry is unchanged too

@@ -1,12 +1,14 @@
 """Frameworks on graphs: Gram matrices, domination, stresses.
 
 A framework assigns a vector to each vertex; the Gram matrix of those
-vectors is the object everything here works with, since congruence (equal
-Grams) is the equivalence that matters. The rows of any rank factorization
-serve as concrete points. On the exact path the least-eigenvalue framework
-is represented by the projector onto the least eigenspace: the projector is
-rational whenever the eigenvalue is integral, while an orthonormal point
-matrix generally is not, and the two differ only by congruence.
+vectors is the object everything here works with, and its one
+representation, since congruence (equal Grams) is the equivalence that
+matters. The rows of any rank factorization serve as concrete points: on the
+floating path the orthonormal eigenspace basis (LeastEigenspace.basis). On
+the exact path the least-eigenvalue framework is represented by the
+projector onto the least eigenspace: the projector is rational whenever the
+eigenvalue is integral, while an orthonormal point matrix generally is not,
+and the two differ only by congruence.
 
 Domination compares two frameworks on the same graph entrywise: p dominates
 q when their Grams agree on the diagonal and q's is at most p's on every
@@ -16,6 +18,7 @@ nonnegative edge entries, that annihilates the framework.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,23 +47,28 @@ GRAM_TOL = 1e-9
 FACTOR_TOL = 1e-10
 
 
+def _checked_scale(factor, exact: bool):
+    """factor as a Fraction (exact) or a float; ValueError unless it is
+    positive and finite, which also refuses nan."""
+    if not 0 < factor < math.inf:
+        raise ValueError("scale factor must be positive and finite")
+    return Fraction(factor) if exact else float(factor)
+
+
 @dataclass(frozen=True)
 class Framework:
     """Vectors on the vertices of a graph, up to congruence.
 
-    gram is the source of truth, and must be symmetric (floating entries
-    within FACTOR_TOL); ValueError otherwise. points, when present, is a
-    factorization with gram = points @ points.T (checked at construction);
-    it is dropped by operations that cannot maintain it, and the exact
-    least-eigenvalue framework has none. eigenspace is the certified
-    LeastEigenspace of the graph that the framework was built from, when
-    there is one; tau and tau_multiplicity are read from it. d is the rank
-    of the Gram matrix, and backend follows the Gram matrix.
+    gram, their Gram matrix, is the framework's one representation, and must
+    be symmetric (floating entries within FACTOR_TOL); ValueError otherwise.
+    eigenspace is the certified LeastEigenspace of the graph that the
+    framework was built from, when there is one; tau and tau_multiplicity
+    are read from it. d is the rank of the Gram matrix, computed from it
+    unless given, and backend follows the Gram matrix.
     """
 
     graph: Graph
     gram: object  # ExactMatrix | np.ndarray
-    points: object = None
     eigenspace: LeastEigenspace | None = None
     d: int | None = None
 
@@ -72,19 +80,12 @@ class Framework:
             raise ValueError("gram size does not match the graph")
         if not (g.is_symmetric() if exact else np.all(np.abs(g - g.T) <= FACTOR_TOL)):
             raise ValueError("gram matrix must be symmetric")
-        if self.points is not None:
-            if exact:
-                if self.points @ self.points.transpose() != self.gram:
-                    raise InternalCheckError("points do not factor the gram matrix")
-            else:
-                pp = np.asarray(self.points) @ np.asarray(self.points).T
-                if not np.allclose(pp, self.gram, atol=FACTOR_TOL):
-                    raise InternalCheckError("points do not factor the gram matrix")
         les = self.eigenspace
         if les is not None and (les.graph != self.graph or les.is_exact() != exact):
             raise ValueError("eigenspace belongs to another graph or backend")
         if self.d is None:
-            object.__setattr__(self, "d", _gram_rank(self.gram, self.points))
+            d = rank_exact(g) if exact else int(np.linalg.matrix_rank(g))
+            object.__setattr__(self, "d", d)
 
     @property
     def n(self):
@@ -106,17 +107,11 @@ class Framework:
         return None if self.eigenspace is None else self.eigenspace.spectrum.tau_multiplicity
 
     def rescaled(self, factor) -> "Framework":
-        """Scale the Gram matrix by a positive factor; points are dropped."""
-        if self.is_exact():
-            f = Fraction(factor)
-            if f <= 0:
-                raise ValueError("scale factor must be positive")
-            gram = self.gram * f
-        else:
-            if float(factor) <= 0:
-                raise ValueError("scale factor must be positive")
-            gram = np.asarray(self.gram) * float(factor)
-        return Framework(self.graph, gram, None, self.eigenspace, self.d)
+        """Scale the Gram matrix by a factor, which must be positive and
+        finite (ValueError otherwise)."""
+        factor = _checked_scale(factor, self.is_exact())
+        gram = self.gram * factor if self.is_exact() else np.asarray(self.gram) * factor
+        return Framework(self.graph, gram, self.eigenspace, self.d)
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,38 +124,29 @@ class Framework:
         }
 
 
-def _gram_rank(gram, points) -> int:
-    if isinstance(gram, ExactMatrix):
-        if points is not None and isinstance(points, ExactMatrix):
-            return rank_exact(points)  # rank(PP^T) = rank(P), and P is thinner
-        return rank_exact(gram)
-    return int(np.linalg.matrix_rank(np.asarray(gram)))
-
-
 def least_eigenvalue_framework(g) -> Framework:
     """The framework spanned by the least adjacency eigenspace of a Graph,
     certified here, or of its LeastEigenspace, whose backend it follows.
 
     Exact path (integral least eigenvalue): the Gram matrix is the projector
     onto the eigenspace, computed exactly and proved by the d x d check of
-    projector_onto_nullspace. It carries no points: its own n rows factor
-    it, as P P^T = P, but they are no rank factorization. Floating path:
-    rows of an orthonormal eigenbasis.
+    projector_onto_nullspace. Floating path: the Gram matrix of the rows of
+    the orthonormal eigenbasis, which are the framework's points and stay
+    readable as fw.eigenspace.basis. Either way d is the multiplicity of tau.
     """
     les = _eigenspace_of(g)
     if les.is_exact():
-        gram, points = projector_onto_nullspace(les), None
+        gram = projector_onto_nullspace(les)
     else:
-        points = les.basis
-        gram = points @ points.T
-    return Framework(les.graph, gram, points, les, les.spectrum.tau_multiplicity)
+        gram = les.basis @ les.basis.T
+    return Framework(les.graph, gram, les, les.spectrum.tau_multiplicity)
 
 
 def _incidence_framework(g: Graph, p: ExactMatrix) -> Framework:
     for i in range(p.nrows):
         if sum(p.row(i)) != 0:
             raise InternalCheckError("incidence framework rows must sum to zero")
-    return Framework(g, p @ p.transpose(), p, least_eigenspace(g, "exact"), rank_exact(p))
+    return Framework(g, p @ p.transpose(), least_eigenspace(g, "exact"), rank_exact(p))
 
 
 def kneser_framework(n: int, r: int) -> Framework:
@@ -199,8 +185,8 @@ def qkneser_framework(q: int, n: int, r: int) -> Framework:
 class StressMatrix:
     """A symmetric matrix stressing a framework, with its five defining
     checks exposed individually: positive semidefinite, supported on the
-    diagonal and the edges, nonnegative on edges, annihilating the points,
-    and of corank equal to the span dimension."""
+    diagonal and the edges, nonnegative on edges, annihilating the Gram
+    matrix, and of corank equal to the span dimension."""
 
     z: ExactMatrix
     framework: Framework
@@ -221,11 +207,8 @@ class StressMatrix:
         return all(self.z[i, j] >= 0 for i, j in self.framework.graph.edges())
 
     def condition_annihilates(self) -> bool:
-        fw = self.framework
-        if fw.points is not None and isinstance(fw.points, ExactMatrix):
-            return (self.z @ fw.points).is_zero()
-        # col span of the gram equals the span of the points
-        return (self.z @ fw.gram).is_zero()
+        # the columns of the Gram matrix span the points
+        return (self.z @ self.framework.gram).is_zero()
 
     def condition_corank(self) -> bool:
         return self.z.nrows - rank_exact(self.z) == self.framework.d

@@ -257,7 +257,7 @@ def test_criterion_7_invariant_battery(capsys):
                 assert validate_coloring(g, col.gram, col.t).status == "valid-strict"
             else:
                 gf = np.asarray(fw.gram, dtype=float)
-                pf = np.asarray(fw.points, dtype=float)
+                pf = fw.eigenspace.basis
                 af = adjacency_matrix(g).to_float()
                 assert np.allclose(gf @ gf, gf, atol=1e-9)
                 assert np.allclose(af @ pf, float(tau) * pf, atol=1e-9)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from corpus import atlas_graphs, benchmark_ops, connected_graphs
-from eigenframe import modular
+from eigenframe import frameworks, modular
 from eigenframe.errors import InternalCheckError, ResourceLimitError, UnsupportedInputError
 from eigenframe.completability import XSpaceBasis, dominated_frameworks, xspace
 from eigenframe.exact import (
@@ -63,7 +63,6 @@ def test_projector_invariants_on_corpus():
         les = least_eigenspace(g, "exact")
         fw = least_eigenvalue_framework(les)
         basis = xspace(les).basis
-        assert fw.points is None
         assert fw.gram.trace() == fw.d == fw.tau_multiplicity == les.spectrum.tau_multiplicity
         assert_projector_and_witnesses(g, les.spectrum.tau, fw.gram, basis)
         witnesses += len(basis)
@@ -122,9 +121,17 @@ def test_qkneser_framework_small():
     assert a @ fw.gram == fw.gram * fw.tau
 
 
-def test_qkneser_framework_incidence_matches_the_rank_oracle():
+def test_qkneser_framework_incidence_matches_the_rank_oracle(monkeypatch):
     # alpha where the subspace contains the line, that is where adding the
-    # line keeps rank r, and beta elsewhere
+    # line keeps rank r, and beta elsewhere; the incidence matrix is read
+    # where qkneser_framework hands it to _incidence_framework
+    seen, real = [], frameworks._incidence_framework
+
+    def spy(g, p):
+        seen.append(p)
+        return real(g, p)
+
+    monkeypatch.setattr(frameworks, "_incidence_framework", spy)
     for q, n, r in [(2, 3, 1), (2, 4, 1), (3, 3, 1), (5, 3, 1), (2, 5, 2)]:
         beta = gaussian_binomial(r, 1, q)
         alpha = beta - gaussian_binomial(n, 1, q)
@@ -133,7 +140,30 @@ def test_qkneser_framework_incidence_matches_the_rank_oracle():
             [alpha if rank_mod_q(s + line, q) == r else beta for line in lines]
             for s in sorted(_subspaces_mod_q(q, n, r))
         ])
-        assert qkneser_framework(q, n, r).points == expected, (q, n, r)
+        seen.clear()
+        fw = qkneser_framework(q, n, r)
+        assert seen == [expected], (q, n, r)
+        assert fw.gram == expected @ expected.transpose() and fw.d == rank_exact(expected)
+
+
+@pytest.mark.parametrize("build,args", [
+    (kneser_framework, (5, 2)), (kneser_framework, (7, 3)),
+    (qkneser_framework, (2, 3, 1)), (qkneser_framework, (3, 3, 1)),
+])
+def test_incidence_frameworks_form_their_gram_once(monkeypatch, build, args):
+    # gram = p p^T for the n x m incidence matrix p is the one product; the
+    # Gram matrix is the framework's only representation, so it is not
+    # formed again to check a factorization
+    shapes, real = [], ExactMatrix.__matmul__
+
+    def recorded(a, b):
+        shapes.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", recorded)
+    fw = build(*args)
+    m = args[0] if build is kneser_framework else gaussian_binomial(args[1], 1, args[0])
+    assert shapes == [((fw.n, m), (m, fw.n))]
 
 
 def test_qkneser_framework_guard():
@@ -180,9 +210,6 @@ def test_framework_validation():
         with pytest.raises(ValueError, match="gram matrix must be symmetric"):
             Framework(K4, gram)
     assert Framework(K4, np.eye(4) + np.diag([1e-11] * 3, k=1)).d == 4
-    bad_points = ExactMatrix([[1], [0], [0], [0]])
-    with pytest.raises(InternalCheckError):
-        Framework(K4, ExactMatrix.identity(4), points=bad_points)
 
 
 def test_canonical_stress_triangle():
@@ -204,7 +231,7 @@ def _on_its_kernel(g, rows):
     # and whose rank is the corank of z
     z = ExactMatrix(rows)
     p = ExactMatrix.column_stack(nullspace(z))
-    return StressMatrix(z, Framework(g, p @ p.transpose(), p))
+    return StressMatrix(z, Framework(g, p @ p.transpose()))
 
 
 def test_each_stress_condition_fails_alone():
@@ -236,8 +263,8 @@ def test_each_stress_condition_fails_alone():
         "signs": _on_its_kernel(g, flipped),
         "support": _on_its_kernel(g, swapped),
         "psd": _on_its_kernel(g, shifted),
-        "annihilates": StressMatrix(stress.z, Framework(g, moved @ moved.transpose(), moved)),
-        "corank": StressMatrix(stress.z, Framework(g, fewer @ fewer.transpose(), fewer)),
+        "annihilates": StressMatrix(stress.z, Framework(g, moved @ moved.transpose())),
+        "corank": StressMatrix(stress.z, Framework(g, fewer @ fewer.transpose())),
     }
     for name, mutant in mutants.items():
         failed = [c for c in ("psd", "support", "signs", "annihilates", "corank")
@@ -345,7 +372,7 @@ def test_float_tokens_are_the_number_token_of_each_entry():
 def test_results_hold_no_copy_of_their_eigenspace():
     # tau, its multiplicity and the backend are read from the eigenspace
     assert [f.name for f in dataclasses.fields(Framework)] == [
-        "graph", "gram", "points", "eigenspace", "d"]
+        "graph", "gram", "eigenspace", "d"]
     assert [f.name for f in dataclasses.fields(XSpaceBasis)] == ["eigenspace", "basis"]
     fw = least_eigenvalue_framework(least_eigenspace(K4, "exact"))
     xs = xspace(fw.eigenspace)
@@ -366,7 +393,7 @@ def test_results_hold_no_copy_of_their_eigenspace():
 
 def test_a_framework_needs_its_own_eigenspace_for_stress_and_domination():
     fw = least_eigenvalue_framework(least_eigenspace(K4, "exact"))
-    bare = Framework(K4, fw.gram, fw.points, d=fw.d)
+    bare = Framework(K4, fw.gram, d=fw.d)
     assert bare.backend == "exact" and bare.tau is None
     with pytest.raises(ValueError):
         canonical_stress(K4, bare)

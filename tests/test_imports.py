@@ -160,13 +160,15 @@ def test_the_check_sees_each_way_a_public_function_is_reached():
 
 
 # least_eigenspace is the one place a backend is chosen; the checks that
-# read its eigenspace take its result instead, and no tolerance either
+# read its eigenspace take its result instead, and no tolerance either: the
+# witness maps and dominated_frameworks read the eigenspace's own
 BACKEND_CHOOSERS = {"least_eigenspace"}
 EIGENSPACE_CHECKS = {
     "xspace", "is_universally_completable", "neighborhood_condition", "clique_condition",
     "clique_condition_any", "least_eigenvalue_framework", "optimal_vector_coloring_1wr",
     "is_uniquely_vector_colorable_1wr",
 }
+TOLERANCE_FREE = EIGENSPACE_CHECKS | {"phi", "phi_inverse", "dominated_frameworks"}
 
 
 def _public_functions_with(source, param):
@@ -195,9 +197,9 @@ def _taking(param):
 def test_only_least_eigenspace_takes_a_backend():
     defined = {node.name for source in _package_sources().values()
                for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
-    assert EIGENSPACE_CHECKS <= defined
+    assert TOLERANCE_FREE <= defined
     assert _taking("backend") == BACKEND_CHOOSERS
-    assert not _taking("tol") & EIGENSPACE_CHECKS
+    assert not _taking("tol") & TOLERANCE_FREE
 
 
 def test_the_parameter_check_sees_each_kind_of_parameter():

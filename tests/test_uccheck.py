@@ -349,6 +349,30 @@ def test_dominated_framework_smaller_scale_keeps_rank():
     assert dom.gram != fw.gram
 
 
+def test_a_witness_of_the_other_backend_is_refused():
+    exact_les, float_les = (least_eigenspace(TWO_K2, b) for b in ("exact", "floating"))
+    exact_x, float_x = xspace(exact_les).basis[0], xspace(float_les).basis[0]
+    for les, x, kind in ((exact_les, float_x, "exact"), (float_les, exact_x, "floating")):
+        message = f"{kind} eigenspace needs an? {kind} 4 x 4 witness"
+        with pytest.raises(ValueError, match=message):
+            phi_inverse(x, les)
+        with pytest.raises(ValueError, match=message):
+            dominated_frameworks(least_eigenvalue_framework(les), x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0, -1])
+@pytest.mark.parametrize("backend", ["exact", "floating"])
+def test_a_scale_that_is_not_positive_and_finite_is_refused(backend, scale):
+    les = least_eigenspace(TWO_K2, backend)
+    fw = least_eigenvalue_framework(les)
+    x = xspace(les).basis[0]
+    with pytest.raises(ValueError, match="scale factor must be positive and finite"):
+        dominated_frameworks(fw, x, c=scale)
+    with pytest.raises(ValueError, match="scale factor must be positive and finite"):
+        fw.rescaled(scale)
+
+
 def test_neighborhood_condition_examples():
     assert neighborhood_condition(K4).holds  # empty punctured graphs, tau < 0
     assert neighborhood_condition(cycle(5)).holds

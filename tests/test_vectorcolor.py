@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import atlas_graphs, benchmark_ops
-from eigenframe import cli, coloring, graphs
+from eigenframe import cli, graphs
 from eigenframe.coloring import (
     is_one_walk_regular,
     is_uniquely_vector_colorable_1wr,
@@ -15,6 +15,7 @@ from eigenframe.coloring import (
     validate_coloring,
 )
 from eigenframe import exact
+from eigenframe.completability import phi_inverse, xspace
 from eigenframe.errors import ResourceLimitError
 from eigenframe.exact import ExactMatrix, least_eigenspace
 from eigenframe.graphs import Graph, cycle, emit_graph6, from_edges, kneser, parse_graph6
@@ -216,19 +217,21 @@ def test_second_coloring_still_unit_norm():
         assert alt.gram[i, i] == 1
 
 
-def test_a_floating_witness_is_checked_within_its_eigenspace_tolerance(monkeypatch):
-    # two disjoint pentagons: floating tau and a nontrivial witness space;
-    # the witness behind the second coloring is checked within the
-    # tolerance the eigenspace was clustered with (vc --tol)
+def test_a_floating_witness_is_checked_within_its_eigenspace_tolerance():
+    # two disjoint pentagons: floating tau and a nontrivial witness space. A
+    # witness moved by 5e-8 at the complement pair (0, 5) and its mirror is
+    # refused on the eigenspace clustered at 1e-8 and accepted on the one
+    # clustered at 1e-7 (vc --tol): phi_inverse reads the eigenspace's
+    # tolerance, and so does the check of the witness behind vc's second
+    # coloring
     two_c5 = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                         + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
-    seen, real = [], coloring.dominated_frameworks
-
-    def spy(p, x, c=None, tol=None):
-        seen.append(tol)
-        return real(p, x, c, tol)
-
-    monkeypatch.setattr(coloring, "dominated_frameworks", spy)
-    res = is_uniquely_vector_colorable_1wr(least_eigenspace(two_c5, "floating", 1e-7))
+    tight, loose = (least_eigenspace(two_c5, "floating", tol) for tol in (1e-8, 1e-7))
+    x = xspace(tight).basis[0].copy()
+    x[0, 5] += 5e-8
+    x[5, 0] += 5e-8
+    with pytest.raises(ValueError):
+        phi_inverse(x, tight)
+    assert phi_inverse(x, loose).shape == (4, 4)
+    res = is_uniquely_vector_colorable_1wr(loose)
     assert not res.uvc and res.x_dim > 0 and res.alternate.backend == "floating"
-    assert seen == [1e-7]
