@@ -130,13 +130,13 @@ class ColoringVerdict:
         return self.status != INVALID
 
 
-def validate_coloring(g: Graph, gram, t, tol: float = EDGE_TOL) -> ColoringVerdict:
+def validate_coloring(g: Graph, gram, t) -> ColoringVerdict:
     """Unit diagonal, positive semidefiniteness, and the edge bound, in that
     order, reporting the first violation.
 
     An ExactMatrix with a rational t is checked exactly, as the floating
     check at tolerance 0 with the exact PSD test; any other input is
-    checked in floats within tol.
+    checked in floats within EDGE_TOL.
 
     t must exceed 1 whenever the graph has edges (the bound -1/(t-1) is
     meaningless otherwise); edgeless graphs accept t = 1.
@@ -146,7 +146,7 @@ def validate_coloring(g: Graph, gram, t, tol: float = EDGE_TOL) -> ColoringVerdi
         t, eps = Fraction(t), 0
     else:
         gram = gram.to_float() if isinstance(gram, ExactMatrix) else np.asarray(gram, dtype=float)
-        t, eps = float(t), tol
+        t, eps = float(t), EDGE_TOL
     if t <= 1 and (g.num_edges() > 0 or t < 1):
         raise ValueError("coloring value must exceed 1")
     for i in range(g.n):
@@ -156,7 +156,7 @@ def validate_coloring(g: Graph, gram, t, tol: float = EDGE_TOL) -> ColoringVerdi
         psd = is_psd_exact(gram)
     else:
         w = np.linalg.eigvalsh(gram)
-        psd = not w[0] < -tol * max(1.0, float(w[-1]))
+        psd = not w[0] < -EDGE_TOL * max(1.0, float(w[-1]))
     if not psd:
         return ColoringVerdict(INVALID, ("psd", -1, -1))
     if g.num_edges() == 0:

@@ -37,7 +37,7 @@ from .exact import (
     psd_rank_pivot,
     rank_exact,
 )
-from .frameworks import Framework, _checked_scale, dominates
+from .frameworks import Framework, _checked_scale
 from .graphs import Graph, check_budget, maximal_cliques
 
 SV_THRESHOLD = 1e-7
@@ -311,46 +311,59 @@ def phi(r, g):
     return x
 
 
-def phi_inverse(x, g):
-    """The R with phi(R) = x, read off without inverting anything; ValueError
-    unless x is a completability witness on the eigenspace of a Graph,
-    certified here, or of its LeastEigenspace, on that eigenspace's backend.
+def _core(y, les):
+    """The d x d core M of a symmetric n x n matrix y of les's backend, with
+    y = B M B^T on the eigenspace basis B; ValueError unless y lies there.
 
-    Exact path: column a of the echelon basis B ends at its free vertex f_a
-    with value c_a, and row f_a of B is c_a e_a, so R_ab = x[f_a, f_b] /
-    (c_a c_b), read in integers as x.num[f_a][f_b] (k / (c_a c_b)) over
-    x.den k with k = lcm(c)^2. ValueError unless phi(R) == x, so an x
-    outside the image is refused rather than projected. That check proves x
-    a witness: phi checks R symmetric and X = B R B^T zero on the closed
-    pairs, and (A - tau I) X = 0 follows from the (A - tau I) B = 0 that the
-    pass certifying tau verified. Conversely every witness is B R B^T, as
-    its columns lie in ker(A - tau I) = col(B), and its R is the one read
-    off the free-vertex rows. Floating path: R = B^T x B on the orthonormal
-    eigh basis; ValueError unless x is n x n and phi(R) is within
-    tol * max(1, max |x_ij|) of x, tol the eigenspace's tolerance.
+    Exact: row f_a of the echelon basis B is c_a e_a, f_a the free vertex
+    where column a ends, so M_ab = y[f_a, f_b] / (c_a c_b), read in integers
+    over y.den lcm(c)^2. Only the n - d rows of y off the free vertices are
+    then compared with B_rest M B^T (none when d = n): the free block agrees
+    by the read-off, and y and B M B^T are symmetric, so that covers every
+    entry. Floating: M = B^T y B on the orthonormal eigh basis, symmetric,
+    and B M B^T within tol * max(1, max |y_ij|) of y, tol the eigenspace's.
+    """
+    if les.is_exact():
+        ends = [max(i for i, v in enumerate(col) if v) for col in les.basis]
+        c = [col[f] for col, f in zip(les.basis, ends)]
+        k = math.lcm(*c) ** 2
+        m = ExactMatrix._from_ints(
+            [[y.num[a][b] * (k // (ca * cb)) for b, cb in zip(ends, c)] for a, ca in zip(ends, c)],
+            y.den * k,
+        )
+        rest = sorted(set(range(y.nrows)) - set(ends))
+        b_rest = ExactMatrix._from_ints([[col[i] for col in les.basis] for i in rest])
+        ok = y.is_symmetric() and (not rest or b_rest @ m @ ExactMatrix._from_ints(les.basis)
+                                   == y.submatrix(rest, range(y.ncols)))
+    else:
+        tol, b = les.spectrum.tolerance, les.basis
+        m = b.T @ y @ b
+        ok = np.allclose(m, m.T, atol=tol) and \
+            np.max(np.abs(b @ m @ b.T - y)) <= tol * max(1.0, np.max(np.abs(y)))
+    if not ok:
+        raise ValueError("matrix is not in the image of the reduced space")
+    return m
+
+
+def phi_inverse(x, g):
+    """The R with phi(R) = x, read off without inverting anything: x's core
+    (_core), which refuses an x outside the image rather than projecting it.
+    ValueError also unless x is of the backend of the eigenspace of a Graph,
+    certified here, or of its LeastEigenspace, and vanishes on the diagonal
+    and the edges (floating entries within the eigenspace's tolerance). On
+    the exact path that proves x a witness: (A - tau I) B R B^T = 0 follows
+    from the (A - tau I) B = 0 that the pass certifying tau verified.
+    Conversely every witness is B R B^T, its columns in ker(A - tau I).
     """
     les = _eigenspace_of(g)
-    n = les.graph.n
-    if not les.is_exact():
-        if isinstance(x, ExactMatrix) or np.shape(x) != (n, n):
-            raise ValueError(f"floating eigenspace needs a floating {n} x {n} witness")
-        x = np.asarray(x, dtype=float)
-        r = les.basis.T @ x @ les.basis
-        tol = les.spectrum.tolerance
-        if np.max(np.abs(phi(r, les) - x)) > tol * max(1.0, np.max(np.abs(x))):
-            raise ValueError("matrix is not in the image of the reduced space")
-        return r
-    if not isinstance(x, ExactMatrix) or x.shape != (n, n):
-        raise ValueError(f"exact eigenspace needs an exact {n} x {n} witness")
-    ends = [max(i for i, v in enumerate(col) if v) for col in les.basis]
-    c = [col[f] for col, f in zip(les.basis, ends)]
-    k = math.lcm(*c) ** 2
-    r = ExactMatrix._from_ints(
-        [[x.num[fa][fb] * (k // (ca * cb)) for fb, cb in zip(ends, c)] for fa, ca in zip(ends, c)],
-        x.den * k,
-    )
-    if phi(r, les) != x:
-        raise ValueError("matrix is not in the image of the reduced space")
+    n, exact = les.graph.n, les.is_exact()
+    if isinstance(x, ExactMatrix) != exact or np.shape(x) != (n, n):
+        kind = "an exact" if exact else "a floating"
+        raise ValueError(f"{les.spectrum.backend} eigenspace needs {kind} {n} x {n} witness")
+    x = x if exact else np.asarray(x, dtype=float)
+    r = _core(x, les)
+    if not _vanishes_on_closed_pairs(les, x):
+        raise ValueError("matrix violates the reduced membership conditions")
     return r
 
 
@@ -369,15 +382,18 @@ def gershgorin_scale(x):
 
 
 def dominated_frameworks(p: Framework, x, c=None) -> Framework:
-    """The framework whose Gram matrix is gram(p) + c*x.
+    """The framework q whose Gram matrix is gram(p) + c*x, on p's eigenspace.
 
-    x must be a completability witness on p's eigenspace, which phi_inverse
-    proves (ValueError if it is not, or if p carries no eigenspace); c
-    defaults to the Gershgorin scale of x, which keeps the sum positive
-    semidefinite, and any other c must be positive and finite (ValueError).
-    The result carries p's eigenspace and is verified PSD and dominated by
-    p, with equality on edges. On the exact path the symmetric pivot pass
-    that proves PSD also gives its rank d.
+    x must be a witness there, which phi_inverse proves, and gram(p) must
+    lie there, as the least-eigenvalue and incidence frameworks do; c
+    defaults to the Gershgorin scale of x, and any other c must be positive
+    and finite. ValueError otherwise, or if p carries no eigenspace. As B
+    has full column rank, gram(q) = B M B^T is PSD exactly when its d x d
+    core M (_core) is, with M's rank: exact, one pivot pass over M gives
+    both; floating, eigvalsh(M) is held to the eigenspace's tolerance and d
+    is read off gram(q). InternalCheckError if M is indefinite. q is
+    dominated by p with equality on the edges unchecked: phi_inverse proved
+    x zero there and on the diagonal (floating, within the tolerance).
     """
     les = p.eigenspace
     if les is None:
@@ -389,23 +405,16 @@ def dominated_frameworks(p: Framework, x, c=None) -> Framework:
             return p  # x = 0
     c = _checked_scale(c, p.is_exact())
     if p.is_exact():
-        gram = p.gram + x * c  # symmetric, as p.gram and the witness x are
-        status, pivots = psd_rank_pivot(gram)
-        if status == "indefinite":
-            raise InternalCheckError("scaled witness broke positive semidefiniteness")
-        d = len(pivots)
+        gram = p.gram + x * c
+        status, pivots = psd_rank_pivot(_core(gram, les))
+        indefinite, d = status == "indefinite", len(pivots)
     else:
         gram = np.asarray(p.gram) + c * np.asarray(x, dtype=float)
-        w = np.linalg.eigvalsh(gram)
-        if w[0] < -1e-9 * max(1.0, float(w[-1])):
-            raise InternalCheckError("scaled witness broke positive semidefiniteness")
-        d = None  # the Framework reads it off the Gram matrix
-    q = Framework(p.graph, gram, les, d)
-    if not dominates(p, q):  # also proves the diagonal unchanged
-        raise InternalCheckError("dominated framework fails the domination check")
-    if not dominates(q, p):  # so every edge entry is unchanged too
-        raise InternalCheckError("dominated framework changed an edge entry")
-    return q
+        w = np.linalg.eigvalsh(_core(gram, les))
+        indefinite, d = w[0] < -les.spectrum.tolerance * max(1.0, float(w[-1])), None
+    if indefinite:
+        raise InternalCheckError("scaled witness broke positive semidefiniteness")
+    return Framework(p.graph, gram, les, d)
 
 
 # -- fast sufficient conditions ------------------------------------------------

@@ -249,17 +249,16 @@ def canonical_stress(g: Graph, framework: Framework | None = None) -> StressMatr
     return StressMatrix(framework.eigenspace.shifted, framework).verify()
 
 
-def _comparable(p: Framework, q: Framework):
-    """Floating reader of the two Grams at (i, j), exact ones rounded."""
-    pg = p.gram.to_float() if p.is_exact() else np.asarray(p.gram, dtype=float)
-    qg = q.gram.to_float() if q.is_exact() else np.asarray(q.gram, dtype=float)
-    return lambda i, j: (pg[i, j], qg[i, j])
+def _float_grams(p: Framework, q: Framework):
+    """The two Grams as float arrays, exact ones rounded."""
+    return [f.gram.to_float() if f.is_exact() else np.asarray(f.gram, dtype=float) for f in (p, q)]
 
 
-def dominates(p: Framework, q: Framework, tol: float = GRAM_TOL) -> bool:
+def dominates(p: Framework, q: Framework) -> bool:
     """Entrywise Gram comparison on the shared graph: equality on the
-    diagonal, q <= p on every edge. Two exact Grams pn / pd and qn / qd
-    compare their integer numerators: q_ij <= p_ij iff qn_ij pd <= pn_ij qd."""
+    diagonal, q <= p on every edge, floating entries within GRAM_TOL. Two
+    exact Grams pn / pd and qn / qd compare their integer numerators:
+    q_ij <= p_ij iff qn_ij pd <= pn_ij qd."""
     if p.graph != q.graph:
         raise ValueError("frameworks live on different graphs")
     if p.is_exact() and q.is_exact():
@@ -267,24 +266,16 @@ def dominates(p: Framework, q: Framework, tol: float = GRAM_TOL) -> bool:
         return all(qn[i][i] * pd == pn[i][i] * qd for i in range(p.n)) and all(
             qn[i][j] * pd <= pn[i][j] * qd for i, j in p.graph.edges()
         )
-    at = _comparable(p, q)
-    for i in range(p.n):
-        a, b = at(i, i)
-        if abs(b - a) > tol:
-            return False
-    for i, j in p.graph.edges():
-        a, b = at(i, j)
-        if b > a + tol:
-            return False
-    return True
+    pg, qg = _float_grams(p, q)
+    return all(abs(qg[i, i] - pg[i, i]) <= GRAM_TOL for i in range(p.n)) and all(
+        qg[i, j] <= pg[i, j] + GRAM_TOL for i, j in p.graph.edges())
 
 
-def congruent(p: Framework, q: Framework, tol: float = GRAM_TOL) -> bool:
+def congruent(p: Framework, q: Framework) -> bool:
+    """Equal Gram matrices: exactly, or floating entries within GRAM_TOL."""
     if p.n != q.n:
         raise ValueError("frameworks have different sizes")
     if p.is_exact() and q.is_exact():
         return p.gram == q.gram
-    at = _comparable(p, q)
-    return all(
-        abs(at(i, j)[0] - at(i, j)[1]) <= tol for i in range(p.n) for j in range(p.n)
-    )
+    pg, qg = _float_grams(p, q)
+    return bool(np.all(np.abs(pg - qg) <= GRAM_TOL))

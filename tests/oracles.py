@@ -10,13 +10,19 @@ builds the complement-edge system with numpy alone and reads it off one
 full SVD, or sums its Gram matrix entry by entry, and the walk-count
 oracle multiplies dense integer powers of A. The projector oracle checks the
 n x n identities the exact path proves only in their d x d form, by dense
-products over Fractions.
+products over Fractions. The dominated-framework oracle is the one that
+calls the package: it replays, over the whole n x n Gram matrix, the pivot
+pass and the two domination tests that dominated_frameworks now proves on
+the d x d core instead.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from eigenframe.exact import psd_rank_pivot
+from eigenframe.frameworks import dominates
 
 
 def rref_fraction(rows):
@@ -254,3 +260,12 @@ def assert_projector_and_witnesses(g, tau, gram, witnesses):
     for x in witnesses:
         rows = [[x[i, j] for j in range(n)] for i in range(n)]
         assert not any(map(any, _dense_product(shifted, rows))), "a witness is not in the kernel"
+
+
+def assert_dominated_framework(p, q):
+    """q, built from p by dominated_frameworks, is PSD with rank q.d by one
+    symmetric pivot pass over its n x n Gram matrix, and p and q dominate
+    each other: equal on the diagonal and on every edge."""
+    status, pivots = psd_rank_pivot(q.gram)
+    assert status != "indefinite" and len(pivots) == q.d, (status, len(pivots), q.d)
+    assert dominates(p, q) and dominates(q, p), "the Grams differ on a closed pair"

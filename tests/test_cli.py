@@ -442,23 +442,34 @@ def test_gen_refuses_a_graph6_list_over_the_byte_budget(capsys):
 def test_exact_benchmark_ops_make_no_n_by_n_product(monkeypatch, capsys, workload):
     # the projector and the witnesses are proved at d x d, and a witness
     # handed to dominated_frameworks is proved by phi_inverse with n x d
-    # products, so no op makes an n x n by n x n product; the witness
+    # products, so no op makes an n x n by n x n product. Each dominated
+    # framework is proved PSD by a pivot pass over its d x d core, so the
+    # dominated and vc ops make no n x n pass there either; the witness
     # workload hands dominated_frameworks witnesses to prove
-    shapes, witnesses = [], 0
-    real = exact.ExactMatrix.__matmul__
+    shapes, passes, witnesses = [], [], 0
+    real, real_pivot = exact.ExactMatrix.__matmul__, completability.psd_rank_pivot
 
     def recorded(a, b):
         shapes.append((a.shape, b.shape))
         return real(a, b)
 
+    def recorded_pivot(a):
+        passes.append(a.shape)
+        return real_pivot(a)
+
     monkeypatch.setattr(exact.ExactMatrix, "__matmul__", recorded)
+    monkeypatch.setattr(completability, "psd_rank_pivot", recorded_pivot)
     for op in benchmark_ops(workload):
         shapes.clear()
+        passes.clear()
         code, out, _ = run(capsys, *op.argv)
         square = [s for s in shapes if s == ((op.n, op.n), (op.n, op.n))]
         assert code == 0 and square == [], (op.key, shapes)
+        assert (op.n, op.n) not in passes, (op.key, passes)
         if op.argv[0] == "dominated":
-            witnesses += json.loads(out)["x_dim"]
+            x_dim = json.loads(out)["x_dim"]
+            assert len(passes) == x_dim, (op.key, passes)
+            witnesses += x_dim
     assert (witnesses > 0) == (workload == "witness")
 
 

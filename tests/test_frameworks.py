@@ -30,10 +30,10 @@ from eigenframe.frameworks import (
     qkneser_framework,
 )
 from eigenframe.cli import _parse_gen
-from eigenframe.graphs import cycle, from_edges, kneser, parse_graph6
+from eigenframe.graphs import complement, cycle, from_edges, kneser, parse_graph6
 from eigenframe.modular import _subspaces_mod_q, gaussian_binomial
 from eigenframe.serialize import canonical_json, gram_tokens, number_token
-from oracles import assert_projector_and_witnesses, rank_mod_q
+from oracles import assert_dominated_framework, assert_projector_and_witnesses, rank_mod_q
 
 K4 = from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 
@@ -67,6 +67,21 @@ def test_projector_invariants_on_corpus():
         assert_projector_and_witnesses(g, les.spectrum.tau, fw.gram, basis)
         witnesses += len(basis)
     assert len(graphs) == 228 + 14 and witnesses > 0
+
+
+def test_dominated_frameworks_agree_with_the_n_by_n_checks():
+    # dominated_frameworks proves PSD, the rank d and domination on the
+    # d x d core of each framework; the n x n pivot pass and the two
+    # domination tests it no longer makes agree on every witness of the
+    # exact atlas graphs and of T(6) to T(8), the complements of K(k,2)
+    graphs = [g for g, _ in atlas_graphs()] + [complement(kneser(k, 2)) for k in (6, 7, 8)]
+    witnesses = 0
+    for les in filter(LeastEigenspace.is_exact, map(least_eigenspace, graphs)):
+        fw = least_eigenvalue_framework(les)
+        for x in xspace(les).basis:
+            assert_dominated_framework(fw, dominated_frameworks(fw, x))
+            witnesses += 1
+    assert witnesses > 0
 
 
 def test_floating_backend_close_to_exact():
@@ -399,6 +414,10 @@ def test_a_framework_needs_its_own_eigenspace_for_stress_and_domination():
         canonical_stress(K4, bare)
     with pytest.raises(ValueError):
         dominated_frameworks(bare, ExactMatrix.zeros(4))
+    # a Gram matrix off the eigenspace has no d x d core to prove it on
+    off = Framework(K4, ExactMatrix.identity(4), fw.eigenspace)
+    with pytest.raises(ValueError, match="not in the image of the reduced space"):
+        dominated_frameworks(off, ExactMatrix.zeros(4), c=1)
     with pytest.raises(ValueError):
         Framework(K4, fw.gram, eigenspace=least_eigenspace(K4, "floating"))
     with pytest.raises(ValueError):

@@ -161,14 +161,17 @@ def test_the_check_sees_each_way_a_public_function_is_reached():
 
 # least_eigenspace is the one place a backend is chosen; the checks that
 # read its eigenspace take its result instead, and no tolerance either: the
-# witness maps and dominated_frameworks read the eigenspace's own
+# witness maps and dominated_frameworks read the eigenspace's own, and the
+# Gram comparisons and the coloring check their module's constant
 BACKEND_CHOOSERS = {"least_eigenspace"}
 EIGENSPACE_CHECKS = {
     "xspace", "is_universally_completable", "neighborhood_condition", "clique_condition",
     "clique_condition_any", "least_eigenvalue_framework", "optimal_vector_coloring_1wr",
     "is_uniquely_vector_colorable_1wr",
 }
-TOLERANCE_FREE = EIGENSPACE_CHECKS | {"phi", "phi_inverse", "dominated_frameworks"}
+TOLERANCE_FREE = EIGENSPACE_CHECKS | {
+    "phi", "phi_inverse", "dominated_frameworks", "dominates", "congruent", "validate_coloring",
+}
 
 
 def _public_functions_with(source, param):

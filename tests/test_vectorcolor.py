@@ -15,9 +15,10 @@ from eigenframe.coloring import (
     validate_coloring,
 )
 from eigenframe import exact
-from eigenframe.completability import phi_inverse, xspace
+from eigenframe.completability import dominated_frameworks, phi_inverse, xspace
 from eigenframe.errors import ResourceLimitError
 from eigenframe.exact import ExactMatrix, least_eigenspace
+from eigenframe.frameworks import dominates, least_eigenvalue_framework
 from eigenframe.graphs import Graph, cycle, emit_graph6, from_edges, kneser, parse_graph6
 from oracles import walk_regularity
 from test_acceptance import WALK_REGULAR_TWENTY
@@ -222,8 +223,9 @@ def test_a_floating_witness_is_checked_within_its_eigenspace_tolerance():
     # witness moved by 5e-8 at the complement pair (0, 5) and its mirror is
     # refused on the eigenspace clustered at 1e-8 and accepted on the one
     # clustered at 1e-7 (vc --tol): phi_inverse reads the eigenspace's
-    # tolerance, and so does the check of the witness behind vc's second
-    # coloring
+    # tolerance, and so do the check of the witness behind vc's second
+    # coloring and the PSD check of the dominated framework built from the
+    # moved witness, which agrees with the base on the diagonal and the edges
     two_c5 = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                         + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
     tight, loose = (least_eigenspace(two_c5, "floating", tol) for tol in (1e-8, 1e-7))
@@ -233,5 +235,9 @@ def test_a_floating_witness_is_checked_within_its_eigenspace_tolerance():
     with pytest.raises(ValueError):
         phi_inverse(x, tight)
     assert phi_inverse(x, loose).shape == (4, 4)
+    base = least_eigenvalue_framework(loose)
+    moved = dominated_frameworks(base, x)
+    assert moved.eigenspace is loose and moved.d == 6
+    assert dominates(base, moved) and dominates(moved, base)
     res = is_uniquely_vector_colorable_1wr(loose)
     assert not res.uvc and res.x_dim > 0 and res.alternate.backend == "floating"
