@@ -6,7 +6,7 @@ keys. Warnings (such as the automatic fall-back to the floating backend)
 go to stderr and never pollute the report stream.
 
 Exit codes: 0 success, 1 I/O or parse trouble, 2 unsupported input,
-3 a failed internal consistency check.
+3 a failed internal consistency check or numerical routine.
 """
 
 import argparse
@@ -27,6 +27,7 @@ from .completability import (
 from .errors import (
     Graph6Error,
     InternalCheckError,
+    NumericalError,
     ResourceLimitError,
     UnsupportedInputError,
 )
@@ -327,6 +328,9 @@ def main(argv=None) -> int:
         return 2
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
+        return 3
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

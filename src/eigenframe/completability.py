@@ -9,11 +9,12 @@ Both paths decide the dimension in the paper's reduced space X = B R B^T
 (B a basis of ker(A - tau I), R symmetric d x d): n + |E| equations in
 d(d+1)/2 unknowns. On the exact path B is an integer basis; full column
 rank modulo a word-size prime certifies dimension zero, and kernel vectors
-are otherwise lifted from that same elimination and verified exactly. On
-the floating path B is the orthonormal eigh basis, and the least singular
-value of the same system bounds the margin of the n^2 x |E(complement)|
-complement-edge system from below; only when that bound is too small to
-prove full rank do its rank and null vectors decide. The reported margin,
+are otherwise lifted from that same elimination; each is proved by its X,
+whose entries on the diagonal and the edges are the system's rows applied
+to it. On the floating path B is the orthonormal eigh basis, and the least
+singular value of the same system bounds the margin of the n^2 x
+|E(complement)| complement-edge system from below; only when that bound is
+too small to prove full rank do its rank and null vectors decide. The reported margin,
 the smallest-to-largest singular value ratio of the complement-edge system,
 is read from that system's Gram matrix when first asked for; the system
 itself is never built.
@@ -33,12 +34,13 @@ from .exact import (
     ExactMatrix,
     LeastEigenspace,
     _eigenspace_of,
-    nullspace_mod_p,
+    nullspace,
     psd_rank_pivot,
     rank_exact,
 )
 from .frameworks import Framework, _checked_scale
 from .graphs import Graph, check_budget, maximal_cliques
+from .modular import kernel_mod_p
 
 SV_THRESHOLD = 1e-7
 NEIGHBORHOOD_MARGIN = 1e-6
@@ -203,13 +205,39 @@ def _symmetric(tri, vec, d):
     return r
 
 
-def _rspace_kernel(les):
-    """Kernel vectors of the exact R-system (_rspace_rows), as symmetric
-    d x d ExactMatrices, from one elimination modulo a prime
-    (nullspace_mod_p): full column rank there proves the kernel trivial,
-    and otherwise its kernel, lifted to the rationals, is verified exactly."""
+def _exact_basis(les):
+    """X = B R B^T, divided to a primitive integer matrix, for each echelon
+    kernel vector R of the R-system (_rspace_rows), read as a symmetric R.
+
+    kernel_mod_p eliminates the system once modulo a word-size prime and
+    lifts one candidate per free column. The rows are X's entries on the
+    diagonal and the edges, so X vanishing there (_vanishes_on_closed_pairs)
+    proves the candidate a kernel vector. If all pass, they are the echelon
+    basis nullspace returns, whatever the prime. Let K be the rational
+    kernel and K_f its vectors that are 0 past column f. Each candidate is
+    nonzero at its free column and 0 at the others, so they are
+    independent, and there are ncols - rank_p >= dim K of them: they are a
+    basis of K. The candidate of free column f lies in K_f and not in
+    K_(f-1), so dim K_f rises at each of these dim K columns, and so only
+    there: they are the free columns over the rationals too. A vector of K
+    that is 0 at every free column is 0, so the vector of K_f that is 0 at
+    the other free columns is unique up to scale; the candidate and the
+    Bareiss vector are both it, primitive and positive at f. Full rank
+    modulo the prime leaves no candidate: the kernel is trivial, and B is
+    never built. If some entry has no lift or some X fails, nullspace
+    eliminates all rows instead.
+    """
     rows, tri = _rspace_rows(les)
-    return [ExactMatrix(_symmetric(tri, vec, len(les.basis))) for vec in nullspace_mod_p(rows)]
+
+    def lift(vecs):
+        rs = [ExactMatrix._from_ints(_symmetric(tri, v, len(les.basis))) for v in vecs]
+        return _brbt(les, rs)
+
+    candidates = kernel_mod_p(rows)
+    xs = lift(candidates) if candidates else []
+    if candidates is None or not all(_vanishes_on_closed_pairs(les, x) for x in xs):
+        xs = lift(nullspace(rows))
+    return tuple(x * Fraction(1, math.gcd(*(v for row in x.num for v in row))) for x in xs)
 
 
 def xspace(g) -> XSpaceBasis:
@@ -217,10 +245,10 @@ def xspace(g) -> XSpaceBasis:
 
     g is a Graph, certified here, or its LeastEigenspace, whose backend
     decides the path. Exact path: the basis is the echelon basis over
-    complement-edge unknowns, one matrix per free complement pair: phi of
-    each echelon kernel vector of the R-system, divided to a primitive
-    integer matrix. Each is a witness with no n x n product: X = B R B^T is
-    symmetric with R, phi checks that it vanishes on the closed pairs, and
+    complement-edge unknowns, one matrix per free complement pair: B R B^T
+    for each echelon kernel vector R of the R-system (_exact_basis). Each is
+    a witness with no n x n product: X = B R B^T is symmetric with R,
+    vanishes on the closed pairs, as _exact_basis proved, and
     (A - tau I) X = (A - tau I) B R B^T = 0, as the pass that certified tau
     verified (A - tau I) B = 0. Column a of B ends at its free
     vertex f_a, where row f_a of B is a positive multiple of e_a, so X and R
@@ -240,11 +268,7 @@ def xspace(g) -> XSpaceBasis:
     if not pairs:
         return XSpaceBasis(les, ())
     if les.is_exact():
-        basis = []
-        for r in _rspace_kernel(les):
-            x = phi(r, les)
-            basis.append(x * Fraction(1, math.gcd(*(v for row in x.num for v in row))))
-        return XSpaceBasis(les, tuple(basis))
+        return XSpaceBasis(les, _exact_basis(les))
 
     svals, vh, tri = _rspace_svd(les)
     if _rspace_margin_bound(les, svals[-1]) > 10 * SV_THRESHOLD:  # slack for rounding
@@ -285,6 +309,15 @@ def _vanishes_on_closed_pairs(les, x) -> bool:
     return not any(abs(x[i, j]) > les.spectrum.tolerance for i, j in pairs)
 
 
+def _brbt(les, rs):
+    """X = B R B^T for each R of rs, on les's eigenspace basis B."""
+    if les.is_exact():
+        b = ExactMatrix._from_ints(list(zip(*les.basis)))
+        bt = b.transpose()
+        return [b @ r @ bt for r in rs]
+    return [les.basis @ r @ les.basis.T for r in rs]
+
+
 def phi(r, g):
     """Map a reduced witness up to vertex space: X = B R B^T, where B is the
     eigenspace basis (LeastEigenspace.basis) of a Graph, certified here, or
@@ -299,13 +332,11 @@ def phi(r, g):
     if les.is_exact():
         if not isinstance(r, ExactMatrix) or r.shape != (d, d) or not r.is_symmetric():
             raise ValueError(f"R must be a symmetric {d} x {d} ExactMatrix")
-        b = ExactMatrix._from_ints(list(zip(*les.basis)))
-        x = b @ r @ b.transpose()
     else:
         r = np.asarray(r, dtype=float)
         if r.shape != (d, d) or not np.allclose(r, r.T, atol=les.spectrum.tolerance):
             raise ValueError(f"R must be a symmetric {d} x {d} matrix")
-        x = les.basis @ r @ les.basis.T
+    (x,) = _brbt(les, [r])
     if not _vanishes_on_closed_pairs(les, x):
         raise ValueError("matrix violates the reduced membership conditions")
     return x

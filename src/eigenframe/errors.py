@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: parse/IO problems give 1, unsupported
-inputs give 2, and a failed internal consistency check gives 3.
+inputs give 2, and a failed internal check or NumericalError gives 3.
 """
 
 

@@ -7,13 +7,9 @@ are unchanged by one positive scale, so every elimination runs directly on
 the integer numerators. There is one exact solver: fraction-free (Bareiss)
 row echelon form, then an integer back substitution scaled by the last pivot,
 where Cramer's rule makes every division exact. It gives rank, the echelon
-nullspace basis and the inverse (by eliminating [m | I]). The certified
-nullspace of a large integer system eliminates it once modulo a word-size
-prime. Full column rank there is accepted as a proof of a trivial nullspace,
-the one-sided bound that keeps large instances cheap; otherwise the kernel
-modulo the prime, lifted to the rationals by rational reconstruction, is
-verified against every row. Only when a lift or a check fails does the
-exact solver run, on all rows.
+nullspace basis and the inverse (by eliminating [m | I]). The witness
+system is first eliminated modulo a prime (completability._exact_basis);
+only when a lift or its check fails does the exact solver run, on all rows.
 
 Positive semidefiniteness has one test: a symmetric fraction-free pivot pass
 that decides PD / PSD-deficient / indefinite and reports its pivots. Least
@@ -39,7 +35,6 @@ import numpy as np
 
 from .errors import InternalCheckError, NumericalError, UnsupportedInputError
 from .graphs import CayleySpec, Graph, cayley_z2, check_budget
-from .modular import kernel_mod_p
 
 DEFAULT_TOL = 1e-8
 
@@ -278,31 +273,6 @@ def nullspace(m):
     if not all(_annihilates(rows, vec) for vec in basis):
         raise InternalCheckError("kernel vector fails exact verification")
     return basis
-
-
-def nullspace_mod_p(int_rows):
-    """Certified nullspace of an integer matrix from one elimination modulo
-    a word-size prime: the echelon basis nullspace returns.
-
-    kernel_mod_p lifts one candidate per free column modulo the prime, and
-    each is checked against all rows. If all pass, they are the echelon
-    basis, whatever the prime. Let K be the rational kernel and K_f its
-    vectors that are 0 past column f. Each candidate is nonzero at its free
-    column and 0 at the others, so they are independent, and there are
-    ncols - rank_p >= dim K of them: they are a basis of K. The candidate
-    of free column f lies in K_f and not in K_(f-1), so dim K_f rises at
-    each of these dim K columns, and so only there: they are the free
-    columns over the rationals too. A vector of K that is 0 at every free
-    column is 0, so the vector of K_f that is 0 at the other free columns
-    is unique up to scale; the candidate and the Bareiss vector are both
-    it, primitive and positive at f. Full rank modulo the prime leaves no
-    candidate: the kernel is trivial, with no exact work. If some entry has
-    no lift or some candidate fails, nullspace eliminates all rows instead.
-    """
-    candidates = kernel_mod_p(int_rows)
-    if candidates is not None and all(_annihilates(int_rows, vec) for vec in candidates):
-        return candidates
-    return nullspace(int_rows)
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import Graph6Error, InternalCheckError, ResourceLimitError, UnsupportedInputError
-from .modular import gaussian_binomial, gf2_span, line_masks
+from .modular import gaussian_binomial, gf2_rank, line_masks
 
 SYSTEM_BYTE_CAP = 1 << 30  # largest matrix, linear system or list allocated, at 8 bytes a cell
 # graph6 packs the n(n - 1)/2 upper-triangle bits six to a character, about
@@ -160,7 +160,7 @@ class CayleySpec:
                 raise ValueError(f"connection element {c} outside Z_2^{self.n} minus zero")
 
     def spans(self) -> bool:
-        return len(gf2_span(self.connection_set)) == (1 << self.n)
+        return gf2_rank(self.connection_set) == self.n
 
 
 # -- graph6 ------------------------------------------------------------------

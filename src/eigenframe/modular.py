@@ -1,12 +1,12 @@
-"""Small modular-arithmetic helpers: GF(2) bit-vector spans, word-size mod-p
+"""Small modular-arithmetic helpers: GF(2) bit-vector ranks, word-size mod-p
 elimination and rational reconstruction, reduced-echelon enumeration of
 subspaces over a prime field, and the lines each subspace contains.
 
-The mod-p elimination is the workhorse behind the certified exact nullspace:
-full column rank modulo a prime is already a proof of full column rank over
-the rationals, and when the rank is deficient the same elimination, reduced
-and lifted by rational reconstruction, proposes the kernel for an exact
-check.
+The mod-p elimination is the workhorse behind the exact witness space: full
+column rank modulo a prime is already a proof of full column rank over the
+rationals, and when the rank is deficient the same elimination, reduced and
+lifted by rational reconstruction, proposes the kernel for an exact check,
+the closed-pair zeros of each witness it maps to.
 """
 
 from __future__ import annotations
@@ -24,23 +24,15 @@ DEFAULT_PRIME = 2_147_483_647
 
 
 def gf2_rank(vectors) -> int:
-    """Rank over GF(2) of integers viewed as bit vectors."""
-    basis = []
+    """Rank over GF(2) of integers viewed as bit vectors: each is reduced by
+    the basis vector with its leading bit until it is 0 or that bit is new."""
+    basis = {}  # leading bit -> basis vector
     for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
+        while (b := basis.get(v.bit_length())) is not None:
+            v ^= b
         if v:
-            basis.append(v)
+            basis[v.bit_length()] = v
     return len(basis)
-
-
-def gf2_span(vectors):
-    """All XOR combinations of the given bit vectors (includes 0)."""
-    span = {0}
-    for v in vectors:
-        if v not in span:
-            span |= {v ^ s for s in span}
-    return span
 
 
 def _echelon_mod_p(rows, p):
@@ -106,7 +98,8 @@ def kernel_mod_p(rows, p=DEFAULT_PRIME):
     positive at f; None when some entry has no lift.
 
     Nothing here is proved over the rationals: a candidate is a kernel
-    vector only once it is checked against every row (exact.nullspace_mod_p).
+    vector only once it is checked against the rows, as
+    completability._exact_basis does through its witness's closed pairs.
     With full rank modulo p there is no free column, and no candidate.
     """
     ncols = len(rows[0]) if rows else 0

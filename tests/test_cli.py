@@ -213,6 +213,17 @@ def test_exit_code_3_on_internal_failure(capsys, monkeypatch):
     assert code == 3 and "synthetic failure" in err
 
 
+def test_exit_code_3_on_numerical_failure(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    code, out, err = run(capsys, "check-uc", "--gen", "cycle:5")
+    assert code == 3 and out == ""
+    assert err == ("numerical failure: eigensolver failed to converge: "
+                   "Eigenvalues did not converge\n")
+
+
 def test_workers_env_default(monkeypatch, capsys):
     # the census runs in one process: neither the environment nor --workers
     # (which the benchmark's census op still passes) changes a byte
@@ -250,7 +261,7 @@ def test_system_over_the_byte_budget_is_refused_before_it_is_built(monkeypatch, 
     n = cli._parse_gen(spec).n
     monkeypatch.setattr(graphs, "SYSTEM_BYTE_CAP", 8 * n * n)
     monkeypatch.setattr(completability, "_complement_gram", never)
-    monkeypatch.setattr(completability, "nullspace_mod_p", never)
+    monkeypatch.setattr(completability, "kernel_mod_p", never)
     code, out, err = run(capsys, "check-uc", "--gen", spec)
     assert code == 2 and out == ""
     assert f"system exceeds the {8 * n * n}-byte budget" in err

@@ -1,9 +1,9 @@
 """Exact linear algebra: elimination, spectra, PSD certificates.
 
-The fast nullspace (one elimination modulo a prime, its kernel lifted by
-rational reconstruction) and the plain elimination of every row are
-independent routes to the same echelon basis, so they are run against each
-other on randomized inputs throughout.
+The kernel candidates of one elimination modulo a prime (lifted by rational
+reconstruction) and the plain elimination of every row are independent
+routes to the same echelon basis once each candidate is checked against the
+rows, so they are run against each other on randomized inputs throughout.
 """
 
 import math
@@ -17,13 +17,13 @@ from corpus import atlas_graphs, benchmark_ops, connected_graphs
 import eigenframe.exact as exact_mod
 from eigenframe.exact import (
     ExactMatrix,
+    _annihilates,
     adjacency_matrix,
     cayley_spectrum,
     invert,
     is_psd_exact,
     least_eigenspace,
     nullspace,
-    nullspace_mod_p,
     projector_onto_nullspace,
     psd_rank_pivot,
     rank_exact,
@@ -44,7 +44,6 @@ from eigenframe.modular import (
     _subspaces_mod_q,
     gaussian_binomial,
     gf2_rank,
-    gf2_span,
     kernel_mod_p,
 )
 from oracles import exact_spectrum
@@ -149,18 +148,35 @@ def test_nullspace_is_a_kernel_basis():
             assert rank_exact(stacked) == len(basis)
 
 
+def _checked(rows):
+    """kernel_mod_p's candidates when each annihilates rows, else None: the
+    check xspace makes on the closed pairs of each candidate's witness."""
+    candidates = kernel_mod_p(rows)
+    if candidates is None or not all(_annihilates(rows, v) for v in candidates):
+        return None
+    return candidates
+
+
 def test_fast_nullspace_agrees_with_plain_elimination():
+    # the candidates that pass their check are the echelon basis; 8 inputs
+    # have a nontrivial kernel that lifts, and 4 a lift that fails or is
+    # refused, which leaves them to the plain elimination
     rng = random.Random(37)
+    routes = []
     for _ in range(30):
         nrows, ncols = rng.randint(2, 12), rng.randint(2, 12)
         rows = _random_int_matrix(rng, nrows, ncols, -9, 9)
         for _ in range(rng.randint(0, 3)):  # rank deficiency, one per combination
             a, b = rng.sample(rows, 2)
             rows.append([x - 2 * y for x, y in zip(a, b)])
-        assert nullspace_mod_p(rows) == nullspace(ExactMatrix(rows))
+        fast = _checked(rows)
+        if fast is not None:
+            assert fast == nullspace(ExactMatrix(rows))
+        routes.append(None if fast is None else len(fast) > 0)
+    assert routes.count(True) == 8 and routes.count(None) == 4
 
 
-def test_fast_nullspace_with_large_entries(monkeypatch):
+def test_fast_nullspace_with_large_entries():
     # rows L [I | T] for an invertible L with entries up to 10^6: the kernel
     # is that of [I | T], small enough to lift with no fallback
     rng = random.Random(47)
@@ -171,39 +187,28 @@ def test_fast_nullspace_with_large_entries(monkeypatch):
         if rank_exact(left) == 12:
             break
     rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*s)] for row in left]
-    plain = _record_results(monkeypatch, "nullspace")
-    basis = nullspace_mod_p(rows)
-    assert plain == [] and len(basis) == 3
+    basis = _checked(rows)
+    assert len(basis) == 3
     assert basis == nullspace(ExactMatrix(rows))
 
 
-def _record_results(monkeypatch, name):
-    """Results of every call to exact.<name> made through the module."""
-    results = []
-    original = getattr(exact_mod, name)
-
-    def recorded(*args):
-        results.append(original(*args))
-        return results[-1]
-
-    monkeypatch.setattr(exact_mod, name, recorded)
-    return results
-
-
 def test_fast_nullspace_with_entries_beyond_a_word():
-    # entries >= 2^20 and a dependent row
+    # entries >= 2^20 and a dependent row: the elimination modulo p finds
+    # the rank, and the kernel, ratios of 6 x 6 minors, is beyond the lift
+    # bound, so only the plain elimination gives it
     rng = random.Random(53)
     rows = _random_int_matrix(rng, 6, 9, -(1 << 22), 1 << 22)
     rows.append([a - b for a, b in zip(rows[0], rows[1])])
     assert max(abs(x) for row in rows for x in row) >= 1 << 20
-    fast = nullspace_mod_p(rows)
-    assert len(fast) == 3
-    assert fast == nullspace(ExactMatrix(rows))
+    assert len(_echelon_mod_p(rows, P)[1]) == 6
+    assert kernel_mod_p(rows) is None
+    assert len(nullspace(ExactMatrix(rows))) == 3
 
 
-def test_modular_nullspace_agrees_with_plain_elimination(monkeypatch):
+def test_modular_nullspace_agrees_with_plain_elimination():
     # seeded inputs, and two where the prime divides an entry, through one
-    # elimination modulo p: every route is taken
+    # elimination modulo p: every route is taken, and where every candidate
+    # passes its check the candidates are the echelon basis
     rng = random.Random(31)
     inputs = []
     for trial in range(30):
@@ -215,39 +220,34 @@ def test_modular_nullspace_agrees_with_plain_elimination(monkeypatch):
     inputs += [[[P, 0, 1], [0, 1, 0]], [[P, 1, 0, 1], [0, 0, 1, 1]]]
     routes = []
     for rows in inputs:
-        plain = _record_results(monkeypatch, "nullspace")
         candidates = kernel_mod_p(rows)
-        assert nullspace_mod_p(rows) == nullspace(ExactMatrix(rows))
         if candidates is None:
             routes.append("no lift")
-        elif plain:
+        elif _checked(rows) is None:
             routes.append("candidate fails")
         else:
             routes.append("lifted" if candidates else "full rank")
-        assert len(plain) == (routes[-1] in ("no lift", "candidate fails"))
-        monkeypatch.undo()
+            assert candidates == nullspace(ExactMatrix(rows))
     assert {r: routes.count(r) for r in set(routes)} == {
         "full rank": 18, "lifted": 9, "no lift": 3, "candidate fails": 2}
 
 
-def test_kernel_entries_beyond_the_lift_bound_fall_back_to_nullspace(monkeypatch):
+def test_kernel_entries_beyond_the_lift_bound_fall_back_to_nullspace():
     # a 12 x 15 matrix with entries up to 10^6: kernel entries are ratios of
-    # 12 x 12 minors, far beyond isqrt(P // 2)
+    # 12 x 12 minors, far beyond isqrt(P // 2), so there is no candidate and
+    # only the plain elimination gives the kernel (xspace's fallback is
+    # forced in test_uccheck)
     rng = random.Random(47)
     rows = _random_int_matrix(rng, 12, 15, -10**6, 10**6)
     assert kernel_mod_p(rows) is None
-    plain = _record_results(monkeypatch, "nullspace")
-    basis = nullspace_mod_p(rows)
-    assert plain == [basis]
-    assert basis == nullspace(ExactMatrix(rows))
+    assert len(nullspace(ExactMatrix(rows))) == 3
 
 
-def test_a_kernel_candidate_that_fails_verification_falls_back(monkeypatch):
+def test_a_kernel_candidate_that_fails_verification_falls_back():
     # [P] is zero modulo P, so e_1 is a candidate, and no kernel vector
     assert kernel_mod_p([[P]]) == ((1,),)
-    plain = _record_results(monkeypatch, "nullspace")
-    assert nullspace_mod_p([[P]]) == nullspace(ExactMatrix([[P]])) == ()
-    assert plain == [()]
+    assert _checked([[P]]) is None
+    assert nullspace(ExactMatrix([[P]])) == ()
 
 
 def test_rational_reconstruction_at_the_bound():
@@ -267,18 +267,17 @@ def test_entries_beyond_int64_are_reduced_as_python_ints():
     with pytest.raises(OverflowError):
         np.array([[big]], dtype=np.int64)
     rows = [[big, -big, 0], [0, 1, -1]]
-    assert nullspace_mod_p(rows) == nullspace(ExactMatrix(rows)) == ((1, 1, 1),)
+    assert _checked(rows) == nullspace(ExactMatrix(rows)) == ((1, 1, 1),)
     assert _echelon_mod_p([[P << 40, 1], [1, 0]], P)[1] == [0, 1]
 
 
-def test_fast_nullspace_falls_back_when_rank_drops_mod_p(monkeypatch):
+def test_fast_nullspace_falls_back_when_rank_drops_mod_p():
     # rank 1 modulo p against 2 over the rationals, so the candidate e_1
-    # fails verification and every row is eliminated
+    # fails verification and only the plain elimination gives the kernel
     rows = [[P, 0], [0, 1]]
     assert kernel_mod_p(rows) == ((1, 0),)
-    plain = _record_results(monkeypatch, "nullspace")
-    assert nullspace_mod_p(rows) == () == nullspace(ExactMatrix(rows))
-    assert plain == [()]
+    assert _checked(rows) is None
+    assert nullspace(ExactMatrix(rows)) == ()
 
 
 def test_invert():
@@ -550,8 +549,7 @@ def test_gf2_rank_and_span():
     assert gf2_rank([1, 2, 4]) == 3
     assert gf2_rank([1, 2, 3]) == 2
     assert gf2_rank([]) == 0
-    assert gf2_span([1, 2]) == {0, 1, 2, 3}
-    assert len(gf2_span([1, 2, 4])) == 8
+    assert CayleySpec(3, (1, 2, 4)).spans() and not CayleySpec(3, (1, 2, 3)).spans()
 
 
 def test_rank_mod_p_lower_bounds_rational_rank():

@@ -618,7 +618,7 @@ def test_small_cayley_eigenspace_takes_the_modular_full_rank_route(monkeypatch):
     sp = cayley_spectrum(CayleySpec(5, conn)).spectrum
     assert sp.tau == -5 and sp.tau_multiplicity == 2
     widths = []
-    real_kernel = exact.kernel_mod_p
+    real_kernel = completability.kernel_mod_p
 
     def recording_kernel(rows):
         widths.append(len(rows[0]))
@@ -627,10 +627,69 @@ def test_small_cayley_eigenspace_takes_the_modular_full_rank_route(monkeypatch):
     def no_kernel_solve(*args):
         raise AssertionError("kernel solve on a full-rank reduced system")
 
-    monkeypatch.setattr(exact, "kernel_mod_p", recording_kernel)
-    monkeypatch.setattr(exact, "nullspace", no_kernel_solve)
+    monkeypatch.setattr(completability, "kernel_mod_p", recording_kernel)
+    monkeypatch.setattr(completability, "nullspace", no_kernel_solve)
     assert xspace(cayley_z2(CayleySpec(5, conn))).dim == 0
     assert widths == [3]  # the upper triangle of a 2 x 2 matrix R
+
+
+def _witness_route_graphs():
+    """T(6) and the first exact atlas graph with a nontrivial witness space."""
+    atlas = next(g for g, _ in atlas_graphs()
+                 if least_eigenspace(g).is_exact() and xspace(g).dim > 0)
+    return [_line_graph(6), atlas]
+
+
+def _count_calls(monkeypatch, module, name):
+    """A list that grows by one at each call of module.<name>."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_xspace_proves_each_lifted_witness_once(monkeypatch):
+    # on the main route the closed-pair zeros of each X are the only proof:
+    # no row is applied to a candidate, and phi does not recheck X
+    for g in _witness_route_graphs():
+        les = least_eigenspace(g)
+        annihilates = _count_calls(monkeypatch, exact, "_annihilates")
+        phis = _count_calls(monkeypatch, completability, "phi")
+        solves = _count_calls(monkeypatch, completability, "nullspace")
+        assert xspace(les).dim > 0
+        assert annihilates == [] and phis == [] and solves == []
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("fault", ["no lift", "candidate fails"])
+def test_a_failed_lift_or_check_falls_back_to_nullspace(monkeypatch, fault):
+    real_kernel = completability.kernel_mod_p
+
+    def faulty_kernel(rows):
+        if fault == "no lift":
+            return None
+        # add e_p to the first candidate, p a pivot column (one no candidate
+        # ends at): e_p is 0 at every free column, so it is no kernel vector,
+        # and the sum is none either; its X fails the closed-pair check
+        candidates = real_kernel(rows)
+        free = {max(i for i, v in enumerate(vec) if v) for vec in candidates}
+        bad = list(candidates[0])
+        bad[min(set(range(len(bad))) - free)] += 1
+        return (tuple(bad), *candidates[1:])
+
+    for g in _witness_route_graphs():
+        les = least_eigenspace(g)
+        expected = xspace(les).basis
+        monkeypatch.setattr(completability, "kernel_mod_p", faulty_kernel)
+        solves = _count_calls(monkeypatch, completability, "nullspace")
+        annihilates = _count_calls(monkeypatch, exact, "_annihilates")
+        assert xspace(les).basis == expected
+        assert solves == [1] and annihilates  # nullspace verified its own basis
+        monkeypatch.undo()
 
 
 def test_the_witness_benchmark_inputs_take_no_bignum_elimination(monkeypatch):
