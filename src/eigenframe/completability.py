@@ -7,17 +7,18 @@ universally completable exactly when no nonzero such X exists.
 
 Both paths decide the dimension in the paper's reduced space X = B R B^T
 (B a basis of ker(A - tau I), R symmetric d x d): n + |E| equations in
-d(d+1)/2 unknowns. On the exact path B is an integer basis; full column
-rank modulo a word-size prime certifies dimension zero, and kernel vectors
-are otherwise lifted from that same elimination; each is proved by its X,
-whose entries on the diagonal and the edges are the system's rows applied
-to it. On the floating path B is the orthonormal eigh basis, and the least
-singular value of the same system bounds the margin of the n^2 x
-|E(complement)| complement-edge system from below; only when that bound is
-too small to prove full rank do its rank and null vectors decide. The reported margin,
-the smallest-to-largest singular value ratio of the complement-edge system,
-is read from that system's Gram matrix when first asked for; the system
-itself is never built.
+d(d+1)/2 unknowns. On the exact path B is an integer basis; unknowns that
+a row with one nonzero forces to zero are dropped first, and on the rest,
+full column rank modulo a word-size prime certifies dimension zero, and
+kernel vectors are otherwise lifted from that same elimination; each is
+proved by its X, whose entries on the diagonal and the edges are the
+system's rows applied to it. On the floating path B is the orthonormal eigh
+basis, and the least singular value of the same system bounds the margin of
+the n^2 x |E(complement)| complement-edge system from below; only when that
+bound is too small to prove full rank do its rank and null vectors decide.
+The reported margin, the smallest-to-largest singular value ratio of the
+complement-edge system, is read from that system's Gram matrix when first
+asked for; the system itself is never built.
 """
 
 from __future__ import annotations
@@ -143,21 +144,33 @@ def _complement_gram(shifted, k, j):
 
 
 def _rspace_rows(les):
-    """The R-system and its unknowns, the upper triangle (a, c) of R.
+    """The R-system, one array, and its unknowns, the upper triangle (a, c)
+    of R.
 
     X_ij = p_i^T R p_j, with p_i row i of the eigenspace basis B, is one
-    linear form in the upper triangle of R; its forms on the diagonal and on
-    edges are the n + |E| rows."""
-    mult = les.spectrum.tau_multiplicity
-    p = list(zip(*les.basis)) if les.is_exact() else les.basis.tolist()
-    tri = [(a, c) for a in range(mult) for c in range(a, mult)]
-
-    def form(i, j):
-        return [p[i][a] * p[j][c] + (p[i][c] * p[j][a] if a != c else 0) for a, c in tri]
-
+    linear form in the upper triangle of R: p_ia p_jc + p_ic p_ja, the cross
+    term 0 at a = c. Its forms on the diagonal and on edges are the n + |E|
+    rows. Exact: int64 when 2 max|B|^2 < 2^63 bounds every entry, else
+    Python ints (object dtype). Floating: float64, so each entry at a = c is
+    p_ia p_ja + 0.0."""
+    d = les.spectrum.tau_multiplicity
+    tri = [(a, c) for a in range(d) for c in range(a, d)]
     closed = _closed_pairs(les.graph)
     check_budget(len(closed) * len(tri), f"a {len(closed)} x {len(tri)} system")
-    return [form(i, j) for i, j in closed], tri
+    if les.is_exact():
+        top = max(abs(v) for col in les.basis for v in col)
+        p = np.array(les.basis, dtype=np.int64 if 2 * top * top < 1 << 63 else object).T
+    else:
+        p = les.basis
+    i, j = np.array(closed).T[:, :, None]
+    a, c = np.array(tri).T
+    rows = p[i, a]
+    rows *= p[j, c]
+    cross = p[i, c]
+    cross *= p[j, a]
+    cross[:, a == c] = 0
+    rows += cross
+    return rows, tri
 
 
 def _rspace_svd(les):
@@ -165,7 +178,7 @@ def _rspace_svd(les):
     singular vectors of the floating R-system (_rspace_rows), and its
     unknowns; u is never larger than the system."""
     rows, tri = _rspace_rows(les)
-    _, svals, vh = np.linalg.svd(np.array(rows), full_matrices=len(rows) < len(tri))
+    _, svals, vh = np.linalg.svd(rows, full_matrices=len(rows) < len(tri))
     return np.pad(svals, (0, len(tri) - len(svals))), vh, tri
 
 
@@ -205,39 +218,71 @@ def _symmetric(tri, vec, d):
     return r
 
 
+def _live_block(rows):
+    """The unknowns of an integer system that no singleton row forces to 0,
+    and the system on them: those columns, on the rows nonzero there.
+
+    A row with exactly one nonzero among the live columns forces that
+    unknown to 0 in every kernel vector: its column is dropped, and the rows
+    are counted again until none is a singleton. Nonzero is tested on the
+    integers, not modulo a prime. In the R-system the row of a free vertex
+    f_a's diagonal is c_a^2 R_aa, and that of an edge between free vertices
+    f_a, f_b is c_a c_b R_ab: singletons from the start."""
+    nonzero = rows != 0
+    live = np.ones(rows.shape[1], dtype=bool)
+    while True:
+        counts = np.count_nonzero(nonzero, axis=1)
+        single = counts == 1
+        if not np.count_nonzero(single):
+            break
+        forced = nonzero[single].argmax(axis=1)
+        live[forced] = nonzero[:, forced] = False
+    cols = np.flatnonzero(live)
+    return cols.tolist(), rows[np.ix_(counts > 0, cols)]
+
+
 def _exact_basis(les):
     """X = B R B^T, divided to a primitive integer matrix, for each echelon
     kernel vector R of the R-system (_rspace_rows), read as a symmetric R.
 
-    kernel_mod_p eliminates the system once modulo a word-size prime and
-    lifts one candidate per free column. The rows are X's entries on the
-    diagonal and the edges, so X vanishing there (_vanishes_on_closed_pairs)
-    proves the candidate a kernel vector. If all pass, they are the echelon
-    basis nullspace returns, whatever the prime. Let K be the rational
-    kernel and K_f its vectors that are 0 past column f. Each candidate is
-    nonzero at its free column and 0 at the others, so they are
-    independent, and there are ncols - rank_p >= dim K of them: they are a
-    basis of K. The candidate of free column f lies in K_f and not in
-    K_(f-1), so dim K_f rises at each of these dim K columns, and so only
-    there: they are the free columns over the rationals too. A vector of K
-    that is 0 at every free column is 0, so the vector of K_f that is 0 at
-    the other free columns is unique up to scale; the candidate and the
-    Bareiss vector are both it, primitive and positive at f. Full rank
-    modulo the prime leaves no candidate: the kernel is trivial, and B is
-    never built. If some entry has no lift or some X fails, nullspace
-    eliminates all rows instead.
+    kernel_mod_p eliminates the live block (_live_block) once modulo a
+    word-size prime and lifts one candidate per free column, padded with 0
+    at the forced columns. The rows are X's entries on the diagonal and the
+    edges, so X vanishing there (_vanishes_on_closed_pairs) proves the
+    candidate a kernel vector of the whole system. If all pass, they are the
+    echelon basis nullspace returns on all rows, whatever the prime. Let K
+    be the rational kernel and K_f its vectors that are 0 past column f.
+    Every vector of K is 0 at a forced column, so dim K_f never rises at
+    one, and K is the live block's kernel padded with zeros. Each candidate
+    is nonzero at its free column and 0 at the other free columns and at the
+    forced ones, so they are independent, and there are
+    live - rank_p >= dim K of them: they are a basis of K. The candidate of
+    free column f lies in K_f and not in K_(f-1), so dim K_f rises at each
+    of these dim K columns, and so only there: they are the free columns of
+    the whole system over the rationals too. A vector of K that is 0 at
+    every free column is 0, so the vector of K_f that is 0 at the other free
+    columns is unique up to scale; the candidate and the Bareiss vector are
+    both it, primitive and positive at f. Full rank of the block modulo the
+    prime leaves no candidate: the kernel is trivial, and B is never built.
+    If some entry has no lift or some X fails, nullspace eliminates all rows
+    instead.
     """
     rows, tri = _rspace_rows(les)
+    cols, block = _live_block(rows)
 
-    def lift(vecs):
-        rs = [ExactMatrix._from_ints(_symmetric(tri, v, len(les.basis))) for v in vecs]
+    def lift(unknowns, vecs):
+        rs = [ExactMatrix._from_ints(_symmetric(unknowns, v, len(les.basis))) for v in vecs]
         return _brbt(les, rs)
 
-    candidates = kernel_mod_p(rows)
-    xs = lift(candidates) if candidates else []
+    candidates = kernel_mod_p(block)
+    xs = lift([tri[t] for t in cols], candidates) if candidates else []
     if candidates is None or not all(_vanishes_on_closed_pairs(les, x) for x in xs):
-        xs = lift(nullspace(rows))
-    return tuple(x * Fraction(1, math.gcd(*(v for row in x.num for v in row))) for x in xs)
+        xs = lift(tri, nullspace(rows.tolist()))
+    basis = []
+    for x in xs:
+        g = math.gcd(*(v for row in x.num for v in row))
+        basis.append(ExactMatrix._from_ints([[v // g for v in row] for row in x.num]))
+    return tuple(basis)
 
 
 def xspace(g) -> XSpaceBasis:

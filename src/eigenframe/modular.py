@@ -2,11 +2,12 @@
 elimination and rational reconstruction, reduced-echelon enumeration of
 subspaces over a prime field, and the lines each subspace contains.
 
-The mod-p elimination is the workhorse behind the exact witness space: full
-column rank modulo a prime is already a proof of full column rank over the
-rationals, and when the rank is deficient the same elimination, reduced and
-lifted by rational reconstruction, proposes the kernel for an exact check,
-the closed-pair zeros of each witness it maps to.
+The mod-p elimination is the workhorse behind the exact witness space, run
+on the unknowns that no single-nonzero row forces to zero: full column rank
+modulo a prime is already a proof of full column rank over the rationals,
+and when the rank is deficient the same elimination, reduced and lifted by
+rational reconstruction, proposes the kernel for an exact check, the
+closed-pair zeros of each witness it maps to.
 """
 
 from __future__ import annotations
@@ -43,11 +44,9 @@ def _echelon_mod_p(rows, p):
     len(pivot_cols), is at most the rank over the rationals, since a minor
     nonzero modulo p is nonzero."""
     try:
-        m = np.array(rows, dtype=np.int64) % p
+        m = np.array(rows, dtype=np.int64, ndmin=2) % p
     except OverflowError:  # an entry beyond int64: reduce it as a Python int
         m = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-    if m.size == 0:
-        return m, []
     nrows, ncols = m.shape
     pivot_cols = []
     r = 0
@@ -100,10 +99,12 @@ def kernel_mod_p(rows, p=DEFAULT_PRIME):
     Nothing here is proved over the rationals: a candidate is a kernel
     vector only once it is checked against the rows, as
     completability._exact_basis does through its witness's closed pairs.
-    With full rank modulo p there is no free column, and no candidate.
+    With full rank modulo p there is no free column, and no candidate. The
+    column count is the array's, so a block with no rows, or only zero
+    rows, gives one unit candidate per column.
     """
-    ncols = len(rows[0]) if rows else 0
     m, pivot_cols = _echelon_mod_p(rows, p)
+    ncols = m.shape[1]
     pivots = set(pivot_cols)
     free = [c for c in range(ncols) if c not in pivots]
     if not free:

@@ -10,10 +10,11 @@ builds the complement-edge system with numpy alone and reads it off one
 full SVD, or sums its Gram matrix entry by entry, and the walk-count
 oracle multiplies dense integer powers of A. The projector oracle checks the
 n x n identities the exact path proves only in their d x d form, by dense
-products over Fractions. The dominated-framework oracle is the one that
-calls the package: it replays, over the whole n x n Gram matrix, the pivot
-pass and the two domination tests that dominated_frameworks now proves on
-the d x d core instead.
+products over Fractions. The R-system oracle builds its rows as nested
+Python lists, one entry at a time. The dominated-framework oracle is the one
+that calls the package: it replays, over the whole n x n Gram matrix, the
+pivot pass and the two domination tests that dominated_frameworks now proves
+on the d x d core instead.
 """
 
 import math
@@ -186,6 +187,19 @@ def x_system_svd(g, threshold=1e-7, tol=1e-8):
             x[k, l] = x[l, k] = v
         basis.append(x)
     return len(pairs) - rank, float(svals[-1] / smax) if smax > 0 else 0.0, basis
+
+
+def rspace_rows(les):
+    """The R-system of an eigenspace as nested lists, entry by entry: the
+    form p_i^T R p_j on the upper triangle (a, c) of R, p_i row i of the
+    basis, on the diagonal and then the edges. The cross term at a = c is
+    the Python int 0, so a floating entry there is p_ia p_ja + 0."""
+    g, d = les.graph, les.spectrum.tau_multiplicity
+    p = list(zip(*les.basis)) if les.is_exact() else les.basis.tolist()
+    tri = [(a, c) for a in range(d) for c in range(a, d)]
+    closed = [(i, i) for i in range(g.n)] + list(g.edges())
+    return [[p[i][a] * p[j][c] + (p[i][c] * p[j][a] if a != c else 0) for a, c in tri]
+            for i, j in closed]
 
 
 def complement_gram_loop(shifted, k, j):

@@ -250,6 +250,15 @@ def test_a_kernel_candidate_that_fails_verification_falls_back():
     assert nullspace(ExactMatrix([[P]])) == ()
 
 
+def test_a_block_without_rows_or_with_zero_rows_gives_unit_candidates():
+    # the column count is the array's: every column of a block with no row,
+    # or with only zero rows, is free, and its candidate is the unit vector
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert kernel_mod_p(np.zeros((0, 3), dtype=np.int64)) == units
+    assert kernel_mod_p(np.zeros((2, 3), dtype=np.int64)) == units
+    assert kernel_mod_p(np.zeros((0, 0), dtype=np.int64)) == ()
+
+
 def test_rational_reconstruction_at_the_bound():
     b = math.isqrt(P // 2)
     assert b == 32767 and 2 * b * b < P

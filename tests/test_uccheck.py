@@ -33,6 +33,7 @@ from eigenframe.completability import (
 from eigenframe.errors import UnsupportedInputError
 from eigenframe.exact import (
     ExactMatrix,
+    LeastEigenspace,
     cayley_spectrum,
     least_eigenspace,
     nullspace,
@@ -52,8 +53,9 @@ from eigenframe.graphs import (
     parse_graph6,
     q_kneser,
 )
+from eigenframe.modular import DEFAULT_PRIME, kernel_mod_p
 from eigenframe.serialize import number_token
-from oracles import complement_gram_loop, dense_xspace_dim, x_system_svd
+from oracles import complement_gram_loop, dense_xspace_dim, rspace_rows, x_system_svd
 
 TWO_K2 = from_edges(4, [(0, 1), (2, 3)])
 GNP20 = "SH??`@gAG?_KA@CGaaKBCk?AC?`@CSD_c"  # G(20, 0.2), irrational tau
@@ -621,7 +623,7 @@ def test_small_cayley_eigenspace_takes_the_modular_full_rank_route(monkeypatch):
     real_kernel = completability.kernel_mod_p
 
     def recording_kernel(rows):
-        widths.append(len(rows[0]))
+        widths.append(rows.shape[1])
         return real_kernel(rows)
 
     def no_kernel_solve(*args):
@@ -630,7 +632,9 @@ def test_small_cayley_eigenspace_takes_the_modular_full_rank_route(monkeypatch):
     monkeypatch.setattr(completability, "kernel_mod_p", recording_kernel)
     monkeypatch.setattr(completability, "nullspace", no_kernel_solve)
     assert xspace(cayley_z2(CayleySpec(5, conn))).dim == 0
-    assert widths == [3]  # the upper triangle of a 2 x 2 matrix R
+    # singleton rows force all 3 unknowns, the upper triangle of a 2 x 2 R,
+    # so the one elimination is of an empty block, and full rank
+    assert widths == [0]
 
 
 def _witness_route_graphs():
@@ -665,6 +669,12 @@ def test_xspace_proves_each_lifted_witness_once(monkeypatch):
         monkeypatch.undo()
 
 
+def _witness_benchmark_graphs():
+    """The 7 distinct input graphs of the witness benchmark workload."""
+    graphs = {parse_graph6(op.argv[2]) for op in benchmark_ops("witness")}
+    return sorted(graphs, key=lambda g: (g.n, g.nbr))
+
+
 @pytest.mark.parametrize("fault", ["no lift", "candidate fails"])
 def test_a_failed_lift_or_check_falls_back_to_nullspace(monkeypatch, fault):
     real_kernel = completability.kernel_mod_p
@@ -672,16 +682,23 @@ def test_a_failed_lift_or_check_falls_back_to_nullspace(monkeypatch, fault):
     def faulty_kernel(rows):
         if fault == "no lift":
             return None
-        # add e_p to the first candidate, p a pivot column (one no candidate
-        # ends at): e_p is 0 at every free column, so it is no kernel vector,
-        # and the sum is none either; its X fails the closed-pair check
+        # add e_p to the first candidate, p a pivot column of the live block
+        # (one no candidate ends at): e_p is 0 at every free column, so it is
+        # no kernel vector, and the sum is none either; its X fails the
+        # closed-pair check
         candidates = real_kernel(rows)
         free = {max(i for i, v in enumerate(vec) if v) for vec in candidates}
         bad = list(candidates[0])
         bad[min(set(range(len(bad))) - free)] += 1
         return (tuple(bad), *candidates[1:])
 
-    for g in _witness_route_graphs():
+    # the atlas graph's live block has no row, so every vector on it is a
+    # kernel vector and no candidate can fail: a bad one is made on T(6)'s
+    # block and on a witness benchmark graph's, which have pivot columns
+    graphs = _witness_route_graphs()
+    if fault == "candidate fails":
+        graphs = [_line_graph(6), _witness_benchmark_graphs()[0]]
+    for g in graphs:
         les = least_eigenspace(g)
         expected = xspace(les).basis
         monkeypatch.setattr(completability, "kernel_mod_p", faulty_kernel)
@@ -695,7 +712,7 @@ def test_a_failed_lift_or_check_falls_back_to_nullspace(monkeypatch, fault):
 def test_the_witness_benchmark_inputs_take_no_bignum_elimination(monkeypatch):
     # every kernel of the witness workload lifts from its one elimination
     # modulo p, so a slide back to the Bareiss route fails here
-    graphs = {parse_graph6(op.argv[2]) for op in benchmark_ops("witness")}
+    graphs = _witness_benchmark_graphs()
     dims = {g: xspace(g).dim for g in graphs}
     assert len(graphs) == 7 and sum(dims.values()) > 0
 
@@ -704,6 +721,98 @@ def test_the_witness_benchmark_inputs_take_no_bignum_elimination(monkeypatch):
 
     monkeypatch.setattr(exact, "_bareiss_echelon", no_bareiss)
     assert {g: xspace(g).dim for g in graphs} == dims
+
+
+def test_the_witness_benchmark_systems_are_eliminated_on_fewer_unknowns(monkeypatch):
+    # singleton rows force unknowns to 0 before the one elimination modulo
+    # p, so a revert of the presolve (_live_block) fails here
+    widths, real_kernel = [], completability.kernel_mod_p
+
+    def recording_kernel(rows):
+        widths.append(rows.shape[1])
+        return real_kernel(rows)
+
+    monkeypatch.setattr(completability, "kernel_mod_p", recording_kernel)
+    for g in _witness_benchmark_graphs():
+        les = least_eigenspace(g)
+        d = les.spectrum.tau_multiplicity
+        widths.clear()
+        assert xspace(les).dim > 0
+        assert len(widths) == 1 and widths[0] < d * (d + 1) // 2
+
+
+def _presolved_kernel(les):
+    """kernel_mod_p's candidates on the live block of les's R-system, padded
+    with zeros to every unknown."""
+    rows, tri = completability._rspace_rows(les)
+    cols, block = completability._live_block(rows)
+    padded = []
+    for vec in kernel_mod_p(block):
+        full = [0] * len(tri)
+        for t, v in zip(cols, vec):
+            full[t] = v
+        padded.append(tuple(full))
+    return tuple(padded)
+
+
+def test_the_presolved_kernel_is_the_nullspace_of_all_rows():
+    graphs = [g for g, _ in atlas_graphs()
+              if least_eigenspace(g).is_exact() and xspace(g).dim > 0]
+    graphs += [_line_graph(6), _line_graph(7), _line_graph(8), q_kneser(2, 4, 2)]
+    graphs += _witness_benchmark_graphs()
+    assert len(graphs) == 33
+    for g in graphs:
+        les = least_eigenspace(g)
+        kernel = nullspace(rspace_rows(les))
+        assert kernel and _presolved_kernel(les) == kernel
+
+
+def test_a_forced_unknown_can_make_another_row_a_singleton():
+    # row 0 forces unknown 2; then row 1 is a singleton and forces unknown
+    # 1. DEFAULT_PRIME is 0 modulo itself, and still a nonzero
+    rows = np.array([[0, 0, 5, 0], [0, 3, -2, 0], [1, 4, 0, 1], [2, 0, 7, 2], [0, 0, 0, 0]])
+    cols, block = completability._live_block(rows)
+    assert cols == [0, 3] and block.tolist() == [[1, 1], [2, 2]]
+    assert kernel_mod_p(block) == ((-1, 1),)
+    assert nullspace(rows.tolist()) == ((-1, 0, 0, 1),)
+    rows = [[DEFAULT_PRIME, 0], [1, 1]]
+    cols, block = completability._live_block(np.array(rows))
+    assert cols == [] and block.shape == (0, 0)
+    assert nullspace(rows) == ()
+
+
+def test_the_rspace_array_is_the_list_built_system_bit_for_bit():
+    # every atlas graph on both paths; floating entries compared by their
+    # bits, so signed zeros count
+    counts = {"exact": 0, "floating": 0}
+    signed_zeros = 0
+    for g, _ in atlas_graphs():
+        for backend in ("auto", "floating"):
+            les = least_eigenspace(g, backend)
+            rows, _ = completability._rspace_rows(les)
+            expected = rspace_rows(les)
+            if les.is_exact():
+                assert rows.dtype == np.int64 and rows.tolist() == expected
+            else:
+                assert rows.dtype == np.float64
+                assert np.array_equal(rows.view(np.int64), np.array(expected).view(np.int64))
+                signed_zeros += np.count_nonzero((rows == 0) & np.signbit(rows))
+            counts[les.spectrum.backend] += 1
+    assert counts == {"exact": 228, "floating": 2276} and signed_zeros > 0
+
+
+def test_rspace_rows_past_the_int64_bound_are_python_ints():
+    # the basis of T(6) has max |B| = 1; scaled by 2^31 - 1, 2 max|B|^2
+    # stays below 2^63, and scaled by 2^31 it reaches it. The witnesses,
+    # divided to primitive matrices, are the same on either side
+    les = least_eigenspace(_line_graph(6))
+    assert max(abs(v) for col in les.basis for v in col) == 1
+    for scale, dtype in (((1 << 31) - 1, np.int64), (1 << 31, object)):
+        big = LeastEigenspace(les.graph, les.spectrum,
+                              tuple(tuple(v * scale for v in col) for col in les.basis))
+        rows, _ = completability._rspace_rows(big)
+        assert rows.dtype == dtype and rows.tolist() == rspace_rows(big)
+        assert completability._exact_basis(big) == xspace(les).basis
 
 
 def test_lifted_witnesses_are_primitive_echelon_vectors():
